@@ -150,7 +150,6 @@ _FLAG_MODELS = {
     "max_iters": {"glad", "glad0"},
     "tol": {"glad", "glad0"},
     "alpha0": {"glad", "glad0", "dglad"},
-    "mode": {"glad"},
     "inner_max": {"glad0"},
     "inner_tol": {"glad0"},
     "restarts": {"glad0"},
@@ -247,7 +246,6 @@ def cmd_fit(args) -> int:
             tol=_pick(args.tol, 1e-6),
             seed=args.seed,
             alpha0=_pick(args.alpha0, 0.1),
-            mode=_pick(args.mode, "sequential"),
         )
         result = fit(data, args.groups, args.roles, config)
         _write_params(out, result.params)
@@ -425,17 +423,11 @@ def _fpr_curve(scores, change, truth, n_thresholds):
         curve = evaluate_dynamic(change, truth["change_times"], grid)
         return grid, curve["fpr"], curve["recall"]
     grid = np.linspace(float(scores.min()), float(scores.max()), n_thresholds)
-    anomalous = truth["anomalous_groups"]
-    normal = scores.size - len(anomalous)
-    is_anom = np.zeros(scores.size, dtype=bool)
-    is_anom[list(anomalous)] = True
-    fpr = np.empty(grid.size)
-    recall = np.empty(grid.size)
-    for i, tau in enumerate(grid):
-        flag = scores > tau
-        fpr[i] = (flag & ~is_anom).sum() / normal if normal else 0.0
-        recall[i] = (flag & is_anom).sum() / len(anomalous)
-    return grid, fpr, recall
+    rows = [
+        evaluate_static(np.flatnonzero(scores > tau), truth["anomalous_groups"], scores.size)
+        for tau in grid
+    ]
+    return grid, np.array([r["fpr"] for r in rows]), np.array([r["accuracy"] for r in rows])
 
 
 def cmd_evaluate(args) -> int:
@@ -740,7 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--mode", choices=("sequential", "jacobi"), default=None)
     p.add_argument("--inner-max", dest="inner_max", type=int, default=None)
     p.add_argument("--inner-tol", dest="inner_tol", type=float, default=None)
     p.add_argument("--restarts", type=int, default=None)

@@ -255,19 +255,31 @@ def _role_logits(
     return ls + data.snapshots[t].features[p] @ floored_log(params.beta)
 
 
+def _group_kernel(logpi_p, ls_role, logb, log1mb, linked, group_counts, g_p):
+    """Unnormalized log conditional of one person's group.  ``linked`` counts
+    their neighbours per group, ``group_counts`` everyone, the person included
+    under their current group ``g_p`` (no one scores a link with themselves)."""
+    total = group_counts.copy()
+    total[g_p] -= 1
+    logits = logpi_p + ls_role + logb @ linked
+    logits += log1mb @ (total - linked)
+    return logits
+
+
 def _group_logits(
     p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
 ) -> np.ndarray:
     m = params.n_groups
     g_row = trace.G[t]
-    linked = np.bincount(g_row[data.snapshots[t].links[p].astype(bool)], minlength=m)
-    total = np.bincount(g_row, minlength=m)
-    total[g_row[p]] -= 1  # the person never scores a link with itself
-    logits = floored_log(trace.pi[p]).copy()
-    logits += log_softmax(trace.theta_hat[t])[:, trace.R[t, p]]
-    logits += np.log(params.block) @ linked
-    logits += np.log1p(-params.block) @ (total - linked)
-    return logits
+    return _group_kernel(
+        floored_log(trace.pi[p]),
+        log_softmax(trace.theta_hat[t])[:, trace.R[t, p]],
+        np.log(params.block),
+        np.log1p(-params.block),
+        np.bincount(g_row[data.snapshots[t].links[p].astype(bool)], minlength=m),
+        np.bincount(g_row, minlength=m),
+        g_row[p],
+    )
 
 
 def role_posterior(
@@ -488,12 +500,16 @@ def default_params(
     so the walk starts where the static model thinks the first snapshot
     sits.
     """
-    res = _anchor_fit(data, n_groups, n_roles, config)
+    return _anchor_params(_anchor_fit(data, n_groups, n_roles, config))
+
+
+def _anchor_params(anchor) -> DGladParams:
+    params = anchor.params
     return DGladParams(
-        alpha=res.params.alpha,
-        block=res.params.block,
-        beta=res.params.beta,
-        theta0=np.log(np.maximum(res.params.theta, 1e-12)),
+        alpha=params.alpha,
+        block=params.block,
+        beta=params.beta,
+        theta0=floored_log(params.theta),
     )
 
 
@@ -520,10 +536,9 @@ def _scan_assignments(
             r = _draw_logits(ls_theta[g_row[p]] + feat_scores[p], rng)
             trace.R[t, p] = r
             linked = np.bincount(g_row[neighbors[p]], minlength=m)
-            total = group_counts.copy()
-            total[g_row[p]] -= 1
-            logits = logpi[p] + ls_theta[:, r] + logb @ linked
-            logits += log1mb @ (total - linked)
+            logits = _group_kernel(
+                logpi[p], ls_theta[:, r], logb, log1mb, linked, group_counts, g_row[p]
+            )
             g_new = _draw_logits(logits, rng)
             group_counts[g_row[p]] -= 1
             group_counts[g_new] += 1
@@ -555,22 +570,16 @@ def run_sampler(
     if n_groups < 1 or n_roles < 1:
         raise ValueError("need at least one group and one role")
     rng = np.random.default_rng(config.seed)
-    anchor = None
-    if params is None:
-        anchor = _anchor_fit(data, n_groups, n_roles, config)
-        params = DGladParams(
-            alpha=anchor.params.alpha,
-            block=anchor.params.block,
-            beta=anchor.params.beta,
-            theta0=np.log(np.maximum(anchor.params.theta, 1e-12)),
-        )
-    if params.n_groups != n_groups or params.n_roles != n_roles:
+    if params is not None and (params.n_groups, params.n_roles) != (n_groups, n_roles):
         raise ValueError("params disagree with the requested sizes")
+    anchor = None
+    if params is None or config.init == "warm":
+        anchor = _anchor_fit(data, n_groups, n_roles, config)
+    if params is None:
+        params = _anchor_params(anchor)
     horizon, n = data.horizon, data.n_nodes
 
     if config.init == "warm":
-        if anchor is None:
-            anchor = _anchor_fit(data, n_groups, n_roles, config)
         g_init = np.tile(anchor.state.grouping(), (horizon, 1))
     else:
         g_init = rng.integers(0, n_groups, size=(horizon, n))

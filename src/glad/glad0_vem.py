@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .glad_vem import newton_alpha, seed_params
+from .glad_vem import jitter_rows, newton_alpha, seed_params
 from .model import (
     ActivityDataset,
     GladNumericsError,
@@ -77,7 +77,6 @@ class Fit0Config:
     alpha_mode: str = "fixed"
     alpha0: float = 0.1
     rho: float = 0.0
-    init_noise: float = 0.01
     gamma_pooling: str = "counterpart"
     restarts: int = 1
 
@@ -362,12 +361,6 @@ def _phi_logits(y, block, other, elogpi, side):
     return field + (elogpi[:, None, :] if side == "out" else elogpi[None, :, :])
 
 
-def _softmax3(logits):
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
-
-
 def _uniform_diagonal(phi):
     n, _, m = phi.shape
     phi[np.arange(n), np.arange(n), :] = 1.0 / m
@@ -398,10 +391,10 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     elogpi = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
     y = data.links
 
-    new_out = _uniform_diagonal(_softmax3(_phi_logits(y, params.block, phi_in, elogpi, "out")))
+    new_out = _uniform_diagonal(softmax(_phi_logits(y, params.block, phi_in, elogpi, "out")))
     delta = float(np.abs(new_out - phi_out).max())
     phi_out[:] = new_out
-    new_in = _uniform_diagonal(_softmax3(_phi_logits(y, params.block, phi_out, elogpi, "in")))
+    new_in = _uniform_diagonal(softmax(_phi_logits(y, params.block, phi_out, elogpi, "in")))
     delta = max(delta, float(np.abs(new_in - phi_in).max()))
     phi_in[:] = new_in
 
@@ -463,17 +456,12 @@ def fit0(
     flat_lam = np.full((total_acts, n_groups), 1.0 / n_groups)
     flat_mu = np.full((total_acts, n_roles), 1.0 / n_roles)
 
-    def jiggle(arr):
-        if arr.size:
-            arr *= 1.0 + config.init_noise * (2.0 * rng.random(arr.shape) - 1.0)
-            arr /= arr.sum(axis=-1, keepdims=True)
-
-    jiggle(phi_out)
-    jiggle(phi_in)
+    jitter_rows(phi_out, rng)
+    jitter_rows(phi_in, rng)
     _uniform_diagonal(phi_out)
     _uniform_diagonal(phi_in)
-    jiggle(flat_lam)
-    jiggle(flat_mu)
+    jitter_rows(flat_lam, rng)
+    jitter_rows(flat_mu, rng)
     gamma = _gamma_block(
         params.alpha, phi_out, phi_in, flat_lam, person, n, config.gamma_pooling
     )

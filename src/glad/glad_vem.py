@@ -2,9 +2,10 @@
 
 Mean-field family: q(pi_p) Dirichlet(gamma_p), q(G_p) categorical(lambda_p),
 q(R_p) categorical(mu_p).  The E-step is a Gauss-Seidel sweep over people in
-index order, updating gamma_p, lambda_p, mu_p in that order; every update is
-the exact coordinate maximizer of the evidence lower bound, so the per-
-iteration trace is non-decreasing.  The bound counts each unordered pair once
+index order, updating gamma_p, lambda_p, mu_p in that order (the public
+single-person updates, written back in place); every update is the exact
+coordinate maximizer of the evidence lower bound, so the per-iteration trace
+is non-decreasing.  The bound counts each unordered pair once
 (the adjacency matrix is symmetric; both endpoints still see every partner in
 their lambda update, which is the exact gradient of the once-counted term for
 a symmetric block matrix).  Self-pairs are excluded throughout.
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 
+# Multiplicative symmetry-breaking noise on the uniform starting state.
+INIT_NOISE = 0.01
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the variational EM loop.
@@ -58,10 +63,9 @@ class FitConfig:
     after exactly one iteration.  ``links_only`` drops every term that
     involves activities (features, roles, their entropies) and freezes
     theta/beta, which turns the fitter into a plain mixed-membership
-    blockmodel; the baseline module relies on this.  ``mode`` selects the
-    update schedule: ``"sequential"`` (Gauss-Seidel, the default, carries the
-    ascent guarantee) or ``"jacobi"`` (whole-matrix updates reading the
-    previous iterate).
+    blockmodel; the baseline module relies on this.  ``alpha0`` is the
+    starting (and, with ``alpha_mode="fixed"``, final) Dirichlet prior.  The
+    E-step is always the Gauss-Seidel sweep that carries the ascent guarantee.
     """
 
     max_iters: int = 200
@@ -69,15 +73,11 @@ class FitConfig:
     seed: int = 0
     alpha_mode: str = "fixed"  # "fixed" | "newton"
     alpha0: float = 0.1
-    mode: str = "sequential"  # "sequential" | "jacobi"
     links_only: bool = False
-    init_noise: float = 0.01
 
     def __post_init__(self):
         if self.alpha_mode not in ("fixed", "newton"):
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-        if self.mode not in ("sequential", "jacobi"):
-            raise ValueError("mode must be 'sequential' or 'jacobi'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -122,15 +122,19 @@ def update_gamma(p: int, params: ModelParams, state: GladVariational) -> np.ndar
     return params.alpha + state.lam[p]
 
 
-def _pair_scores(p: int, links: np.ndarray, lam: np.ndarray, params: ModelParams):
-    """sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), for every group m."""
-    y_row = links[p].astype(float)
+def _lambda_logits(p, gamma_p, links_row, lam, col, log_b, log_1mb, role_logits):
+    """Unnormalized log lambda_p: digamma(gamma_pm) - digamma(sum gamma_p), plus
+    sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` unless
+    None.  ``col`` is the column sum of ``lam``, row p included."""
+    y_row = links_row.astype(float)
     y_row[p] = 0.0
     linked = y_row @ lam
-    notlinked = lam.sum(axis=0) - lam[p] - linked
-    log_b = np.log(params.block)
-    log_1mb = np.log1p(-params.block)
-    return log_b @ linked + log_1mb @ notlinked
+    notlinked = col - lam[p] - linked
+    logits = digamma(gamma_p) - digamma(gamma_p.sum())
+    logits = logits + log_b @ linked + log_1mb @ notlinked
+    if role_logits is not None:
+        logits = logits + role_logits
+    return logits
 
 
 def update_lambda(
@@ -146,11 +150,10 @@ def update_lambda(
     the Dirichlet expectation digamma(gamma_pm) - digamma(sum gamma_p), and
     the link evidence against every other person, then normalizes.
     """
-    gamma_p = state.gamma[p]
-    logits = digamma(gamma_p) - digamma(gamma_p.sum())
-    logits = logits + _pair_scores(p, data.links, state.lam, params)
-    if not links_only:
-        logits = logits + floored_log(params.theta) @ state.mu[p]
+    lam, block = state.lam, params.block
+    role_logits = None if links_only else floored_log(params.theta) @ state.mu[p]
+    logits = _lambda_logits(p, state.gamma[p], data.links[p], lam, lam.sum(axis=0),
+                            np.log(block), np.log1p(-block), role_logits)
     return softmax(logits)
 
 
@@ -341,40 +344,14 @@ def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
     col = lam.sum(axis=0)
     for p in range(lam.shape[0]):
         gamma[p] = alpha + lam[p]
-        logits = digamma(gamma[p]) - digamma(gamma[p].sum())
-        y_row = y[p].astype(float)
-        y_row[p] = 0.0
-        linked = y_row @ lam
-        notlinked = col - lam[p] - linked
-        logits = logits + log_b @ linked + log_1mb @ notlinked
-        if not links_only:
-            logits = logits + log_theta @ mu[p]
-        new_lam = softmax(logits)
+        role_logits = None if links_only else log_theta @ mu[p]
+        new_lam = softmax(
+            _lambda_logits(p, gamma[p], y[p], lam, col, log_b, log_1mb, role_logits)
+        )
         col += new_lam - lam[p]
         lam[p] = new_lam
         if not links_only:
             mu[p] = softmax(xlogbeta[p] + log_theta.T @ lam[p])
-
-
-def _jacobi_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
-    """Whole-matrix pass: every lambda update reads the previous iterate."""
-    alpha = params.alpha
-    log_b = np.log(params.block)
-    log_1mb = np.log1p(-params.block)
-    log_theta = floored_log(params.theta)
-    y = data.links.astype(float)
-    np.fill_diagonal(y, 0.0)
-
-    gamma[:] = alpha[None, :] + lam
-    elogpi = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
-    linked = y @ lam
-    notlinked = lam.sum(axis=0)[None, :] - lam - linked
-    logits = elogpi + linked @ log_b.T + notlinked @ log_1mb.T
-    if not links_only:
-        logits = logits + mu @ log_theta.T
-    lam[:] = softmax(logits)
-    if not links_only:
-        mu[:] = softmax(xlogbeta + lam @ log_theta)
 
 
 def infer_state(
@@ -398,12 +375,11 @@ def infer_state(
     lam = np.array(state.lam)
     mu = np.array(state.mu)
     xlogbeta = data.features @ floored_log(params.beta)
-    sweep = _sequential_sweep if config.mode == "sequential" else _jacobi_sweep
 
     trace = []
     for _ in range(config.max_iters):
         before = (gamma.copy(), lam.copy(), mu.copy())
-        sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
+        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
         trace.append(
             compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)
         )
@@ -449,6 +425,13 @@ def seed_params(
     )
 
 
+def jitter_rows(arr: np.ndarray, rng: np.random.Generator) -> None:
+    """Break symmetry in place: +-INIT_NOISE multiplicative noise on every
+    entry, then re-normalize the last axis."""
+    arr *= 1.0 + INIT_NOISE * (2.0 * rng.random(arr.shape) - 1.0)
+    arr /= arr.sum(axis=-1, keepdims=True)
+
+
 def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     """Seeded random parameters plus a noise-broken uniform state."""
     rng = np.random.default_rng(config.seed)
@@ -460,10 +443,8 @@ def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     state = init_state(n, n_groups, n_roles)
     lam = np.array(state.lam)
     mu = np.array(state.mu)
-    lam *= 1.0 + config.init_noise * (2.0 * rng.random(lam.shape) - 1.0)
-    mu *= 1.0 + config.init_noise * (2.0 * rng.random(mu.shape) - 1.0)
-    lam /= lam.sum(axis=1, keepdims=True)
-    mu /= mu.sum(axis=1, keepdims=True)
+    jitter_rows(lam, rng)
+    jitter_rows(mu, rng)
     return params, np.array(state.gamma), lam, mu
 
 
@@ -491,12 +472,11 @@ def fit(
 
     params, gamma, lam, mu = _init_fit(data, n_groups, n_roles, config)
     xlogbeta = data.features @ floored_log(params.beta)
-    sweep = _sequential_sweep if config.mode == "sequential" else _jacobi_sweep
 
     trace = [compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)]
     converged = False
     for iteration in range(1, config.max_iters + 1):
-        sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
+        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
         state = GladVariational(gamma, lam, mu)
         params = m_step(
             data,

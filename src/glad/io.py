@@ -145,10 +145,9 @@ def read_activity_features(path, n_nodes: int):
 # edge TSV
 # ---------------------------------------------------------------------------
 
-def _edge_lines_static(links: np.ndarray):
-    for p, q in zip(*np.triu_indices(links.shape[0], k=1)):
-        if links[p, q]:
-            yield f"{p}\t{q}"
+def _edge_lines_static(links: np.ndarray) -> list:
+    rows, cols = np.nonzero(np.triu(links, k=1))
+    return [f"{p}\t{q}" for p, q in zip(rows.tolist(), cols.tolist())]
 
 
 def _parse_edge_line(path, i, line, n_cols):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 # Bernoulli block probabilities are clamped to this band after every M-step.
 PROB_EPS = 1e-6
@@ -83,41 +84,16 @@ def bernoulli_loglik(y, p):
     return out
 
 
-# Asymptotic series for psi(x): ln x - 1/(2x) - sum B_{2n} / (2n x^{2n}).
-# Coefficients of the polynomial in 1/x^2, low order first.
-_PSI_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-)
-_PSI_SHIFT = 8.0  # recurrence shift threshold; series error < 2e-14 beyond it
-
-
 def digamma(x):
-    """Digamma function for x > 0, elementwise on arrays.
+    """Digamma function for x > 0 (``scipy.special.digamma``), elementwise on arrays.
 
-    Uses the recurrence psi(x) = psi(x + 1) - 1/x to push the argument above
-    ``_PSI_SHIFT`` and then evaluates the asymptotic series; accurate to
-    better than 1e-10 over the range the fitters visit.
+    Non-positive arguments raise ``ValueError`` instead of returning the
+    poles and reflections scipy would give; a scalar in gives a float out.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("digamma requires strictly positive arguments")
-    shifted = np.array(arr, copy=True)
-    acc = np.zeros_like(shifted)
-    mask = shifted < _PSI_SHIFT
-    while np.any(mask):
-        acc[mask] -= 1.0 / shifted[mask]
-        shifted[mask] += 1.0
-        mask = shifted < _PSI_SHIFT
-    z = 1.0 / (shifted * shifted)
-    series = np.zeros_like(shifted)
-    for c in reversed(_PSI_SERIES):
-        series = z * (c + series)
-    out = acc + np.log(shifted) - 0.5 / shifted - series
+    out = special.digamma(arr)
     if out.ndim == 0:
         return float(out)
     return out

@@ -196,6 +196,8 @@ def test_fit_dglad_theta_mean_table_shape(dynamic_run):
 
 def test_usage_errors_exit_1_not_2():
     assert main(["fit", "--model", "nope"]) == 1
+    assert main(["fit", "--model", "glad", "--data", "d", "--out", "o", "--groups", "3",
+                 "--mode", "jacobi"]) == 1
     assert main(["definitely-not-a-command"]) == 1
     assert main([]) == 1
 

@@ -609,6 +609,32 @@ def test_run_sampler_random_init_uses_seed_stream():
     assert np.array_equal(res.trace.R, rng.integers(0, 2, size=(3, data.n_nodes)))
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_replays_sample_role_then_sample_group(seed):
+    # one sweep's G/R are the public conditionals drawn person by person,
+    # snapshots ascending, on the sampler's own seeded stream
+    data, _ = small_dynamic_instance(seed=seed)
+    params = make_params(m=2, k=2, v=2, seed=seed)
+    cfg = DGladConfig(sweeps=1, burn_in=0, n_particles=8, seed=20 + seed, init="random")
+    res = run_sampler(data, 2, 2, cfg, params=params)
+    rng = np.random.default_rng(20 + seed)
+    horizon, n = data.horizon, data.n_nodes
+    trace = DGladTrace(
+        G=rng.integers(0, 2, size=(horizon, n)),
+        R=rng.integers(0, 2, size=(horizon, n)),
+        pi=rng.dirichlet(params.alpha, size=n),
+        theta_hat=np.tile(params.theta0, (horizon, 1, 1)),
+        particles=np.tile(params.theta0, (8, 1, 1)),
+        weights=np.full((2, 8), 1.0 / 8),
+    )
+    for t in range(horizon):
+        for p in range(n):
+            trace.R[t, p] = sample_role(p, t, data, params, trace, rng)
+            trace.G[t, p] = sample_group(p, t, data, params, trace, rng)
+    assert np.array_equal(res.trace.R, trace.R)
+    assert np.array_equal(res.trace.G, trace.G)
+
+
 def test_run_sampler_deterministic():
     data, _ = small_dynamic_instance(seed=3)
     cfg = DGladConfig(sweeps=4, burn_in=2, n_particles=12, sigma=0.3, seed=7)

@@ -370,14 +370,6 @@ def test_fit_newton_alpha_mode_stays_monotone():
     assert not np.array_equal(res.params.alpha, np.full(3, 0.1))
 
 
-def test_fit_jacobi_mode_monotone_but_different():
-    data, _ = _planted(seed=6, n=60)
-    seq = fit(data, 3, 2, FitConfig(max_iters=30, seed=3))
-    jac = fit(data, 3, 2, FitConfig(max_iters=30, seed=3, mode="jacobi"))
-    assert np.all(np.diff(jac.trace) >= -1e-8)
-    assert len(jac.trace) != len(seq.trace) or not np.allclose(jac.trace, seq.trace)
-
-
 def test_fit_links_only_freezes_activity_parameters():
     data, _ = _planted(seed=7, n=60)
     res = fit(data, 3, 2, FitConfig(max_iters=25, seed=4, links_only=True))
@@ -394,6 +386,25 @@ def test_fit_warns_more_groups_than_people():
     data = Dataset(features=np.array([[2, 1], [1, 2]]), links=np.array([[0, 1], [1, 0]]))
     with pytest.warns(UserWarning):
         fit(data, 3, 2, FitConfig(max_iters=2, seed=0))
+
+
+@pytest.mark.parametrize("links_only", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_infer_state_sweep_is_the_public_updates_in_place(seed, links_only):
+    # one E-sweep = update_gamma -> update_lambda -> update_mu for each person
+    # in index order, each result written back before the next person
+    data, params, _ = random_instance(seed, n=6, m=3, k=2, v=3)
+    state, _ = infer_state(data, params, FitConfig(max_iters=1, links_only=links_only))
+    start = init_state(data.n_nodes, params.n_groups, params.n_roles)
+    gamma, lam, mu = (np.array(a) for a in (start.gamma, start.lam, start.mu))
+    for p in range(data.n_nodes):
+        gamma[p] = update_gamma(p, params, GladVariational(gamma, lam, mu))
+        lam[p] = update_lambda(p, data, params, GladVariational(gamma, lam, mu), links_only)
+        if not links_only:
+            mu[p] = update_mu(p, data, params, GladVariational(gamma, lam, mu))
+    np.testing.assert_allclose(state.gamma, gamma, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(state.lam, lam, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(state.mu, mu, atol=1e-10, rtol=0)
 
 
 def test_infer_state_permutation_equivariance():
