@@ -161,6 +161,13 @@ _FLAG_MODELS = {
     "init_restarts": {"dglad"},
     "init_fit_iters": {"dglad"},
 }
+# flags whose config field has another name
+_FLAG_FIELDS = {"particles": "n_particles"}
+_MODELS = {
+    "glad": (FitConfig, fit),
+    "glad0": (Fit0Config, fit0),
+    "dglad": (DGladConfig, run_sampler),
+}
 
 _KIND_BY_MODEL = {"glad": "static", "glad0": "activity", "dglad": "dynamic"}
 _FORMAT_HINT = {
@@ -178,15 +185,18 @@ def _dataset_kind(data) -> str:
     return "static"
 
 
-def _check_model_flags(args) -> None:
+def _model_flags(args) -> dict:
+    """Config fields of the flags the user set; every default lives in its config class."""
+    flags = {}
     for flag, models in _FLAG_MODELS.items():
-        if getattr(args, flag) is not None and args.model not in models:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if args.model not in models:
             name = "--" + flag.replace("_", "-")
             raise UsageError(f"{name} does not apply to model {args.model}")
-
-
-def _pick(value, default):
-    return default if value is None else value
+        flags[_FLAG_FIELDS.get(flag, flag)] = value
+    return flags
 
 
 def _group_cols(m):
@@ -219,7 +229,8 @@ def _write_grouping(out: Path, grouping: np.ndarray) -> None:
 
 
 def cmd_fit(args) -> int:
-    _check_model_flags(args)
+    config_cls, fitter = _MODELS[args.model]
+    config = config_cls(seed=args.seed, **_model_flags(args))
     data = gio.read_dataset(args.data)
     kind = _dataset_kind(data)
     want = _KIND_BY_MODEL[args.model]
@@ -239,39 +250,14 @@ def cmd_fit(args) -> int:
         "n_nodes": int(data.n_nodes),
         "seed": args.seed,
     }
+    result = fitter(data, args.groups, args.roles, config)
 
-    if args.model == "glad":
-        config = FitConfig(
-            max_iters=_pick(args.max_iters, 200),
-            tol=_pick(args.tol, 1e-6),
-            seed=args.seed,
-            alpha0=_pick(args.alpha0, 0.1),
-        )
-        result = fit(data, args.groups, args.roles, config)
+    if args.model != "dglad":
         _write_params(out, result.params)
         gio.write_matrix_csv(out / "gamma.csv", result.state.gamma, _group_cols(args.groups))
-        gio.write_matrix_csv(out / "lambda.csv", result.state.lam, _group_cols(args.groups))
-        gio.write_matrix_csv(out / "mu.csv", result.state.mu, _role_cols(args.roles))
-        _write_grouping(out, result.state.grouping())
-        trace = _table(range(result.trace.size), result.trace)
-        gio.write_matrix_csv(out / "trace.csv", trace, ["iter", "elbo"])
-        manifest.update(converged=bool(result.converged), n_iters=int(result.trace.size - 1))
-        gio.write_json(out / "fit.json", manifest)
-        return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-    if args.model == "glad0":
-        config = Fit0Config(
-            max_iters=_pick(args.max_iters, 100),
-            tol=_pick(args.tol, 1e-6),
-            inner_max=_pick(args.inner_max, 50),
-            inner_tol=_pick(args.inner_tol, 1e-6),
-            seed=args.seed,
-            alpha0=_pick(args.alpha0, 0.1),
-            restarts=_pick(args.restarts, 1),
-        )
-        result = fit0(data, args.groups, args.roles, config)
-        _write_params(out, result.params)
-        gio.write_matrix_csv(out / "gamma.csv", result.state.gamma, _group_cols(args.groups))
+        if args.model == "glad":
+            gio.write_matrix_csv(out / "lambda.csv", result.state.lam, _group_cols(args.groups))
+            gio.write_matrix_csv(out / "mu.csv", result.state.mu, _role_cols(args.roles))
         _write_grouping(out, result.state.grouping())
         trace = _table(range(result.trace.size), result.trace)
         gio.write_matrix_csv(out / "trace.csv", trace, ["iter", "elbo"])
@@ -280,22 +266,8 @@ def cmd_fit(args) -> int:
         return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
     # dglad
-    config = DGladConfig(
-        sweeps=_pick(args.sweeps, 200),
-        burn_in=_pick(args.burn_in, 100),
-        n_particles=_pick(args.particles, 100),
-        sigma=_pick(args.sigma, 0.1),
-        seed=args.seed,
-        alpha0=_pick(args.alpha0, 0.1),
-        init_fit_iters=_pick(args.init_fit_iters, 60),
-        init_restarts=_pick(args.init_restarts, 3),
-        init=_pick(args.init, "warm"),
-    )
-    result = run_sampler(data, args.groups, args.roles, config)
     horizon = result.trace.horizon
-    gio.write_matrix_csv(
-        out / "alpha.csv", result.params.alpha[None, :], _group_cols(args.groups)
-    )
+    gio.write_matrix_csv(out / "alpha.csv", result.params.alpha[None, :], _group_cols(args.groups))
     gio.write_matrix_csv(out / "block.csv", result.params.block, _group_cols(args.groups))
     gio.write_matrix_csv(out / "beta.csv", result.params.beta, _role_cols(args.roles))
     gio.write_matrix_csv(out / "theta0.csv", result.params.theta0, _role_cols(args.roles))
@@ -358,9 +330,9 @@ def _scores_from_fit(loaded) -> tuple:
     return rate_distance_score(theta, rate_reference(theta)), None
 
 
-def _align_to_truth(scores, change, grouping, truth, n_groups):
+def _align_to_truth(scores, change, grouping, true_grouping, n_groups):
     """Re-index fitted-label scores into the true label space."""
-    mapping = match_groups(grouping, truth["grouping"], n_groups)
+    mapping = match_groups(grouping, true_grouping, n_groups)
     aligned = np.empty_like(scores)
     aligned[mapping] = scores
     aligned_change = None
@@ -391,7 +363,7 @@ def _prepare_report(args, want_truth: bool):
     if args.truth is not None:
         truth = gio.read_truth(args.truth)
         scores, change = _align_to_truth(
-            scores, change, loaded["grouping"], truth, n_groups
+            scores, change, loaded["grouping"], truth["grouping"], n_groups
         )
     elif want_truth:
         raise UsageError("evaluate requires --truth")
@@ -431,15 +403,15 @@ def _fpr_curve(scores, change, truth, n_thresholds):
 
 
 def cmd_evaluate(args) -> int:
+    _, truth, report, scores, change = _prepare_report(args, want_truth=True)
+    if change is not None and not truth["change_times"]:
+        raise UsageError("dynamic fit but the truth file lists no change times")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, truth, report, scores, change = _prepare_report(args, want_truth=True)
     _emit_scores(out, report)
     metrics = sorted(report.metrics.items())
     lines = ["metric,value"] + [f"{k},{gio.fmt_cell(float(v))}" for k, v in metrics]
     (out / "accuracy.csv").write_text("\n".join(lines) + "\n")
-    if change is not None and not truth["change_times"]:
-        raise UsageError("dynamic fit but the truth file lists no change times")
     grid, fpr, recall = _fpr_curve(scores, change, truth, args.thresholds)
     gio.write_matrix_csv(
         out / "fpr_curve.csv",
@@ -560,11 +532,10 @@ def _dynamic_cell(cfg: dict, seed: int) -> dict:
     )
     result = run_sampler(data, cfg["dyn_groups"], cfg["n_roles"], sampler_config)
     change = dynamic_change_score(result.theta_mean)
-    mapping = match_groups(
-        result.trace.grouping(), np.asarray(truth.group)[0], cfg["dyn_groups"]
+    _, aligned = _align_to_truth(
+        change.max(axis=0), change, result.trace.grouping(), np.asarray(truth.group)[0],
+        cfg["dyn_groups"],
     )
-    aligned = np.empty_like(change)
-    aligned[:, mapping] = change
     grid = np.linspace(0.0, cfg["grid_max"], cfg["thresholds"])
     curve = evaluate_dynamic(aligned, truth.change_times, grid)
     return {"fpr": curve["fpr"].tolist(), "recall": curve["recall"].tolist()}

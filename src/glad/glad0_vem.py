@@ -15,11 +15,13 @@ Diagonal (p, p) rows of the pair arrays are placeholders kept uniform;
 no update ever reads them and every sum over counterparts excludes them.
 
 The lower bound (``compute_elbo0``) is assembled for the model exactly as
-generated: receiver sides draw from the *receiver's* membership.  Under
-that bound every published update is the exact coordinate maximizer
-except the membership update, which pools the sender and receiver rows
-of the same person instead of the sender row plus the receiver column.
-``fit0`` therefore supports both accumulations; see ``Fit0Config``.
+generated: receiver sides draw from the *receiver's* membership.  Every
+update is its exact coordinate maximizer.  The membership update credits
+person p with the pair sides drawn from p's membership, the sender row
+``phi_out[p, :]`` plus the receiver column ``phi_in[:, p]``, as in MMSB; the
+published form pools p's sender and receiver rows, which does not maximize
+this bound.  Each update is written once, as a block kernel that ``fit0``
+sweeps; the public single-coordinate updates read one entry of it.
 """
 
 from __future__ import annotations
@@ -60,14 +62,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Fit0Config:
-    """Knobs for the nested (inner E, outer EM) loop.
-
-    gamma_pooling picks how the membership update gathers pair evidence:
-    "row" follows the published form (sender plus receiver entries of
-    person p's own rows), "counterpart" credits each person with exactly
-    the pair sides drawn from their membership (sender rows plus receiver
-    column), which is the exact maximizer of the bound.
-    """
+    """Knobs of the nested loop: ``max_iters``/``tol`` bound the outer EM
+    loop, ``inner_max``/``inner_tol`` the inner block sweeps.  The prior
+    starts at ``alpha0``; ``alpha_mode="newton"`` re-fits it in every M-step.
+    ``restarts > 1`` keeps the best final bound of several seeded fits."""
 
     max_iters: int = 100
     tol: float = 1e-6
@@ -76,8 +74,6 @@ class Fit0Config:
     seed: int = 0
     alpha_mode: str = "fixed"
     alpha0: float = 0.1
-    rho: float = 0.0
-    gamma_pooling: str = "counterpart"
     restarts: int = 1
 
     def __post_init__(self):
@@ -87,10 +83,6 @@ class Fit0Config:
             raise ValueError("tolerances must be >= 0")
         if self.alpha_mode not in ("fixed", "newton"):
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.gamma_pooling not in ("row", "counterpart"):
-            raise ValueError("gamma_pooling must be 'row' or 'counterpart'")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
 
@@ -173,61 +165,100 @@ def init_state0(
 
 
 # ---------------------------------------------------------------------------
-# single-coordinate updates (the published formulas, transcribed literally)
+# update kernels: each update written once, over whole arrays
+# ---------------------------------------------------------------------------
+
+def _elogpi(gamma):
+    # expected log-membership under each row's Dirichlet posterior
+    return digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
+
+
+def _phi_logits(y, block, other, elogpi, side):
+    # side "out": the sender's expected log-membership plus the link evidence
+    # against the receiver side, whose group indexes the block's second axis;
+    # side "in" transposes the block and keys the membership by the receiver.
+    log_b = np.log(block) if side == "out" else np.log(block).T
+    log_1mb = np.log1p(-block) if side == "out" else np.log1p(-block).T
+    linked = np.einsum("pqh,gh->pqg", other, log_b)
+    unlinked = np.einsum("pqh,gh->pqg", other, log_1mb)
+    field = np.where(y[:, :, None] > 0, linked, unlinked)
+    return field + (elogpi[:, None, :] if side == "out" else elogpi[None, :, :])
+
+
+def _activity_sums(flat_lam, person, n):
+    # per-person sums of the stacked activity group posteriors
+    act = np.zeros((n, flat_lam.shape[1]))
+    np.add.at(act, person, flat_lam)
+    return act
+
+
+def _gamma_block(alpha, phi_out, phi_in, act):
+    # prior plus the pair sides drawn from each person's membership (sender
+    # row plus receiver column, self pairs excluded) plus activity sums
+    n = phi_out.shape[0]
+    off = (~np.eye(n, dtype=bool)).astype(float)[:, :, None]
+    return alpha[None, :] + ((phi_out * off).sum(axis=1) + (phi_in * off).sum(axis=0)) + act
+
+
+def _lambda_logits(dig, mu, log_theta):
+    # digamma of the membership pseudo-counts plus the role posterior's
+    # expected log-rate per group
+    return dig + mu @ log_theta.T
+
+
+def _mu_logits(lam, log_theta, log_beta):
+    # expected log-rate under the group posterior plus the observed
+    # feature's log-emission
+    return lam @ log_theta + log_beta
+
+
+# ---------------------------------------------------------------------------
+# single-coordinate updates: one entry of each kernel
 # ---------------------------------------------------------------------------
 
 def update_gamma0(p, alpha, phi_out, phi_in, lam_act) -> np.ndarray:
-    """Membership pseudo-counts: prior plus person p's pair rows plus the
-    person's activity group posteriors.  Self-pair entries are excluded."""
-    pair = phi_out[p].sum(axis=0) + phi_in[p].sum(axis=0)
-    pair -= phi_out[p, p] + phi_in[p, p]
-    act = lam_act[p].sum(axis=0) if lam_act[p].size else 0.0
-    return alpha + pair + act
+    """Membership pseudo-counts: prior plus person p's sender row and receiver
+    column (self pair excluded) plus p's activity group posteriors."""
+    n = phi_out.shape[0]
+    person = np.repeat(np.arange(n), [lam.shape[0] for lam in lam_act])
+    act = _activity_sums(np.concatenate(lam_act), person, n)
+    return _gamma_block(alpha, phi_out, phi_in, act)[p]
 
 
-def _pair_field(y_pq, block, other):
-    # sum_h other[h] * (y log B[g, h] + (1 - y) log(1 - B[g, h])) for each g
-    log_b = np.log(block)
-    log_1mb = np.log1p(-block)
-    return (log_b if y_pq else log_1mb) @ other
+def _phi_entry(p, q, data, params, state, side):
+    if p == q:
+        raise ValueError("no pair posterior for a self pair")
+    pair = np.s_[p : p + 1, q : q + 1]
+    person, other = (p, state.phi_in) if side == "out" else (q, state.phi_out)
+    elogpi = _elogpi(state.gamma[person : person + 1])
+    logits = _phi_logits(data.links[pair], params.block, other[pair], elogpi, side)
+    return softmax(logits)[0, 0]
 
 
 def update_phi_out(p, q, data, params, state) -> np.ndarray:
     """Sender-side pair posterior for (p, q): the sender's expected
     log-membership plus the link evidence against the receiver side."""
-    if p == q:
-        raise ValueError("no pair posterior for a self pair")
-    gamma_p = state.gamma[p]
-    logits = digamma(gamma_p) - digamma(gamma_p.sum())
-    logits = logits + _pair_field(data.links[p, q], params.block, state.phi_in[p, q])
-    return softmax(logits)
+    return _phi_entry(p, q, data, params, state, "out")
 
 
 def update_phi_in(p, q, data, params, state) -> np.ndarray:
     """Receiver-side pair posterior for (p, q), keyed by the receiver's
     membership (the side is drawn from person q's distribution)."""
-    if p == q:
-        raise ValueError("no pair posterior for a self pair")
-    gamma_q = state.gamma[q]
-    logits = digamma(gamma_q) - digamma(gamma_q.sum())
-    logits = logits + _pair_field(data.links[p, q], params.block.T, state.phi_out[p, q])
-    return softmax(logits)
+    return _phi_entry(p, q, data, params, state, "in")
 
 
 def update_lambda0(p, a, params, state) -> np.ndarray:
     """Activity group posterior: digamma of the membership pseudo-counts
     plus the role posterior's expected log-rate per group."""
-    logits = digamma(state.gamma[p]) + floored_log(params.theta) @ state.mu_act[p][a]
-    return softmax(logits)
+    log_theta = floored_log(params.theta)
+    return softmax(_lambda_logits(digamma(state.gamma[p]), state.mu_act[p][a], log_theta))
 
 
 def update_mu0(p, a, data, params, state) -> np.ndarray:
     """Activity role posterior: expected log-rate under the activity's
     group posterior plus the observed feature's log-emission."""
-    feature = data.feature_ids[p][a]
-    logits = state.lam_act[p][a] @ floored_log(params.theta)
-    logits = logits + floored_log(params.beta)[feature]
-    return softmax(logits)
+    log_beta = floored_log(params.beta)[data.feature_ids[p][a]]
+    return softmax(_mu_logits(state.lam_act[p][a], floored_log(params.theta), log_beta))
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +270,15 @@ def m_step0(
     state: Glad0Variational,
     alpha: np.ndarray,
     *,
-    rho: float = 0.0,
     alpha_mode: str = "fixed",
 ) -> ModelParams:
-    """Closed-form parameter maximizers from pair and activity posteriors.
-
-    The block estimate divides linked pair mass by (1 - rho) times total
-    pair mass; rho > 0 inflates rates to correct for missing-edge
-    sparsity and is applied before the clamp.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must lie in [0, 1)")
+    """Closed-form parameter maximizers from pair and activity posteriors."""
     n, m = state.gamma.shape
     off = ~np.eye(n, dtype=bool)
     y = data.links.astype(float) * off
     phi_o, phi_i = state.phi_out, state.phi_in
     num = np.einsum("pq,pqg,pqh->gh", y, phi_o, phi_i)
     den = np.einsum("pq,pqg,pqh->gh", off.astype(float), phi_o, phi_i)
-    den = (1.0 - rho) * den
     bad = den <= 0
     if np.any(bad):
         warnings.warn("pair mass vanished for some group pairs; 1/2 fallback")
@@ -304,7 +326,7 @@ def compute_elbo0(
     n, m = gamma.shape
     alpha = params.alpha
     off = (~np.eye(n, dtype=bool)).astype(float)
-    elogpi = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
+    elogpi = _elogpi(gamma)
 
     total = n * float(gammaln(alpha.sum()) - gammaln(alpha).sum())
     total += float(((alpha - 1.0) * elogpi).sum())
@@ -347,19 +369,8 @@ def compute_elbo0(
 
 
 # ---------------------------------------------------------------------------
-# vectorized block sweeps for the fit loop
+# block sweep for the fit loop
 # ---------------------------------------------------------------------------
-
-def _phi_logits(y, block, other, elogpi, side):
-    # side "out": evidence rows index the block's first axis via the
-    # counterpart's second; side "in" transposes the block.
-    log_b = np.log(block) if side == "out" else np.log(block).T
-    log_1mb = np.log1p(-block) if side == "out" else np.log1p(-block).T
-    linked = np.einsum("pqh,gh->pqg", other, log_b)
-    unlinked = np.einsum("pqh,gh->pqg", other, log_1mb)
-    field = np.where(y[:, :, None] > 0, linked, unlinked)
-    return field + (elogpi[:, None, :] if side == "out" else elogpi[None, :, :])
-
 
 def _uniform_diagonal(phi):
     n, _, m = phi.shape
@@ -367,20 +378,7 @@ def _uniform_diagonal(phi):
     return phi
 
 
-def _gamma_block(alpha, phi_out, phi_in, flat_lam, person, n, pooling):
-    m = phi_out.shape[2]
-    off = (~np.eye(n, dtype=bool)).astype(float)[:, :, None]
-    out_rows = (phi_out * off).sum(axis=1)
-    if pooling == "row":
-        pair = out_rows + (phi_in * off).sum(axis=1)
-    else:
-        pair = out_rows + (phi_in * off).sum(axis=0)
-    act = np.zeros((n, m))
-    np.add.at(act, person, flat_lam)
-    return alpha[None, :] + pair + act
-
-
-def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids, pooling):
+def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids):
     """One block-coordinate pass; returns the largest posterior change.
 
     Pair posteriors of one side are mutually independent given the other
@@ -388,7 +386,7 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     same holds for the stacked activity arrays given gamma and each other.
     """
     n = gamma.shape[0]
-    elogpi = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
+    elogpi = _elogpi(gamma)
     y = data.links
 
     new_out = _uniform_diagonal(softmax(_phi_logits(y, params.block, phi_in, elogpi, "out")))
@@ -398,14 +396,13 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     delta = max(delta, float(np.abs(new_in - phi_in).max()))
     phi_in[:] = new_in
 
-    gamma[:] = _gamma_block(params.alpha, phi_out, phi_in, flat_lam, person, n, pooling)
+    gamma[:] = _gamma_block(params.alpha, phi_out, phi_in, _activity_sums(flat_lam, person, n))
     if flat_lam.shape[0]:
-        dig = digamma(gamma)
         log_theta = floored_log(params.theta)
-        new_lam = softmax(dig[person] + flat_mu @ log_theta.T)
+        new_lam = softmax(_lambda_logits(digamma(gamma)[person], flat_mu, log_theta))
         delta = max(delta, float(np.abs(new_lam - flat_lam).max()))
         flat_lam[:] = new_lam
-        new_mu = softmax(flat_lam @ log_theta + floored_log(params.beta)[ids])
+        new_mu = softmax(_mu_logits(flat_lam, log_theta, floored_log(params.beta)[ids]))
         delta = max(delta, float(np.abs(new_mu - flat_mu).max()))
         flat_mu[:] = new_mu
     return delta
@@ -446,25 +443,18 @@ def fit0(
     counts = data.activity_counts
     total_acts = int(counts.sum())
     person = np.repeat(np.arange(n), counts)
-    ids = (
-        np.concatenate(data.feature_ids)
-        if total_acts
-        else np.zeros(0, dtype=np.int64)
-    )
+    ids = np.concatenate(data.feature_ids) if total_acts else np.zeros(0, dtype=np.int64)
     phi_out = np.full((n, n, n_groups), 1.0 / n_groups)
     phi_in = np.full((n, n, n_groups), 1.0 / n_groups)
     flat_lam = np.full((total_acts, n_groups), 1.0 / n_groups)
     flat_mu = np.full((total_acts, n_roles), 1.0 / n_roles)
 
-    jitter_rows(phi_out, rng)
-    jitter_rows(phi_in, rng)
-    _uniform_diagonal(phi_out)
-    _uniform_diagonal(phi_in)
+    for phi in (phi_out, phi_in):
+        jitter_rows(phi, rng)
+        _uniform_diagonal(phi)
     jitter_rows(flat_lam, rng)
     jitter_rows(flat_mu, rng)
-    gamma = _gamma_block(
-        params.alpha, phi_out, phi_in, flat_lam, person, n, config.gamma_pooling
-    )
+    gamma = _gamma_block(params.alpha, phi_out, phi_in, _activity_sums(flat_lam, person, n))
 
     cuts = np.cumsum(counts)[:-1]
 
@@ -483,15 +473,12 @@ def fit0(
     for _ in range(config.max_iters):
         for _ in range(config.inner_max):
             delta = _sweep0(
-                data, params, gamma, phi_out, phi_in,
-                flat_lam, flat_mu, person, ids, config.gamma_pooling,
+                data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
             )
             if delta <= config.inner_tol:
                 break
         state = snapshot()
-        params = m_step0(
-            data, state, params.alpha, rho=config.rho, alpha_mode=config.alpha_mode
-        )
+        params = m_step0(data, state, params.alpha, alpha_mode=config.alpha_mode)
         previous = bound
         bound = compute_elbo0(data, params, state)
         if not np.isfinite(bound):

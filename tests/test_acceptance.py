@@ -187,11 +187,10 @@ def test_update_kernels_match_straightline_oracles():
                     p, a, data.feature_ids, params.theta, params.beta, state.lam_act
                 )
                 worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-        rho = 0.5 * (seed % 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            fitted = m_step0(data, state, params.alpha, rho=rho)
-        want_block = tg0.oracle_m_step0_block(data.links, state.phi_out, state.phi_in, rho)
+            fitted = m_step0(data, state, params.alpha)
+        want_block = tg0.oracle_m_step0_block(data.links, state.phi_out, state.phi_in)
         worst_abs = max(worst_abs, float(np.abs(fitted.block - want_block).max()))
         if sum(data.activity_counts) > 0:
             theta = np.zeros((m, k))

@@ -286,6 +286,17 @@ def test_evaluate_dynamic_emits_change_artifacts(dynamic_run, tmp_path):
         assert 0 <= g < 3 and 1 <= t <= 4
 
 
+def test_evaluate_dynamic_without_change_times_exits_1_writing_nothing(dynamic_run, tmp_path):
+    _, data_dir, fit_dir = dynamic_run
+    truth = io.read_truth(data_dir / "truth.json")
+    io.write_truth(tmp_path / "truth.json", truth["anomalous_groups"], truth["grouping"])
+    out = tmp_path / "eval"
+    out.mkdir()
+    assert run("evaluate", "--fit", fit_dir, "--out", out,
+               "--truth", tmp_path / "truth.json") == 1
+    assert list(out.iterdir()) == []
+
+
 def test_evaluate_reruns_byte_identical(dynamic_run, tmp_path):
     _, data_dir, fit_dir = dynamic_run
     a, b = tmp_path / "a", tmp_path / "b"

@@ -10,6 +10,7 @@ from glad.generator import generate_glad0
 from glad.glad0_vem import (
     Fit0Config,
     Glad0Variational,
+    _sweep0,
     compute_elbo0,
     fit0,
     init_state0,
@@ -39,7 +40,7 @@ def oracle_gamma0(p, alpha, phi_out, phi_in, lam_act):
         for q in range(n):
             if q == p:
                 continue
-            out[g] += phi_out[p, q, g] + phi_in[p, q, g]
+            out[g] += phi_out[p, q, g] + phi_in[q, p, g]
         for a in range(lam_act[p].shape[0]):
             out[g] += lam_act[p][a, g]
     return np.array(out)
@@ -102,7 +103,7 @@ def oracle_mu0(p, a, feature_ids, theta, beta, lam_act):
     return np.array(e) / sum(e)
 
 
-def oracle_m_step0_block(y, phi_out, phi_in, rho):
+def oracle_m_step0_block(y, phi_out, phi_in):
     n, _, m = phi_out.shape
     num = np.zeros((m, m))
     den = np.zeros((m, m))
@@ -115,7 +116,7 @@ def oracle_m_step0_block(y, phi_out, phi_in, rho):
                     w = phi_out[p, q, g] * phi_in[p, q, h]
                     num[g, h] += y[p, q] * w
                     den[g, h] += w
-    return np.clip(num / ((1 - rho) * den), PROB_EPS, 1 - PROB_EPS)
+    return np.clip(num / den, PROB_EPS, 1 - PROB_EPS)
 
 
 def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
@@ -197,14 +198,45 @@ def test_update_activity_posteriors_match_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("rho", [0.0, 0.5])
-def test_m_step0_block_matches_oracle(seed, rho):
+def test_m_step0_block_matches_oracle(seed):
     data, params, state = random_instance0(seed, n=5, m=3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = m_step0(data, state, params.alpha, rho=rho)
-    want = oracle_m_step0_block(data.links, state.phi_out, state.phi_in, rho)
+        got = m_step0(data, state, params.alpha)
+    want = oracle_m_step0_block(data.links, state.phi_out, state.phi_in)
     np.testing.assert_allclose(got.block, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sweep0_is_the_public_updates_in_block_order(seed):
+    # one block sweep = update_phi_out over all pairs, then update_phi_in,
+    # update_gamma0, update_lambda0 and update_mu0, each written back
+    data, params, state = random_instance0(seed, n=5, m=3)
+    n, counts = data.n_nodes, data.activity_counts
+    gamma, phi_out, phi_in = (np.array(a) for a in (state.gamma, state.phi_out, state.phi_in))
+    flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
+    person = np.repeat(np.arange(n), counts)
+    ids = np.concatenate(data.feature_ids)
+    _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids)
+
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    acts = [(p, a) for p in range(n) for a in range(counts[p])]
+    assert acts
+    for p, q in pairs:
+        state.phi_out[p, q] = update_phi_out(p, q, data, params, state)
+    for p, q in pairs:
+        state.phi_in[p, q] = update_phi_in(p, q, data, params, state)
+    for p in range(n):
+        state.gamma[p] = update_gamma0(p, params.alpha, state.phi_out, state.phi_in, state.lam_act)
+    for p, a in acts:
+        state.lam_act[p][a] = update_lambda0(p, a, params, state)
+    for p, a in acts:
+        state.mu_act[p][a] = update_mu0(p, a, data, params, state)
+    np.testing.assert_allclose(phi_out, state.phi_out, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(phi_in, state.phi_in, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(gamma, state.gamma, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(flat_lam, np.concatenate(state.lam_act), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(flat_mu, np.concatenate(state.mu_act), atol=1e-10, rtol=0)
 
 
 def test_m_step0_theta_beta_match_oracle():
@@ -360,16 +392,6 @@ def test_m_step0_one_hot_saturates_block():
     assert got.block[1, 0] == pytest.approx(0.5)  # no mass: fallback
 
 
-def test_m_step0_rho_inflates_block():
-    data, params, state = random_instance0(7, n=5)
-    base = m_step0(data, state, params.alpha, rho=0.0)
-    half = m_step0(data, state, params.alpha, rho=0.5)
-    capped = np.minimum(2.0 * base.block, 1.0 - PROB_EPS)
-    np.testing.assert_allclose(half.block, capped, atol=1e-12)
-    with pytest.raises(ValueError):
-        m_step0(data, state, params.alpha, rho=1.0)
-
-
 # ---------------------------------------------------------------------------
 # state container and init
 # ---------------------------------------------------------------------------
@@ -451,6 +473,16 @@ def test_fit0_outer_trace_monotone(seed):
     assert np.all(np.diff(res.trace) >= -1e-8), np.diff(res.trace).min()
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_fit0_newton_alpha_mode_stays_monotone(seed):
+    data, _ = generate_glad0(_planted_params(), 25, 6, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = fit0(data, 2, 2, Fit0Config(max_iters=30, seed=seed, alpha_mode="newton"))
+    assert np.all(np.diff(res.trace) >= -1e-8), np.diff(res.trace).min()
+    assert not np.allclose(res.params.alpha, Fit0Config().alpha0)
+
+
 def test_fit0_elbo_matches_oracle_on_returned_state():
     # the traced bound equals an independent recomputation on the snapshot
     data, _ = generate_glad0(_planted_params(), 10, 3, seed=2)
@@ -497,14 +529,6 @@ def test_fit0_without_activities_reduces_to_pair_mmsb():
     same_fit0 = g[:, None] == g[None, :]
     same_ref = ref[:, None] == ref[None, :]
     np.testing.assert_array_equal(same_fit0, same_ref)
-
-
-def test_fit0_row_pooling_available():
-    data, _ = generate_glad0(_planted_params(), 15, 4, seed=3)
-    res = fit0(data, 2, 2, Fit0Config(max_iters=10, seed=0, gamma_pooling="row"))
-    assert np.all(np.diff(res.trace) >= -1e-8)
-    with pytest.raises(ValueError):
-        Fit0Config(gamma_pooling="diagonal")
 
 
 def test_fit0_returned_state_satisfies_invariants():
