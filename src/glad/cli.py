@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -145,31 +146,32 @@ def cmd_generate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-# which hyper flags each model understands; anything else is a usage error
-_FLAG_MODELS = {
-    "max_iters": {"glad", "glad0"},
-    "tol": {"glad", "glad0"},
-    "alpha0": {"glad", "glad0", "dglad"},
-    "inner_max": {"glad0"},
-    "inner_tol": {"glad0"},
-    "restarts": {"glad0"},
-    "sweeps": {"dglad"},
-    "burn_in": {"dglad"},
-    "particles": {"dglad"},
-    "sigma": {"dglad"},
-    "init": {"dglad"},
-    "init_restarts": {"dglad"},
-    "init_fit_iters": {"dglad"},
+# each model: the dataset kind it fits, its config class and its fit function
+_MODELS = {
+    "glad": ("static", FitConfig, fit),
+    "glad0": ("activity", Fit0Config, fit0),
+    "dglad": ("dynamic", DGladConfig, run_sampler),
 }
 # flags whose config field has another name
 _FLAG_FIELDS = {"particles": "n_particles"}
-_MODELS = {
-    "glad": (FitConfig, fit),
-    "glad0": (Fit0Config, fit0),
-    "dglad": (DGladConfig, run_sampler),
-}
+# config fields with no hyper flag: --seed is set on its own, and no
+# command-line run needs the others
+_UNFLAGGED = {"seed", "alpha_mode", "links_only"}
 
-_KIND_BY_MODEL = {"glad": "static", "glad0": "activity", "dglad": "dynamic"}
+
+def _flag_models() -> dict:
+    """Each hyper flag and the models whose config has its field; any other
+    model given the flag is a usage error."""
+    flag_of = {field: flag for flag, field in _FLAG_FIELDS.items()}
+    table = {}
+    for model, (_, config_cls, _) in _MODELS.items():
+        for field in dataclasses.fields(config_cls):
+            if field.name not in _UNFLAGGED:
+                table.setdefault(flag_of.get(field.name, field.name), set()).add(model)
+    return table
+
+
+_FLAG_MODELS = _flag_models()
 _FORMAT_HINT = {
     "static": 'kind "static": features.csv with one aggregated count row per node',
     "activity": 'kind "activity": features.csv with one one-hot row per activity',
@@ -229,11 +231,10 @@ def _write_grouping(out: Path, grouping: np.ndarray) -> None:
 
 
 def cmd_fit(args) -> int:
-    config_cls, fitter = _MODELS[args.model]
+    want, config_cls, fitter = _MODELS[args.model]
     config = config_cls(seed=args.seed, **_model_flags(args))
     data = gio.read_dataset(args.data)
     kind = _dataset_kind(data)
-    want = _KIND_BY_MODEL[args.model]
     if kind != want:
         article = "an" if want[0] in "aeiou" else "a"
         raise UsageError(
@@ -694,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("fit", help="fit a model to a dataset directory")
-    p.add_argument("--model", required=True, choices=("glad", "glad0", "dglad"))
+    p.add_argument("--model", required=True, choices=tuple(_MODELS))
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="fit artifact directory to create")
     p.add_argument("--groups", required=True, type=int)

@@ -6,22 +6,29 @@ and every single activity carries its own (group, role) pair.  The
 variational family gives every one of those latents a private simplex:
 
     gamma    (N, M)     Dirichlet posteriors over memberships
-    phi_out  (N, N, M)  posterior of the sender-side group of pair (p, q)
-    phi_in   (N, N, M)  posterior of the receiver-side group of pair (p, q)
+    phi_out  (M, N, N)  posterior of the sender-side group of pair (p, q)
+    phi_in   (M, N, N)  posterior of the receiver-side group of pair (p, q)
     lam_act  ragged     per-activity group posterior, (A_p, M) per person
     mu_act   ragged     per-activity role posterior, (A_p, K) per person
 
-Diagonal (p, p) rows of the pair arrays are placeholders kept uniform;
-no update ever reads them and every sum over counterparts excludes them.
+The fit stores the pair arrays group-major, ``phi_out[g, p, q]``: with M
+small, each per-pair softmax reduces over the leading axis, and the link
+evidence of a whole side is one (M, M) @ (M, N*N) product.  The pair
+kernels below take that layout.  ``Glad0Variational`` exposes the pair
+arrays as (N, N, M) views (``np.moveaxis``), indexed ``phi_out[p, q, g]``;
+the public updates, the M-step and the bound read that shape.  Diagonal
+(p, p) entries of the pair arrays are placeholders kept uniform; no update
+ever reads them and every sum over counterparts excludes them.
 
 The lower bound (``compute_elbo0``) is assembled for the model exactly as
 generated: receiver sides draw from the *receiver's* membership.  Every
 update is its exact coordinate maximizer.  The membership update credits
 person p with the pair sides drawn from p's membership, the sender row
-``phi_out[p, :]`` plus the receiver column ``phi_in[:, p]``, as in MMSB; the
-published form pools p's sender and receiver rows, which does not maximize
-this bound.  Each update is written once, as a block kernel that ``fit0``
-sweeps; the public single-coordinate updates read one entry of it.
+``phi_out[p, :]`` plus the receiver column ``phi_in[:, p]`` (in the views'
+indexing), as in MMSB; the published form pools p's sender and receiver
+rows, which does not maximize this bound.  Each update is written once, as
+a block kernel that ``fit0`` sweeps; the public single-coordinate updates
+read one entry of it.
 """
 
 from __future__ import annotations
@@ -174,15 +181,26 @@ def _elogpi(gamma):
 
 
 def _phi_logits(y, block, other, elogpi, side):
-    # side "out": the sender's expected log-membership plus the link evidence
-    # against the receiver side, whose group indexes the block's second axis;
-    # side "in" transposes the block and keys the membership by the receiver.
+    # group-major (M, N, N) logits of one pair side.  Side "out": the sender's
+    # expected log-membership plus the link evidence against the receiver
+    # side, whose group indexes the block's second axis; side "in" transposes
+    # the block and keys the membership by the receiver.
     log_b = np.log(block) if side == "out" else np.log(block).T
     log_1mb = np.log1p(-block) if side == "out" else np.log1p(-block).T
-    linked = np.einsum("pqh,gh->pqg", other, log_b)
-    unlinked = np.einsum("pqh,gh->pqg", other, log_1mb)
-    field = np.where(y[:, :, None] > 0, linked, unlinked)
-    return field + (elogpi[:, None, :] if side == "out" else elogpi[None, :, :])
+    flat = other.reshape(other.shape[0], -1)
+    linked = (log_b @ flat).reshape(other.shape)
+    unlinked = (log_1mb @ flat).reshape(other.shape)
+    field = np.where(y > 0, linked, unlinked)
+    field += elogpi.T[:, :, None] if side == "out" else elogpi.T[:, None, :]
+    return field
+
+
+def _group_softmax(logits):
+    # softmax over the leading group axis, in place
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits
 
 
 def _activity_sums(flat_lam, person, n):
@@ -194,10 +212,11 @@ def _activity_sums(flat_lam, person, n):
 
 def _gamma_block(alpha, phi_out, phi_in, act):
     # prior plus the pair sides drawn from each person's membership (sender
-    # row plus receiver column, self pairs excluded) plus activity sums
-    n = phi_out.shape[0]
-    off = (~np.eye(n, dtype=bool)).astype(float)[:, :, None]
-    return alpha[None, :] + ((phi_out * off).sum(axis=1) + (phi_in * off).sum(axis=0)) + act
+    # row plus receiver column of the group-major arrays, self pair
+    # subtracted) plus activity sums
+    rows = phi_out.sum(axis=2) - np.diagonal(phi_out, axis1=1, axis2=2)
+    cols = phi_in.sum(axis=1) - np.diagonal(phi_in, axis1=1, axis2=2)
+    return alpha[None, :] + (rows + cols).T + act
 
 
 def _lambda_logits(dig, mu, log_theta):
@@ -213,7 +232,8 @@ def _mu_logits(lam, log_theta, log_beta):
 
 
 # ---------------------------------------------------------------------------
-# single-coordinate updates: one entry of each kernel
+# single-coordinate updates: one entry of each kernel, read through
+# group-major views of the (N, N, M) arrays
 # ---------------------------------------------------------------------------
 
 def update_gamma0(p, alpha, phi_out, phi_in, lam_act) -> np.ndarray:
@@ -222,7 +242,7 @@ def update_gamma0(p, alpha, phi_out, phi_in, lam_act) -> np.ndarray:
     n = phi_out.shape[0]
     person = np.repeat(np.arange(n), [lam.shape[0] for lam in lam_act])
     act = _activity_sums(np.concatenate(lam_act), person, n)
-    return _gamma_block(alpha, phi_out, phi_in, act)[p]
+    return _gamma_block(alpha, np.moveaxis(phi_out, 2, 0), np.moveaxis(phi_in, 2, 0), act)[p]
 
 
 def _phi_entry(p, q, data, params, state, side):
@@ -231,8 +251,9 @@ def _phi_entry(p, q, data, params, state, side):
     pair = np.s_[p : p + 1, q : q + 1]
     person, other = (p, state.phi_in) if side == "out" else (q, state.phi_out)
     elogpi = _elogpi(state.gamma[person : person + 1])
-    logits = _phi_logits(data.links[pair], params.block, other[pair], elogpi, side)
-    return softmax(logits)[0, 0]
+    counterpart = np.moveaxis(other[pair], 2, 0)
+    logits = _phi_logits(data.links[pair], params.block, counterpart, elogpi, side)
+    return _group_softmax(logits)[:, 0, 0]
 
 
 def update_phi_out(p, q, data, params, state) -> np.ndarray:
@@ -373,13 +394,14 @@ def compute_elbo0(
 # ---------------------------------------------------------------------------
 
 def _uniform_diagonal(phi):
-    n, _, m = phi.shape
-    phi[np.arange(n), np.arange(n), :] = 1.0 / m
+    m, n, _ = phi.shape
+    phi[:, np.arange(n), np.arange(n)] = 1.0 / m
     return phi
 
 
 def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids):
-    """One block-coordinate pass; returns the largest posterior change.
+    """One block-coordinate pass over group-major (M, N, N) pair arrays;
+    returns the largest posterior change.
 
     Pair posteriors of one side are mutually independent given the other
     side, so each whole-array update is an exact block maximizer; the
@@ -389,10 +411,12 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     elogpi = _elogpi(gamma)
     y = data.links
 
-    new_out = _uniform_diagonal(softmax(_phi_logits(y, params.block, phi_in, elogpi, "out")))
+    logits = _phi_logits(y, params.block, phi_in, elogpi, "out")
+    new_out = _uniform_diagonal(_group_softmax(logits))
     delta = float(np.abs(new_out - phi_out).max())
     phi_out[:] = new_out
-    new_in = _uniform_diagonal(softmax(_phi_logits(y, params.block, phi_out, elogpi, "in")))
+    logits = _phi_logits(y, params.block, phi_out, elogpi, "in")
+    new_in = _uniform_diagonal(_group_softmax(logits))
     delta = max(delta, float(np.abs(new_in - phi_in).max()))
     phi_in[:] = new_in
 
@@ -444,13 +468,13 @@ def fit0(
     total_acts = int(counts.sum())
     person = np.repeat(np.arange(n), counts)
     ids = np.concatenate(data.feature_ids) if total_acts else np.zeros(0, dtype=np.int64)
-    phi_out = np.full((n, n, n_groups), 1.0 / n_groups)
-    phi_in = np.full((n, n, n_groups), 1.0 / n_groups)
+    phi_out = np.full((n_groups, n, n), 1.0 / n_groups)
+    phi_in = np.full((n_groups, n, n), 1.0 / n_groups)
     flat_lam = np.full((total_acts, n_groups), 1.0 / n_groups)
     flat_mu = np.full((total_acts, n_roles), 1.0 / n_roles)
 
     for phi in (phi_out, phi_in):
-        jitter_rows(phi, rng)
+        jitter_rows(np.moveaxis(phi, 0, 2), rng)  # draws in (N, N, M) order
         _uniform_diagonal(phi)
     jitter_rows(flat_lam, rng)
     jitter_rows(flat_mu, rng)
@@ -461,8 +485,8 @@ def fit0(
     def snapshot():
         return Glad0Variational(
             gamma=gamma,
-            phi_out=phi_out,
-            phi_in=phi_in,
+            phi_out=np.moveaxis(phi_out, 0, 2),
+            phi_in=np.moveaxis(phi_in, 0, 2),
             lam_act=tuple(np.array(a) for a in np.split(flat_lam, cuts)),
             mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
         )

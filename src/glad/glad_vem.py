@@ -53,6 +53,11 @@ __all__ = [
 
 # Multiplicative symmetry-breaking noise on the uniform starting state.
 INIT_NOISE = 0.01
+# The Dirichlet-prior Newton loop also stops once a full step is this small
+# relative to alpha: at small alpha the gradient grows like 1/alpha, and the
+# steps of 1e-9 to 1e-8 of alpha that the absolute gradient tolerance still
+# asks for gain less than the objective's float resolution.
+ALPHA_STEP_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -242,9 +247,10 @@ def newton_alpha(
     mean_p E[log pi_pm] implied by the gamma rows.  Newton steps use the
     diagonal-plus-rank-one structure of the Hessian; steps are halved until
     they keep alpha positive and do not decrease the objective, so plugging
-    the result into the ELBO preserves ascent.  Returns ``(alpha, converged)``
-    and warns when the gradient norm is still above ``tol`` after
-    ``max_iters`` iterations.
+    the result into the ELBO preserves ascent.  Returns ``(alpha, converged)``:
+    converged once the gradient norm is below ``tol`` or a full Newton step is
+    below ``ALPHA_STEP_RTOL`` relative to alpha.  Warns when neither holds
+    after ``max_iters`` iterations.
     """
     gamma = np.asarray(gamma, dtype=float)
     suff = (digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]).mean(axis=0)
@@ -271,6 +277,9 @@ def newton_alpha(
         else:
             break  # no acceptable step remains; stay at the current iterate
         alpha = alpha - scale * step
+        if np.max(np.abs(step / alpha)) < ALPHA_STEP_RTOL:
+            converged = True
+            break
     if not converged:
         grad = digamma(alpha.sum()) - digamma(alpha) + suff
         converged = bool(np.max(np.abs(grad)) < tol)

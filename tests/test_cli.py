@@ -186,6 +186,35 @@ def test_fit_rejects_flags_of_other_models(static_run, tmp_path, capsys):
     assert rc == 1
 
 
+# the models each `fit` hyper flag applies to, as the README lists them
+FLAG_MODELS = {
+    "max_iters": {"glad", "glad0"},
+    "tol": {"glad", "glad0"},
+    "alpha0": {"glad", "glad0", "dglad"},
+    "inner_max": {"glad0"},
+    "inner_tol": {"glad0"},
+    "restarts": {"glad0"},
+    "sweeps": {"dglad"},
+    "burn_in": {"dglad"},
+    "particles": {"dglad"},
+    "sigma": {"dglad"},
+    "init": {"dglad"},
+    "init_restarts": {"dglad"},
+    "init_fit_iters": {"dglad"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_MODELS))
+def test_hyper_flag_applies_to_its_models_only(flag, tmp_path, capsys):
+    value = "warm" if flag == "init" else "1"
+    for model in ("glad", "glad0", "dglad"):
+        rc = run("fit", "--model", model, "--data", tmp_path / "missing", "--out",
+                 tmp_path / "o", "--groups", 2, "--" + flag.replace("_", "-"), value)
+        err = capsys.readouterr().err
+        assert rc == 1  # the missing dataset, if the flag itself is accepted
+        assert ("does not apply" in err) == (model not in FLAG_MODELS[flag]), (model, err)
+
+
 def test_fit_dglad_theta_mean_table_shape(dynamic_run):
     _, _, fit_dir = dynamic_run
     header, table = io.read_matrix_csv(fit_dir / "theta_mean.csv")
