@@ -75,7 +75,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("results"))
     parser.add_argument("--quick", action="store_true",
-                        help="small sizes for a ~30s smoke pass")
+                        help="small sizes for a smoke pass (about 2 s on a 2-core host)")
     args = parser.parse_args()
     demo(args.out / "demo", args.quick)
     suite(args.out / "suite", args.quick)

@@ -8,10 +8,14 @@ follow the group-pair block matrix and features the role's emission column.
 
 Inference interleaves two moves:
 
-* Gibbs scans over the discrete assignments.  Roles and groups are redrawn
-  one person-snapshot at a time (snapshots in order, people in order) from
-  their full conditionals; the membership vectors are then refreshed from
-  their Dirichlet conditional.
+* Blocked Gibbs scans over the discrete assignments.  Every role of every
+  snapshot is redrawn in one block, then each person's groups across all
+  snapshots in one block (people in order); the membership vectors are then
+  refreshed from their Dirichlet conditional.  Given the groups, roles are
+  conditionally independent; given the memberships and the rate path,
+  snapshots are too.  Each block's joint conditional is therefore the
+  product of the one-at-a-time conditionals, so the blocked scan leaves the
+  same posterior invariant as a scan over single person-snapshots.
 * A bootstrap particle filter per group re-estimates the rate path given the
   current assignments; the filtered means feed the next Gibbs scan.
 
@@ -233,12 +237,18 @@ class DGladResult:
     config: DGladConfig = field(repr=False, default=DGladConfig())
 
 
+def _draw_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw along the last axis of unnormalized log probabilities,
+    one uniform of ``u`` per row."""
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    cdf = np.cumsum(shifted, axis=-1)
+    below = cdf <= (u * cdf[..., -1])[..., None]
+    return np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
+
+
 def _draw_logits(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw from unnormalized log probabilities."""
-    shifted = np.exp(logits - logits.max())
-    cdf = np.cumsum(shifted)
-    u = rng.random() * cdf[-1]
-    return int(min(np.searchsorted(cdf, u, side="right"), logits.shape[0] - 1))
+    """One draw from a single row of unnormalized log probabilities."""
+    return int(_draw_rows(logits, rng.random()))
 
 
 def _check_node_time(p: int, t: int, n: int, horizon: int) -> None:
@@ -248,21 +258,33 @@ def _check_node_time(p: int, t: int, n: int, horizon: int) -> None:
         raise ValueError(f"person {p} outside 0..{n - 1}")
 
 
+def _role_kernel(ls_theta, groups, feat_scores):
+    """Unnormalized log conditional of roles, one row per (snapshot, person):
+    the log-rate row of the person's current group plus the log likelihood
+    of their features under each emission column.  ``ls_theta`` is
+    (T, M, K), ``groups`` (T, N) and ``feat_scores`` (T, N, K)."""
+    return ls_theta[np.arange(groups.shape[0])[:, None], groups] + feat_scores
+
+
 def _role_logits(
     p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
 ) -> np.ndarray:
-    ls = log_softmax(trace.theta_hat[t, trace.G[t, p]])
-    return ls + data.snapshots[t].features[p] @ floored_log(params.beta)
+    return _role_kernel(
+        log_softmax(trace.theta_hat[t : t + 1]),
+        trace.G[t : t + 1, p : p + 1],
+        data.snapshots[t].features[p] @ floored_log(params.beta),
+    )[0, 0]
 
 
 def _group_kernel(logpi_p, ls_role, logb, log1mb, linked, group_counts, g_p):
-    """Unnormalized log conditional of one person's group.  ``linked`` counts
-    their neighbours per group, ``group_counts`` everyone, the person included
-    under their current group ``g_p`` (no one scores a link with themselves)."""
+    """Unnormalized log conditional of one person's group, one row per
+    snapshot.  ``linked`` counts their neighbours per group, ``group_counts``
+    everyone, the person included under their current group ``g_p`` (no one
+    scores a link with themselves)."""
     total = group_counts.copy()
-    total[g_p] -= 1
-    logits = logpi_p + ls_role + logb @ linked
-    logits += log1mb @ (total - linked)
+    total[np.arange(g_p.shape[0]), g_p] -= 1
+    logits = logpi_p + ls_role + linked @ logb.T
+    logits += (total - linked) @ log1mb.T
     return logits
 
 
@@ -276,10 +298,10 @@ def _group_logits(
         log_softmax(trace.theta_hat[t])[:, trace.R[t, p]],
         np.log(params.block),
         np.log1p(-params.block),
-        np.bincount(g_row[data.snapshots[t].links[p].astype(bool)], minlength=m),
-        np.bincount(g_row, minlength=m),
-        g_row[p],
-    )
+        np.bincount(g_row[data.snapshots[t].links[p].astype(bool)], minlength=m)[None],
+        np.bincount(g_row, minlength=m)[None],
+        g_row[p : p + 1],
+    )[0]
 
 
 def role_posterior(
@@ -514,35 +536,46 @@ def _anchor_params(anchor) -> DGladParams:
 
 
 def _scan_assignments(
-    data: DynamicDataset,
-    params: DGladParams,
     trace: DGladTrace,
     rng: np.random.Generator,
-    logbeta: np.ndarray,
+    feat_scores: np.ndarray,
+    links: np.ndarray,
     logb: np.ndarray,
     log1mb: np.ndarray,
 ) -> None:
-    """One Gibbs scan over (snapshot, person) in ascending order, in place."""
-    m = params.n_groups
+    """One blocked Gibbs scan, in place: every role of every snapshot in one
+    draw, then each person's groups across all snapshots in one draw, people
+    ascending.  ``feat_scores`` is the (T, N, K) feature log likelihood per
+    role and ``links`` the stacked (T, N, N) adjacency."""
+    horizon, n = trace.G.shape
+    steps = np.arange(horizon)
+    ls_theta = log_softmax(trace.theta_hat)
+    role_logits = _role_kernel(ls_theta, trace.G, feat_scores)
+    trace.R[:] = _draw_rows(role_logits, rng.random((horizon, n)))
+    ls_role = ls_theta[steps[:, None], :, trace.R]  # (T, N, M)
+
+    # neighbours of each person per group, and everyone per group; kept up
+    # to date as people move, one snapshot's link row at a time
+    member = (trace.G[:, :, None] == np.arange(trace.n_groups)).astype(float)
+    counts = np.stack([links[t] @ member[t] for t in range(horizon)])
+    totals = member.sum(axis=1)
     logpi = floored_log(trace.pi)
-    for t in range(trace.horizon):
-        snap = data.snapshots[t]
-        ls_theta = log_softmax(trace.theta_hat[t])
-        feat_scores = snap.features @ logbeta  # (N, K)
-        neighbors = [np.flatnonzero(snap.links[p]) for p in range(snap.n_nodes)]
-        g_row = trace.G[t]
-        group_counts = np.bincount(g_row, minlength=m)
-        for p in range(snap.n_nodes):
-            r = _draw_logits(ls_theta[g_row[p]] + feat_scores[p], rng)
-            trace.R[t, p] = r
-            linked = np.bincount(g_row[neighbors[p]], minlength=m)
-            logits = _group_kernel(
-                logpi[p], ls_theta[:, r], logb, log1mb, linked, group_counts, g_row[p]
-            )
-            g_new = _draw_logits(logits, rng)
-            group_counts[g_row[p]] -= 1
-            group_counts[g_new] += 1
-            g_row[p] = g_new
+    for p in range(n):
+        g_p = trace.G[:, p]
+        logits = _group_kernel(
+            logpi[p], ls_role[:, p], logb, log1mb, counts[:, p], totals, g_p
+        )
+        g_new = _draw_rows(logits, rng.random(horizon))
+        moved = np.flatnonzero(g_new != g_p)
+        if moved.size:
+            # move the person's link row from the old group's column to the new
+            old, new = g_p[moved], g_new[moved]
+            row = links[moved, p]
+            counts[moved, :, old] -= row
+            counts[moved, :, new] += row
+            totals[moved, old] -= 1
+            totals[moved, new] += 1
+            g_p[moved] = new
 
 
 def run_sampler(
@@ -557,8 +590,13 @@ def run_sampler(
     Memberships start at a prior draw and roles uniform at random; group
     assignments start from the anchor fit's grouping copied across
     snapshots (``config.init="warm"``, the default) or uniform at random.
-    Each sweep redraws roles and groups (snapshots ascending, people
-    ascending), refreshes memberships, then refilters the rate paths.
+    Each sweep draws all roles in one block, then each person's groups in
+    every snapshot in one block (people ascending), refreshes memberships,
+    then refilters the rate paths.  Both blocks are exact joint draws
+    because roles are conditionally independent given the groups and
+    snapshots are conditionally independent given the memberships and the
+    rate path, so the order targets the same posterior as one draw per
+    person-snapshot.
     ``sweeps=0`` returns the untouched initialization.  The run is fully
     determined by ``config.seed``; non-finite filtered rates abort with a
     diagnostic rather than poisoning later sweeps.  Passing explicit
@@ -593,12 +631,14 @@ def run_sampler(
         sweep=0,
     )
 
-    logbeta = floored_log(params.beta)
+    features = np.stack([snap.features for snap in data.snapshots])
+    feat_scores = features @ floored_log(params.beta)
+    links = np.stack([snap.links for snap in data.snapshots])
     logb = np.log(params.block)
     log1mb = np.log1p(-params.block)
     history = np.empty((config.sweeps, horizon, n_groups, n_roles))
     for s in range(config.sweeps):
-        _scan_assignments(data, params, trace, rng, logbeta, logb, log1mb)
+        _scan_assignments(trace, rng, feat_scores, links, logb, log1mb)
         for p in range(n):
             trace.pi[p] = sample_pi(p, params.alpha, trace, rng)
         theta_hat, particles, weights = particle_filter_theta(

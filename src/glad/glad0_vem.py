@@ -180,17 +180,21 @@ def _elogpi(gamma):
     return digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
 
 
-def _phi_logits(y, block, other, elogpi, side):
+def _phi_logits(y, block, other, elogpi, side, work=None):
     # group-major (M, N, N) logits of one pair side.  Side "out": the sender's
     # expected log-membership plus the link evidence against the receiver
     # side, whose group indexes the block's second axis; side "in" transposes
-    # the block and keys the membership by the receiver.
+    # the block and keys the membership by the receiver.  ``work`` is a
+    # (2, M, N, N) scratch buffer; the logits are written into ``work[1]``.
     log_b = np.log(block) if side == "out" else np.log(block).T
     log_1mb = np.log1p(-block) if side == "out" else np.log1p(-block).T
+    if work is None:
+        work = np.empty((2,) + other.shape)
+    linked, field = work
     flat = other.reshape(other.shape[0], -1)
-    linked = (log_b @ flat).reshape(other.shape)
-    unlinked = (log_1mb @ flat).reshape(other.shape)
-    field = np.where(y > 0, linked, unlinked)
+    np.matmul(log_b, flat, out=linked.reshape(flat.shape))
+    np.matmul(log_1mb, flat, out=field.reshape(flat.shape))
+    np.copyto(field, linked, where=y > 0)
     field += elogpi.T[:, :, None] if side == "out" else elogpi.T[:, None, :]
     return field
 
@@ -410,15 +414,18 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     n = gamma.shape[0]
     elogpi = _elogpi(gamma)
     y = data.links
+    # one scratch buffer for both pair sides, freed before the M-step and
+    # the bound, so it adds nothing to the fit's peak memory
+    work = np.empty((2,) + phi_out.shape)
 
-    logits = _phi_logits(y, params.block, phi_in, elogpi, "out")
-    new_out = _uniform_diagonal(_group_softmax(logits))
-    delta = float(np.abs(new_out - phi_out).max())
-    phi_out[:] = new_out
-    logits = _phi_logits(y, params.block, phi_out, elogpi, "in")
-    new_in = _uniform_diagonal(_group_softmax(logits))
-    delta = max(delta, float(np.abs(new_in - phi_in).max()))
-    phi_in[:] = new_in
+    pair_deltas = []
+    for phi, side, other in ((phi_out, "out", phi_in), (phi_in, "in", phi_out)):
+        logits = _phi_logits(y, params.block, other, elogpi, side, work)
+        new = _uniform_diagonal(_group_softmax(logits))
+        change = np.subtract(new, phi, out=work[0])
+        pair_deltas.append(float(np.abs(change, out=change).max()))
+        phi[:] = new
+    delta = max(pair_deltas)
 
     gamma[:] = _gamma_block(params.alpha, phi_out, phi_in, _activity_sums(flat_lam, person, n))
     if flat_lam.shape[0]:
