@@ -67,7 +67,8 @@ class DGladParams:
 
     ``theta0`` is the unconstrained starting rate table (groups x roles);
     the walk lives in that space and rows only become role distributions
-    through a soft-max.  ``block`` and ``beta`` are shared across snapshots.
+    through a soft-max.  ``block`` and ``beta`` are shared across snapshots;
+    ``block`` must be symmetric, as links are undirected.
     """
 
     alpha: np.ndarray  # (M,) Dirichlet prior over memberships
@@ -87,6 +88,10 @@ class DGladParams:
             raise ValueError("block must be square over groups")
         if np.any(self.block <= 0.0) or np.any(self.block >= 1.0):
             raise ValueError("block entries must lie strictly inside (0, 1)")
+        if not np.array_equal(self.block, self.block.T):
+            # the scan scores each neighbour with block[g, G_q]; only a
+            # symmetric block makes those the conditionals of one joint
+            raise ValueError("block must be symmetric")
         if self.theta0.ndim != 2 or self.theta0.shape[0] != m:
             raise ValueError("theta0 must have one row per group")
         if not np.all(np.isfinite(self.theta0)):

@@ -83,12 +83,23 @@ def _as_trials(trials, n_nodes: int) -> np.ndarray:
     return arr
 
 
-def _sample_links(rng: np.random.Generator, rates: np.ndarray) -> np.ndarray:
-    """Symmetric 0/1 adjacency from per-pair rates, upper triangle mirrored."""
-    n = rates.shape[0]
+def _sample_links(
+    rng: np.random.Generator, block: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Symmetric 0/1 adjacency, upper triangle drawn and mirrored.
+
+    Pair (p, q) links with rate ``block[left[p, q], right[p, q]]``, where
+    ``left`` and ``right`` broadcast to (N, N): per-person groups
+    (``group[:, None]``, ``group``) or per-pair memberships.  The triangle is
+    drawn row by row, one uniform per pair in row-major order, so the random
+    stream matches a single draw over the whole triangle while no N x N rate
+    matrix is built.
+    """
+    left, right = np.broadcast_arrays(left, right)
+    n = left.shape[0]
     y = np.zeros((n, n), dtype=np.int8)
-    iu = np.triu_indices(n, k=1)
-    y[iu] = rng.random(iu[0].size) < rates[iu]
+    for p in range(n - 1):
+        y[p, p + 1:] = rng.random(n - 1 - p) < block[left[p, p + 1:], right[p, p + 1:]]
     return y + y.T
 
 
@@ -106,7 +117,7 @@ def generate_glad(params: ModelParams, n_nodes: int, trials, seed: int):
 
     pi = rng.dirichlet(params.alpha, size=n_nodes)
     group = _categorical_rows(rng, pi)
-    links = _sample_links(rng, params.block[group][:, group])
+    links = _sample_links(rng, params.block, group[:, None], group)
     role = _categorical_rows(rng, params.theta[group])
     features = rng.multinomial(a, params.beta.T[role])
 
@@ -150,7 +161,7 @@ def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
     z_out[(iu[1], iu[0])] = z_in[iu]
     z_in[(iu[1], iu[0])] = z_out[iu]
 
-    links = _sample_links(rng, params.block[z_out, z_in])
+    links = _sample_links(rng, params.block, z_out, z_in)
 
     group_rows, role_rows, feature_rows = [], [], []
     beta_t = params.beta.T  # (K, V)
@@ -219,7 +230,7 @@ def generate_dglad(
         theta_path[t] = theta_path[t - 1] + sigma * rng.standard_normal((m, k))
         rates = softmax(theta_path[t])
         group = _categorical_rows(rng, pi)
-        links = _sample_links(rng, params.block[group][:, group])
+        links = _sample_links(rng, params.block, group[:, None], group)
         role = _categorical_rows(rng, rates[group])
         features = rng.multinomial(a, params.beta.T[role])
         snapshots.append(Dataset(features=features, links=links))
@@ -331,7 +342,7 @@ def inject_anomalies(cfg: InjectionConfig):
     pi = np.zeros((cfg.n_nodes, cfg.n_groups))
     pi[np.arange(cfg.n_nodes), group] = 1.0
 
-    links = _sample_links(rng, params.block[group][:, group])
+    links = _sample_links(rng, params.block, group[:, None], group)
     role = _categorical_rows(rng, params.theta[group])
     features = rng.multinomial(
         np.full(cfg.n_nodes, cfg.trials_per_person), params.beta.T[role]
@@ -367,7 +378,7 @@ def inject_activity_anomalies(cfg: InjectionConfig, activities: int | None = Non
     pi = np.zeros((cfg.n_nodes, cfg.n_groups))
     pi[np.arange(cfg.n_nodes), group] = 1.0
 
-    links = _sample_links(rng, params.block[group][:, group])
+    links = _sample_links(rng, params.block, group[:, None], group)
     roles, tokens = [], []
     for p in range(cfg.n_nodes):
         r = _categorical_rows(rng, np.tile(params.theta[group[p]], (n_acts, 1)))
@@ -438,7 +449,7 @@ def inject_dynamic_change(
         if t == change_time + 1:
             theta_path[t, changed] = log_anomal
         rates = softmax(theta_path[t])
-        links = _sample_links(rng, params.block[group][:, group])
+        links = _sample_links(rng, params.block, group[:, None], group)
         role = _categorical_rows(rng, rates[group])
         features = rng.multinomial(trials, params.beta.T[role])
         snapshots.append(Dataset(features=features, links=links))

@@ -469,7 +469,7 @@ def fit0(
     n = data.n_nodes
     if n_groups > n:
         warnings.warn("more groups than people; expect degenerate groups")
-    params = seed_params(data.links, data.n_features, n_groups, n_roles, rng, config.alpha0)
+    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
 
     counts = data.activity_counts
     total_acts = int(counts.sum())

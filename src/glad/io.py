@@ -20,6 +20,7 @@ Node ids are 0-based and contiguous everywhere.
 from __future__ import annotations
 
 import json
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -145,9 +146,21 @@ def read_activity_features(path, n_nodes: int):
 # edge TSV
 # ---------------------------------------------------------------------------
 
-def _edge_lines_static(links: np.ndarray) -> list:
-    rows, cols = np.nonzero(np.triu(links, k=1))
-    return [f"{p}\t{q}" for p, q in zip(rows.tolist(), cols.tolist())]
+# Edge lines formatted per write, so the text of a large graph is never
+# held whole.
+EDGE_LINES = 8192
+
+
+def _write_edges(path, graphs) -> None:
+    """Write an edge TSV from ``(data, suffix)`` pairs: one ``p<TAB>q`` line,
+    plus the suffix, per edge of each graph in turn, row-major."""
+    with open(path, "w") as out:
+        for data, suffix in graphs:
+            u, v = data.edges
+            for start in range(0, u.size, EDGE_LINES):
+                chunk = slice(start, start + EDGE_LINES)
+                out.write("".join(f"{p}\t{q}{suffix}\n"
+                                  for p, q in zip(u[chunk].tolist(), v[chunk].tolist())))
 
 
 def _parse_edge_line(path, i, line, n_cols):
@@ -156,37 +169,100 @@ def _parse_edge_line(path, i, line, n_cols):
     if len(cells) != n_cols:
         raise ValueError(f"{path} line {i}: expected '{shape}' with {n_cols} integer fields")
     try:
-        return [int(c) for c in cells]
+        fields = [int(c) for c in cells]
     except ValueError:
-        raise ValueError(f"{path} line {i}: expected '{shape}' with integer fields") from None
+        fields = None
+    if fields is None or any(abs(f) >= 2**63 for f in fields):
+        raise ValueError(f"{path} line {i}: expected '{shape}' with integer fields")
+    return fields
+
+
+def _read_edge_fields(path, n_cols: int) -> np.ndarray:
+    """The integer fields of an edge TSV as an (E, n_cols) array, one row per line.
+
+    ``np.loadtxt`` parses the whole file at once, but it skips blank lines and
+    its errors do not name the file's line, so whenever its rows do not match
+    the lines one to one, the lines are parsed again one at a time to report
+    the first bad one.
+    """
+    text = Path(path).read_text()
+    if not text:
+        return np.zeros((0, n_cols), dtype=np.int64)
+    n_lines = text.count("\n") + (not text.endswith("\n"))
+    try:
+        fields = np.loadtxt(StringIO(text), dtype=np.int64, delimiter="\t",
+                            comments=None, ndmin=2)
+    except ValueError:
+        fields = None
+    if fields is None or fields.shape != (n_lines, n_cols):
+        rows = [_parse_edge_line(path, i, line, n_cols)
+                for i, line in enumerate(text.splitlines(), start=1)]
+        fields = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
+    return fields
+
+
+def _first_hit(mask: np.ndarray) -> int:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else mask.size
+
+
+def _read_checked_edges(path, n_nodes: int, horizon: int | None = None) -> np.ndarray:
+    """Parse and validate a static (``horizon=None``) or dynamic edge TSV.
+
+    Each line must hold two distinct ids in [0, n_nodes), a snapshot index in
+    [0, horizon) for the dynamic kind, and a pair not already listed (in that
+    snapshot).  The first offending line is reported by its line number;
+    within one line the checks apply in that order.
+    """
+    fields = _read_edge_fields(path, 2 if horizon is None else 3)
+    p, q = fields[:, 0], fields[:, 1]
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    bad_ids = (p == q) | (lo < 0) | (hi >= n_nodes)
+    key = lo * n_nodes + hi
+    if horizon is None:
+        bad_t = np.zeros_like(bad_ids)
+    else:
+        t = fields[:, 2]
+        bad_t = (t < 0) | (t >= horizon)
+        key = key + t * (n_nodes * n_nodes)
+    # a repeat is a line whose key an earlier line holds; the stable sort
+    # keeps equal keys in line order
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+
+    first = [_first_hit(mask) for mask in (bad_ids, bad_t, repeat)]
+    i = min(first)
+    if i == fields.shape[0]:
+        return fields
+    check = first.index(i)
+    if check == 0:
+        message = f"ids must be distinct and in [0, {n_nodes})"
+    elif check == 1:
+        message = f"snapshot index must lie in [0, {horizon})"
+    elif horizon is None:
+        message = f"duplicate unordered pair ({p[i]}, {q[i]})"
+    else:
+        message = f"duplicate pair ({p[i]}, {q[i]}) at snapshot {t[i]}"
+    raise ValueError(f"{path} line {i + 1}: {message}")
 
 
 def read_edges(path, n_nodes: int) -> np.ndarray:
     """Read a static edge TSV into a symmetric (N, N) 0/1 matrix."""
+    p, q = _read_checked_edges(path, n_nodes).T
     links = np.zeros((n_nodes, n_nodes), dtype=np.int8)
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        p, q = _parse_edge_line(path, i, line, 2)
-        if p == q or not (0 <= p < n_nodes and 0 <= q < n_nodes):
-            raise ValueError(f"{path} line {i}: ids must be distinct and in [0, {n_nodes})")
-        if links[p, q]:
-            raise ValueError(f"{path} line {i}: duplicate unordered pair ({p}, {q})")
-        links[p, q] = links[q, p] = 1
+    links[p, q] = 1
+    links[q, p] = 1
     return links
 
 
 def read_dynamic_edges(path, n_nodes: int, horizon: int):
     """Read a dynamic edge TSV into per-snapshot symmetric matrices."""
-    snaps = [np.zeros((n_nodes, n_nodes), dtype=np.int8) for _ in range(horizon)]
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        p, q, t = _parse_edge_line(path, i, line, 3)
-        if p == q or not (0 <= p < n_nodes and 0 <= q < n_nodes):
-            raise ValueError(f"{path} line {i}: ids must be distinct and in [0, {n_nodes})")
-        if not 0 <= t < horizon:
-            raise ValueError(f"{path} line {i}: snapshot index must lie in [0, {horizon})")
-        if snaps[t][p, q]:
-            raise ValueError(f"{path} line {i}: duplicate pair ({p}, {q}) at snapshot {t}")
-        snaps[t][p, q] = snaps[t][q, p] = 1
-    return snaps
+    p, q, t = _read_checked_edges(path, n_nodes, horizon).T
+    snaps = np.zeros((horizon, n_nodes, n_nodes), dtype=np.int8)
+    snaps[t, p, q] = 1
+    snaps[t, q, p] = 1
+    return list(snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +312,14 @@ def write_dataset(dirpath, data, truth=None) -> None:
     if isinstance(data, DynamicDataset):
         manifest["kind"] = "dynamic"
         manifest["horizon"] = data.horizon
-        lines = []
         for t, snap in enumerate(data.snapshots):
             _write_feature_rows(
                 out / f"features_t{t}.csv",
                 list(enumerate(snap.features)),
                 data.n_features,
             )
-            lines.extend(f"{e}\t{t}" for e in _edge_lines_static(snap.links))
-        (out / "edges.tsv").write_text("\n".join(lines) + ("\n" if lines else ""))
+        _write_edges(out / "edges.tsv",
+                     [(snap, f"\t{t}") for t, snap in enumerate(data.snapshots)])
     elif isinstance(data, ActivityDataset):
         manifest["kind"] = "activity"
         rows = []
@@ -254,15 +329,13 @@ def write_dataset(dirpath, data, truth=None) -> None:
                 one_hot[tok] = 1
                 rows.append((p, one_hot))
         _write_feature_rows(out / "features.csv", rows, data.n_features)
-        text = "\n".join(_edge_lines_static(data.links))
-        (out / "edges.tsv").write_text(text + ("\n" if text else ""))
+        _write_edges(out / "edges.tsv", [(data, "")])
     elif isinstance(data, Dataset):
         manifest["kind"] = "static"
         _write_feature_rows(
             out / "features.csv", list(enumerate(data.features)), data.n_features
         )
-        text = "\n".join(_edge_lines_static(data.links))
-        (out / "edges.tsv").write_text(text + ("\n" if text else ""))
+        _write_edges(out / "edges.tsv", [(data, "")])
     else:
         raise TypeError("write_dataset expects a Dataset, ActivityDataset or DynamicDataset")
     write_json(out / "dataset.json", manifest)

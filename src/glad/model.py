@@ -17,6 +17,7 @@ Monte Carlo modules share one set of conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -54,11 +55,15 @@ class GladNumericsError(RuntimeError):
     """Raised when an inference routine hits NaN/Inf and cannot continue."""
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
+    a.flags.writeable = False
+    return a
+
+
 def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
     """Return a C-contiguous read-only copy of ``a``."""
-    out = np.array(a, dtype=dtype, order="C", copy=True)
-    out.flags.writeable = False
-    return out
+    return _readonly(np.array(a, dtype=dtype, order="C", copy=True))
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +145,41 @@ def row_normalize(m: np.ndarray) -> np.ndarray:
 # value objects
 # ---------------------------------------------------------------------------
 
+class _EdgeIndex:
+    """Sparse views of a symmetric 0/1 ``links`` matrix, derived once on first use.
+
+    Both are read-only index arrays in row-major order; the diagonal is left out.
+    """
+
+    @cached_property
+    def neighbours(self) -> tuple:
+        """CSR ``(indptr, indices)``: person p's neighbours are
+        ``indices[indptr[p]:indptr[p + 1]]``, ascending."""
+        rows, cols = np.nonzero(self.links)
+        keep = rows != cols
+        indptr = np.zeros(self.links.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=self.links.shape[0]), out=indptr[1:])
+        return _readonly(indptr), _readonly(cols[keep])
+
+    @cached_property
+    def edges(self) -> tuple:
+        """``(u, v)`` with u < v: each unordered linked pair once."""
+        indptr, indices = self.neighbours
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        upper = rows < indices
+        return _readonly(rows[upper]), _readonly(indices[upper])
+
+
 @dataclass(frozen=True)
-class Dataset:
+class Dataset(_EdgeIndex):
     """Static observations: per-person feature counts and an undirected graph.
 
     ``features`` is an (N, V) non-negative integer count matrix; row p holds
     person p's aggregated activity counts.  ``links`` is the (N, N) symmetric
-    0/1 adjacency matrix.  The diagonal is ignored throughout.
+    0/1 adjacency matrix.  The diagonal is ignored throughout.  The graph is
+    also available as an edge list, ``edges`` (each unordered pair once), and
+    as neighbour lists, ``neighbours`` (CSR); both are derived from ``links``
+    on first use, and the sparse kernels read them instead of the matrix.
     """
 
     features: np.ndarray
@@ -190,13 +223,13 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class ActivityDataset:
+class ActivityDataset(_EdgeIndex):
     """Activity-level observations: one categorical feature per activity.
 
     ``feature_ids[p]`` is an integer array with one entry per activity of
     person p, each the index of the single feature that activity produced
-    (the one-hot encoding stored compactly).  ``links`` is as in
-    :class:`Dataset`.
+    (the one-hot encoding stored compactly).  ``links``, ``edges`` and
+    ``neighbours`` are as in :class:`Dataset`.
     """
 
     feature_ids: tuple

@@ -1,6 +1,10 @@
 """End-to-end checks of the command line, invoked in-process via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,18 @@ def dynamic_run(tmp_path_factory):
         == 0
     )
     return root, data_dir, fit_dir
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only group matching needs scipy.optimize; `generate` and `fit` should
+    # not pay its start-up time and memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, glad.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

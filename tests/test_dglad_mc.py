@@ -40,9 +40,10 @@ def softmax_row(row):
 
 def make_params(m=2, k=2, v=3, seed=0):
     rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.1, 0.9, size=(m, m))
     return DGladParams(
         alpha=np.full(m, 0.5),
-        block=rng.uniform(0.1, 0.9, size=(m, m)),
+        block=0.5 * (raw + raw.T),
         beta=rng.dirichlet(np.ones(v), size=k).T,
         theta0=rng.normal(size=(m, k)),
     )
@@ -117,6 +118,13 @@ def test_params_validation():
         DGladParams(
             alpha=good.alpha,
             block=np.full((2, 2), 1.0),
+            beta=good.beta,
+            theta0=good.theta0,
+        )
+    with pytest.raises(ValueError, match="symmetric"):
+        DGladParams(
+            alpha=good.alpha,
+            block=np.array([[0.5, 0.2], [0.3, 0.5]]),
             beta=good.beta,
             theta0=good.theta0,
         )

@@ -4,6 +4,7 @@ import scipy.stats
 
 from glad.generator import (
     InjectionConfig,
+    _sample_links,
     generate_dglad,
     generate_glad,
     generate_glad0,
@@ -214,6 +215,38 @@ def test_generate_glad0_deterministic():
     for a, b in zip(d1.feature_ids, d2.feature_ids):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(t1.z_out, t2.z_out)
+
+
+# ---------------------------------------------------------------------------
+# link sampler
+# ---------------------------------------------------------------------------
+
+def _reference_links(rng, rates):
+    # one draw over the whole upper triangle, row-major, then mirrored
+    n = rates.shape[0]
+    iu = np.triu_indices(n, k=1)
+    y = np.zeros((n, n), dtype=np.int8)
+    y[iu] = rng.random(n * (n - 1) // 2) < rates[iu]
+    return y + y.T
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_links_row_by_row_equals_one_triangle_draw(seed):
+    rng = np.random.default_rng(100 + seed)
+    m, n = 3, 20 + seed
+    block = rng.uniform(0.05, 0.95, size=(m, m))
+    group = rng.integers(0, m, size=n)
+    z_out, z_in = rng.integers(0, m, size=(2, n, n))
+    forms = (
+        ((group[:, None], group), block[group][:, group]),  # static: per-person groups
+        ((z_out, z_in), block[z_out, z_in]),  # glad0: per-pair memberships
+    )
+    for (left, right), rates in forms:
+        rowwise, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _sample_links(rowwise, block, left, right), _reference_links(reference, rates)
+        )
+        assert rowwise.random() == reference.random()  # the stream continues in step
 
 
 # ---------------------------------------------------------------------------

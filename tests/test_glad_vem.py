@@ -302,6 +302,90 @@ def test_compute_elbo_matches_oracle(seed):
     assert rel_close(got, want), (got, want)
 
 
+# dense oracles of the pair terms: the N x N matrix forms the edge kernels
+# replace, written out with the diagonal masked by hand
+
+def dense_oracle_elbo(X, Y, alpha, B, theta, beta, gamma, lam, mu):
+    psi, lg = scipy.special.psi, scipy.special.gammaln
+    n = lam.shape[0]
+    elogpi = psi(gamma) - psi(gamma.sum(axis=1))[:, None]
+    upper = np.triu(np.ones((n, n)), k=1)
+    y = upper * Y
+    linked = lam.T @ y @ lam
+    unlinked = lam.T @ (upper - y) @ lam
+    pair = (linked * np.log(B)).sum() + (unlinked * np.log1p(-B)).sum()
+    flog = lambda a: np.log(np.maximum(a, 1e-12))  # noqa: E731
+    point = (lg(X.sum(axis=1) + 1.0).sum() - lg(X + 1.0).sum()
+             + (mu * (X @ flog(beta))).sum())
+    role = (lam * (mu @ flog(theta).T)).sum()
+    prior = n * (lg(alpha.sum()) - lg(alpha).sum()) + ((alpha - 1.0) * elogpi).sum()
+    ent_gamma = (lg(gamma.sum(axis=1)) - lg(gamma).sum(axis=1)
+                 + ((gamma - 1.0) * elogpi).sum(axis=1)).sum()
+    ent = (lam * flog(lam)).sum() + (mu * flog(mu)).sum()
+    return point + role + (lam * elogpi).sum() + pair + prior - ent_gamma - ent
+
+
+def dense_oracle_block(Y, lam):
+    off = 1.0 - np.eye(lam.shape[0])
+    linked = lam.T @ (off * Y) @ lam
+    total = lam.T @ off @ lam
+    return np.clip(linked / total, PROB_EPS, 1 - PROB_EPS)
+
+
+def _with_self_links(data):
+    # ones on the diagonal, which every kernel ignores
+    return Dataset(features=data.features, links=np.maximum(data.links, np.eye(data.n_nodes)))
+
+
+def _asymmetric(params, seed):
+    raw = np.random.default_rng(seed).uniform(0.05, 0.95, size=params.block.shape)
+    return ModelParams(params.alpha, raw, params.theta, params.beta)
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_compute_elbo_matches_oracles_with_self_links(seed, asymmetric):
+    for n, oracle in ((5, oracle_elbo), (40, dense_oracle_elbo)):
+        data, params, state = random_instance(seed, n=n, m=3, k=2, v=3)
+        data = _with_self_links(data)
+        if asymmetric:
+            params = _asymmetric(params, seed)
+        got = compute_elbo(data, params, state)
+        want = oracle(
+            data.features, data.links, params.alpha, params.block,
+            params.theta, params.beta, state.gamma, state.lam, state.mu,
+        )
+        assert rel_close(got, want), (n, got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_m_step_block_matches_oracles_with_self_links(seed):
+    data, params, state = random_instance(seed, n=5, m=3, k=2, v=4)
+    data = _with_self_links(data)
+    want, _, _ = oracle_m_step(data.features, data.links, state.lam, state.mu)
+    np.testing.assert_allclose(m_step(data, state, params.alpha).block, want,
+                               rtol=1e-10, atol=0)
+    data, params, state = random_instance(seed, n=40, m=3, k=2, v=4)
+    data = _with_self_links(data)
+    np.testing.assert_allclose(m_step(data, state, params.alpha).block,
+                               dense_oracle_block(data.links, state.lam), rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lambda_updates_ignore_self_links(seed):
+    data, params, state = random_instance(seed, n=6, m=3, k=2, v=3)
+    looped = _with_self_links(data)
+    for p in range(data.n_nodes):
+        want = oracle_lambda(
+            p, data.features, looped.links, params.alpha, params.block,
+            params.theta, params.beta, state.gamma, state.lam, state.mu,
+        )
+        np.testing.assert_allclose(update_lambda(p, looped, params, state), want, atol=1e-12)
+    swept, _ = infer_state(looped, params, FitConfig(max_iters=2))
+    plain, _ = infer_state(data, params, FitConfig(max_iters=2))
+    np.testing.assert_array_equal(swept.lam, plain.lam)
+
+
 def test_compute_elbo_trivial_instance_is_zero():
     # one person, one group, one role, one feature, alpha = [1]: every term
     # vanishes or cancels at the converged state gamma = alpha + lambda

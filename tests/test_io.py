@@ -107,6 +107,74 @@ def test_edges_reject_malformed(tmp_path):
         io.read_edges(p, 5)
 
 
+def _read_static(path):
+    return io.read_edges(path, 5)
+
+
+def _read_dynamic(path):
+    return io.read_dynamic_edges(path, 5, 3)
+
+
+# each case: the file's lines, then the message expected on its line
+_STATIC_BAD = [
+    (["0\t1", "", "2\t3"], "line 2: expected 'p<TAB>q' with 2 integer fields"),
+    (["0\t1", "1\t2", "2\t3\t0"], "line 3: expected 'p<TAB>q' with 2 integer fields"),
+    (["0\t1", "1\tx"], "line 2: expected 'p<TAB>q' with integer fields"),
+    (["0\t1", "1.5\t2"], "line 2: expected 'p<TAB>q' with integer fields"),
+    (["0\t1", "99999999999999999999\t2"], "line 2: expected 'p<TAB>q' with integer fields"),
+    (["0\t1", "1\t2", "3\t4", "2\t1"], r"line 4: duplicate unordered pair \(2, 1\)"),
+    (["0\t1", "1\t2", "0\t1"], r"line 3: duplicate unordered pair \(0, 1\)"),
+]
+_DYNAMIC_BAD = [
+    (["0\t1\t0", "", "2\t3\t1"], "line 2: expected 'p<TAB>q<TAB>t' with 3 integer fields"),
+    (["0\t1\t0", "1\t2"], "line 2: expected 'p<TAB>q<TAB>t' with 3 integer fields"),
+    (["0\t1\t0", "1\t2\tt"], "line 2: expected 'p<TAB>q<TAB>t' with integer fields"),
+    (["0\t1\t0", "0\t1\t1", "1\t0\t0"], r"line 3: duplicate pair \(1, 0\) at snapshot 0"),
+]
+
+
+@pytest.mark.parametrize("lines, message", _STATIC_BAD)
+def test_static_edges_report_the_bad_line(tmp_path, lines, message):
+    p = tmp_path / "e.tsv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        _read_static(p)
+
+
+@pytest.mark.parametrize("lines, message", _DYNAMIC_BAD)
+def test_dynamic_edges_report_the_bad_line(tmp_path, lines, message):
+    p = tmp_path / "e.tsv"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        _read_dynamic(p)
+
+
+def test_edges_report_the_first_bad_line_across_checks(tmp_path):
+    # a range error on line 2 comes before a duplicate on line 3, and within a
+    # line the id check comes before the snapshot check
+    p = tmp_path / "e.tsv"
+    p.write_text("0\t1\n0\t7\n1\t0\n")
+    with pytest.raises(ValueError, match=r"line 2: ids must be distinct and in \[0, 5\)"):
+        _read_static(p)
+    p.write_text("0\t1\t0\n3\t3\t9\n")
+    with pytest.raises(ValueError, match=r"line 2: ids must be distinct"):
+        _read_dynamic(p)
+    p.write_text("0\t1\t0\n2\t3\t9\n")
+    with pytest.raises(ValueError, match=r"line 2: snapshot index must lie in \[0, 3\)"):
+        _read_dynamic(p)
+
+
+def test_edges_empty_file_and_missing_final_newline(tmp_path):
+    p = tmp_path / "e.tsv"
+    p.write_text("")
+    np.testing.assert_array_equal(_read_static(p), np.zeros((5, 5), dtype=np.int8))
+    assert all(not s.any() for s in _read_dynamic(p))
+    p.write_text("0\t1\n3\t2")
+    want = np.zeros((5, 5), dtype=np.int8)
+    want[[0, 1, 2, 3], [1, 0, 3, 2]] = 1
+    np.testing.assert_array_equal(_read_static(p), want)
+
+
 def test_dynamic_edges_round_trip(tmp_path):
     cfg = InjectionConfig(n_nodes=24, n_groups=3, trials_per_person=8, seed=2)
     data, truth = inject_dynamic_change(cfg, horizon=3, change_time=2)

@@ -236,6 +236,21 @@ def test_dataset_checks_symmetry_and_counts():
     np.testing.assert_array_equal(d.empty_rows, [1])
 
 
+def test_dataset_edge_index_leaves_out_the_diagonal():
+    links = np.array([[1, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]])
+    d = Dataset(features=np.zeros((4, 1), dtype=np.int64), links=links)
+    u, v = d.edges
+    np.testing.assert_array_equal(u, [0, 0, 1])
+    np.testing.assert_array_equal(v, [1, 3, 2])
+    indptr, indices = d.neighbours
+    assert [indices[indptr[p]:indptr[p + 1]].tolist() for p in range(4)] == [
+        [1, 3], [0, 2], [1], [0]
+    ]
+    for arr in (u, v, indptr, indices):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+
+
 def test_dataset_arrays_are_frozen():
     d = Dataset(features=np.array([[1]]), links=np.array([[0]]))
     with pytest.raises(ValueError):
