@@ -26,7 +26,6 @@ from .model import (
     ModelParams,
     PROB_EPS,
     SIMPLEX_FLOOR,
-    bernoulli_loglik,
     digamma,
     softmax,
     validate_params,
@@ -43,7 +42,6 @@ __all__ = [
     "ModelParams",
     "PROB_EPS",
     "SIMPLEX_FLOOR",
-    "bernoulli_loglik",
     "digamma",
     "softmax",
     "validate_params",

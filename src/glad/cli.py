@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -146,32 +147,6 @@ def cmd_generate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-# each model: the dataset kind it fits, its config class and its fit function
-_MODELS = {
-    "glad": ("static", FitConfig, fit),
-    "glad0": ("activity", Fit0Config, fit0),
-    "dglad": ("dynamic", DGladConfig, run_sampler),
-}
-# flags whose config field has another name
-_FLAG_FIELDS = {"particles": "n_particles"}
-# config fields with no hyper flag: --seed is set on its own, and no
-# command-line run needs the others
-_UNFLAGGED = {"seed", "alpha_mode", "links_only"}
-
-
-def _flag_models() -> dict:
-    """Each hyper flag and the models whose config has its field; any other
-    model given the flag is a usage error."""
-    flag_of = {field: flag for flag, field in _FLAG_FIELDS.items()}
-    table = {}
-    for model, (_, config_cls, _) in _MODELS.items():
-        for field in dataclasses.fields(config_cls):
-            if field.name not in _UNFLAGGED:
-                table.setdefault(flag_of.get(field.name, field.name), set()).add(model)
-    return table
-
-
-_FLAG_MODELS = _flag_models()
 _FORMAT_HINT = {
     "static": 'kind "static": features.csv with one aggregated count row per node',
     "activity": 'kind "activity": features.csv with one one-hot row per activity',
@@ -230,12 +205,63 @@ def _write_grouping(out: Path, grouping: np.ndarray) -> None:
     gio.write_matrix_csv(out / "grouping.csv", table, ["node_id", "group"])
 
 
+def _write_em_fit(out: Path, result, config) -> dict:
+    """Artifacts every EM fit writes, and all that glad0 writes: parameters,
+    membership posteriors, grouping and the bound trace."""
+    _write_params(out, result.params)
+    gamma = result.state.gamma
+    gio.write_matrix_csv(out / "gamma.csv", gamma, _group_cols(gamma.shape[1]))
+    _write_grouping(out, result.state.grouping())
+    trace = _table(range(result.trace.size), result.trace)
+    gio.write_matrix_csv(out / "trace.csv", trace, ["iter", "elbo"])
+    return {"converged": bool(result.converged), "n_iters": int(result.n_iters)}
+
+
+def _write_glad_fit(out: Path, result, config) -> dict:
+    """An EM fit plus the static model's group and role posteriors."""
+    lam, mu = result.state.lam, result.state.mu
+    gio.write_matrix_csv(out / "lambda.csv", lam, _group_cols(lam.shape[1]))
+    gio.write_matrix_csv(out / "mu.csv", mu, _role_cols(mu.shape[1]))
+    return _write_em_fit(out, result, config)
+
+
+def _write_dglad_fit(out: Path, result, config) -> dict:
+    """Sampler artifacts: parameters, the averaged rate path, memberships,
+    grouping and the sweep log."""
+    params = result.params
+    horizon, m, k = result.theta_mean.shape
+    gio.write_matrix_csv(out / "alpha.csv", params.alpha[None, :], _group_cols(m))
+    gio.write_matrix_csv(out / "block.csv", params.block, _group_cols(m))
+    gio.write_matrix_csv(out / "beta.csv", params.beta, _role_cols(k))
+    gio.write_matrix_csv(out / "theta0.csv", params.theta0, _role_cols(k))
+    flat = result.theta_mean.reshape(horizon * m, k)
+    idx = np.indices((horizon, m)).reshape(2, -1).T
+    gio.write_matrix_csv(
+        out / "theta_mean.csv",
+        _table(idx[:, 0], idx[:, 1], *(flat[:, j] for j in range(k))),
+        ["t", "group"] + _role_cols(k),
+    )
+    gio.write_matrix_csv(out / "pi.csv", result.trace.pi, _group_cols(m))
+    _write_grouping(out, result.trace.grouping())
+    # sweep log: RMS move of the filtered rate paths between sweeps
+    moves = []
+    prev = np.tile(params.theta0, (horizon, 1, 1))
+    for s in range(result.history.shape[0]):
+        moves.append(float(np.sqrt(np.mean((result.history[s] - prev) ** 2))))
+        prev = result.history[s]
+    gio.write_matrix_csv(
+        out / "trace.csv", _table(range(len(moves)), moves), ["sweep", "theta_rms"]
+    )
+    return {"converged": True, "sweeps": config.sweeps, "horizon": horizon}
+
+
 def cmd_fit(args) -> int:
-    want, config_cls, fitter = _MODELS[args.model]
-    config = config_cls(seed=args.seed, **_model_flags(args))
+    model = _MODELS[args.model]
+    config = model.config(seed=args.seed, **_model_flags(args))
     data = gio.read_dataset(args.data)
     kind = _dataset_kind(data)
-    if kind != want:
+    if kind != model.kind:
+        want = model.kind
         article = "an" if want[0] in "aeiou" else "a"
         raise UsageError(
             f"model {args.model} expects {article} {want} dataset ({_FORMAT_HINT[want]}); "
@@ -251,84 +277,50 @@ def cmd_fit(args) -> int:
         "n_nodes": int(data.n_nodes),
         "seed": args.seed,
     }
-    result = fitter(data, args.groups, args.roles, config)
-
-    if args.model != "dglad":
-        _write_params(out, result.params)
-        gio.write_matrix_csv(out / "gamma.csv", result.state.gamma, _group_cols(args.groups))
-        if args.model == "glad":
-            gio.write_matrix_csv(out / "lambda.csv", result.state.lam, _group_cols(args.groups))
-            gio.write_matrix_csv(out / "mu.csv", result.state.mu, _role_cols(args.roles))
-        _write_grouping(out, result.state.grouping())
-        trace = _table(range(result.trace.size), result.trace)
-        gio.write_matrix_csv(out / "trace.csv", trace, ["iter", "elbo"])
-        manifest.update(converged=bool(result.converged), n_iters=int(result.n_iters))
-        gio.write_json(out / "fit.json", manifest)
-        return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-    # dglad
-    horizon = result.trace.horizon
-    gio.write_matrix_csv(out / "alpha.csv", result.params.alpha[None, :], _group_cols(args.groups))
-    gio.write_matrix_csv(out / "block.csv", result.params.block, _group_cols(args.groups))
-    gio.write_matrix_csv(out / "beta.csv", result.params.beta, _role_cols(args.roles))
-    gio.write_matrix_csv(out / "theta0.csv", result.params.theta0, _role_cols(args.roles))
-    flat = result.theta_mean.reshape(horizon * args.groups, args.roles)
-    idx = np.indices((horizon, args.groups)).reshape(2, -1).T
-    gio.write_matrix_csv(
-        out / "theta_mean.csv",
-        _table(idx[:, 0], idx[:, 1], *(flat[:, j] for j in range(args.roles))),
-        ["t", "group"] + _role_cols(args.roles),
-    )
-    gio.write_matrix_csv(out / "pi.csv", result.trace.pi, _group_cols(args.groups))
-    _write_grouping(out, result.trace.grouping())
-    # sweep log: RMS move of the filtered rate paths between sweeps
-    moves = []
-    prev = np.tile(result.params.theta0, (horizon, 1, 1))
-    for s in range(result.history.shape[0]):
-        moves.append(float(np.sqrt(np.mean((result.history[s] - prev) ** 2))))
-        prev = result.history[s]
-    gio.write_matrix_csv(
-        out / "trace.csv", _table(range(len(moves)), moves), ["sweep", "theta_rms"]
-    )
-    manifest.update(converged=True, sweeps=config.sweeps, horizon=horizon)
+    result = model.fit(data, args.groups, args.roles, config)
+    manifest.update(model.write(out, result, config))
     gio.write_json(out / "fit.json", manifest)
-    return EXIT_OK
+    return EXIT_OK if manifest["converged"] else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
 # score / evaluate
 # ---------------------------------------------------------------------------
 
-def _load_fit(fit_dir) -> dict:
+def _static_scores(theta) -> np.ndarray:
+    """Each group's rate distance from the median rate profile."""
+    return rate_distance_score(theta, rate_reference(theta))
+
+
+def _load_static_scores(root: Path, manifest: dict) -> tuple:
+    _, theta = gio.read_matrix_csv(root / "theta.csv")
+    return _static_scores(theta), None
+
+
+def _load_dynamic_scores(root: Path, manifest: dict) -> tuple:
+    m, k = int(manifest["n_groups"]), int(manifest["n_roles"])
+    _, flat = gio.read_matrix_csv(root / "theta_mean.csv")
+    change = dynamic_change_score(flat[:, 2:].reshape(int(manifest["horizon"]), m, k))
+    return change.max(axis=0), change
+
+
+def _load_fit(fit_dir) -> tuple:
+    """(manifest, grouping, group_scores, change_scores) of a fit directory,
+    scores in the fit's own label space."""
     root = Path(fit_dir)
     manifest_path = root / "fit.json"
     if not manifest_path.exists():
         raise UsageError(f"{fit_dir}: not a fit directory (missing fit.json)")
     manifest = json.loads(manifest_path.read_text())
-    model = manifest["model"]
-    m, k = int(manifest["n_groups"]), int(manifest["n_roles"])
+    model = _MODELS.get(manifest["model"])
+    if model is None:
+        raise UsageError(
+            f"{fit_dir}: fit.json names unknown model {manifest['model']!r} "
+            f"(known: {', '.join(_MODELS)})"
+        )
     _, grouping_table = gio.read_matrix_csv(root / "grouping.csv")
-    loaded = {
-        "manifest": manifest,
-        "grouping": grouping_table[:, 1].astype(np.int64),
-    }
-    if model == "dglad":
-        horizon = int(manifest["horizon"])
-        _, flat = gio.read_matrix_csv(root / "theta_mean.csv")
-        loaded["theta_mean"] = flat[:, 2:].reshape(horizon, m, k)
-    else:
-        _, theta = gio.read_matrix_csv(root / "theta.csv")
-        loaded["theta"] = theta
-    return loaded
-
-
-def _scores_from_fit(loaded) -> tuple:
-    """(group_scores, change_scores) in the fit's own label space."""
-    if "theta_mean" in loaded:
-        change = dynamic_change_score(loaded["theta_mean"])
-        return change.max(axis=0), change
-    theta = loaded["theta"]
-    return rate_distance_score(theta, rate_reference(theta)), None
+    scores, change = model.load_scores(root, manifest)
+    return manifest, grouping_table[:, 1].astype(np.int64), scores, change
 
 
 def _align_to_truth(scores, change, grouping, true_grouping, n_groups):
@@ -357,15 +349,12 @@ def _emit_scores(out: Path, report: AnomalyReport) -> None:
 
 
 def _prepare_report(args, want_truth: bool):
-    loaded = _load_fit(args.fit)
-    n_groups = int(loaded["manifest"]["n_groups"])
-    scores, change = _scores_from_fit(loaded)
+    manifest, grouping, scores, change = _load_fit(args.fit)
+    n_groups = int(manifest["n_groups"])
     truth = None
     if args.truth is not None:
         truth = gio.read_truth(args.truth)
-        scores, change = _align_to_truth(
-            scores, change, loaded["grouping"], truth["grouping"], n_groups
-        )
+        scores, change = _align_to_truth(scores, change, grouping, truth["grouping"], n_groups)
     elif want_truth:
         raise UsageError("evaluate requires --truth")
     report = make_report(
@@ -376,13 +365,13 @@ def _prepare_report(args, want_truth: bool):
         anomalous=truth["anomalous_groups"] if truth else None,
         change_times=truth["change_times"] if truth else None,
     )
-    return loaded, truth, report, scores, change
+    return truth, report, scores, change
 
 
 def cmd_score(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, _, report, _, _ = _prepare_report(args, want_truth=False)
+    _, report, _, _ = _prepare_report(args, want_truth=False)
     _emit_scores(out, report)
     flagged = ",".join(str(g) for g in report.flagged)
     print(f"flagged groups: {flagged}")
@@ -404,7 +393,7 @@ def _fpr_curve(scores, change, truth, n_thresholds):
 
 
 def cmd_evaluate(args) -> int:
-    _, truth, report, scores, change = _prepare_report(args, want_truth=True)
+    truth, report, scores, change = _prepare_report(args, want_truth=True)
     if change is not None and not truth["change_times"]:
         raise UsageError("dynamic fit but the truth file lists no change times")
     out = Path(args.out)
@@ -432,6 +421,45 @@ def cmd_evaluate(args) -> int:
     for key, value in metrics:
         print(f"{key}={value:.6g}")
     return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# model registry
+# ---------------------------------------------------------------------------
+
+class _Model(NamedTuple):
+    kind: str  # the dataset kind it fits
+    config: type  # its config class; every hyper flag is a field of one
+    fit: Callable  # (data, n_groups, n_roles, config) -> result
+    write: Callable  # (out dir, result, config) -> manifest entries
+    load_scores: Callable  # (fit dir, manifest) -> (group scores, change scores or None)
+
+
+_MODELS = {
+    "glad": _Model("static", FitConfig, fit, _write_glad_fit, _load_static_scores),
+    "glad0": _Model("activity", Fit0Config, fit0, _write_em_fit, _load_static_scores),
+    "dglad": _Model("dynamic", DGladConfig, run_sampler, _write_dglad_fit, _load_dynamic_scores),
+}
+# flags whose config field has another name
+_FLAG_FIELDS = {"particles": "n_particles"}
+# config fields with no hyper flag: --seed is set on its own, and no
+# command-line run needs the others
+_UNFLAGGED = {"seed", "alpha_mode", "links_only"}
+
+
+def _flag_models() -> dict:
+    """Each hyper flag and the models whose config has its field; any other
+    model given the flag is a usage error."""
+    flag_of = {field: flag for flag, field in _FLAG_FIELDS.items()}
+    table = {}
+    for name, model in _MODELS.items():
+        for field in dataclasses.fields(model.config):
+            if field.name not in _UNFLAGGED:
+                table.setdefault(flag_of.get(field.name, field.name), set()).add(name)
+    return table
+
+
+_FLAG_MODELS = _flag_models()
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +514,7 @@ def _static_cell(cfg: dict, group_count: int, method: str, seed: int) -> dict:
     if method == "glad":
         result = fit(data, group_count, cfg["n_roles"], fit_config)
         grouping = result.state.grouping()
-        theta = result.params.theta
-        scores = rate_distance_score(theta, rate_reference(theta))
+        scores = _static_scores(result.params.theta)
     else:
         stage1 = fit_mmsb(data.links, group_count, fit_config)
         stage2 = fit_group_lda(
@@ -711,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
     p.add_argument("--particles", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--init", choices=("warm", "random"), default=None)
     p.add_argument("--init-restarts", dest="init_restarts", type=int, default=None)
     p.add_argument("--init-fit-iters", dest="init_fit_iters", type=int, default=None)
     p.set_defaults(func=cmd_fit)

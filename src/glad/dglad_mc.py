@@ -188,12 +188,10 @@ class DGladConfig:
     particle filter (match the generator's), ``n_particles`` the ensemble
     size per group.  ``init_fit_iters`` and ``init_restarts`` govern the
     short static fit on the first snapshot that supplies default parameters
-    and the warm-start grouping.  ``init`` picks how assignments start:
-    ``"warm"`` copies the anchor fit's grouping to every snapshot so labels
-    agree across time, ``"random"`` draws them uniformly.  Random starts let
-    each snapshot crystallize its own labeling — a rate change can then be
-    absorbed by relabeling people instead of moving the rate path, which
-    silently destroys change scores — so "warm" is the default.
+    and the starting grouping, copied to every snapshot so labels agree
+    across time.  (A uniformly random start would let each snapshot
+    crystallize its own labeling; a rate change could then be absorbed by
+    relabeling people instead of moving the rate path.)
     """
 
     sweeps: int = 200
@@ -204,7 +202,6 @@ class DGladConfig:
     alpha0: float = 0.1
     init_fit_iters: int = 60
     init_restarts: int = 3
-    init: str = "warm"
 
     def __post_init__(self):
         if self.sweeps < 0:
@@ -221,8 +218,6 @@ class DGladConfig:
             raise ValueError("init_fit_iters must be at least 1")
         if self.init_restarts < 1:
             raise ValueError("init_restarts must be at least 1")
-        if self.init not in ("warm", "random"):
-            raise ValueError("init must be 'warm' or 'random'")
 
 
 @dataclass(frozen=True)
@@ -594,7 +589,7 @@ def run_sampler(
 
     Memberships start at a prior draw and roles uniform at random; group
     assignments start from the anchor fit's grouping copied across
-    snapshots (``config.init="warm"``, the default) or uniform at random.
+    snapshots.
     Each sweep draws all roles in one block, then each person's groups in
     every snapshot in one block (people ascending), refreshes memberships,
     then refilters the rate paths.  Both blocks are exact joint draws
@@ -604,9 +599,9 @@ def run_sampler(
     person-snapshot.
     ``sweeps=0`` returns the untouched initialization.  The run is fully
     determined by ``config.seed``; non-finite filtered rates abort with a
-    diagnostic rather than poisoning later sweeps.  Passing explicit
-    ``params`` with warm init still runs the short anchor fit, purely for
-    its grouping.
+    diagnostic rather than poisoning later sweeps.  The anchor fit draws
+    from its own seed sequence, never from the sampler's stream, and runs
+    even with explicit ``params``, purely for its grouping.
     """
     if not isinstance(data, DynamicDataset):
         raise TypeError("run_sampler expects a DynamicDataset")
@@ -615,19 +610,13 @@ def run_sampler(
     rng = np.random.default_rng(config.seed)
     if params is not None and (params.n_groups, params.n_roles) != (n_groups, n_roles):
         raise ValueError("params disagree with the requested sizes")
-    anchor = None
-    if params is None or config.init == "warm":
-        anchor = _anchor_fit(data, n_groups, n_roles, config)
+    anchor = _anchor_fit(data, n_groups, n_roles, config)
     if params is None:
         params = _anchor_params(anchor)
     horizon, n = data.horizon, data.n_nodes
 
-    if config.init == "warm":
-        g_init = np.tile(anchor.state.grouping(), (horizon, 1))
-    else:
-        g_init = rng.integers(0, n_groups, size=(horizon, n))
     trace = DGladTrace(
-        G=g_init,
+        G=np.tile(anchor.state.grouping(), (horizon, 1)),
         R=rng.integers(0, n_roles, size=(horizon, n)),
         pi=rng.dirichlet(params.alpha, size=n),
         theta_hat=np.tile(params.theta0, (horizon, 1, 1)),

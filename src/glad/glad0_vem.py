@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammaln
 
-from .glad_vem import jitter_rows, newton_alpha, seed_params
+from .glad_vem import _mu_logits, jitter_rows, newton_alpha, seed_params
 from .model import (
     ActivityDataset,
     GladNumericsError,
@@ -227,12 +227,6 @@ def _lambda_logits(dig, mu, log_theta):
     # digamma of the membership pseudo-counts plus the role posterior's
     # expected log-rate per group
     return dig + mu @ log_theta.T
-
-
-def _mu_logits(lam, log_theta, log_beta):
-    # expected log-rate under the group posterior plus the observed
-    # feature's log-emission
-    return lam @ log_theta + log_beta
 
 
 # ---------------------------------------------------------------------------

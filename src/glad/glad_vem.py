@@ -98,6 +98,10 @@ class FitConfig:
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.tol < 0:
+            raise ValueError("tol must be >= 0")
+        if self.alpha0 <= 0:
+            raise ValueError("alpha0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -193,11 +197,17 @@ def update_lambda(
     return softmax(logits)
 
 
+def _mu_logits(lam, log_theta, log_beta):
+    """Unnormalized log role posterior: the expected log-rate under the
+    group posterior ``lam`` plus the feature log-likelihood of each role,
+    ``log_beta``; one row per person here and per activity in glad0."""
+    return lam @ log_theta + log_beta
+
+
 def update_mu(p: int, data: Dataset, params: ModelParams, state: GladVariational) -> np.ndarray:
     """Exact coordinate update of the role responsibilities of person p."""
-    logits = data.features[p] @ floored_log(params.beta)
-    logits = logits + floored_log(params.theta).T @ state.lam[p]
-    return softmax(logits)
+    return softmax(_mu_logits(state.lam[p], floored_log(params.theta),
+                              data.features[p] @ floored_log(params.beta)))
 
 
 def m_step(
@@ -399,7 +409,7 @@ def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
         col += new_lam - lam[p]
         lam[p] = new_lam
     if not links_only:
-        mu[:] = softmax(xlogbeta + lam @ log_theta)
+        mu[:] = softmax(_mu_logits(lam, log_theta, xlogbeta))
 
 
 def infer_state(

@@ -53,6 +53,8 @@ __all__ = [
 
 def fmt_cell(value) -> str:
     """Format one cell: integers stay integers, floats use repr (exact)."""
+    if type(value) is float:  # the common case, ahead of the isinstance chain
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -492,8 +494,9 @@ def write_matrix_csv(path, matrix, header) -> None:
     if arr.shape[1] != len(header):
         raise ValueError("header length must match the number of columns")
     lines = [",".join(header)]
-    for row in arr:
-        lines.append(",".join(fmt_cell(v) for v in row))
+    # tolist() turns numeric cells into Python scalars in one call
+    for row in arr.tolist():
+        lines.append(",".join(map(fmt_cell, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

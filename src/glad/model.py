@@ -41,10 +41,8 @@ __all__ = [
     "ModelParams",
     "GladVariational",
     "GladNumericsError",
-    "bernoulli_loglik",
     "digamma",
     "floored_log",
-    "row_normalize",
     "softmax",
     "log_softmax",
     "validate_params",
@@ -69,25 +67,6 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # numerical kernels
 # ---------------------------------------------------------------------------
-
-def bernoulli_loglik(y, p):
-    """log P(y | p) for a Bernoulli draw, i.e. y*log(p) + (1-y)*log(1-p).
-
-    ``y`` must be 0 or 1 and ``p`` strictly inside (0, 1); both may be arrays
-    of matching shape.  Raises ``ValueError`` on domain violations so callers
-    never silently produce NaN from an unclamped block probability.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    if not np.all((y_arr == 0.0) | (y_arr == 1.0)):
-        raise ValueError("Bernoulli outcome must be 0 or 1")
-    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
-        raise ValueError("Bernoulli probability must lie strictly in (0, 1)")
-    out = y_arr * np.log(p_arr) + (1.0 - y_arr) * np.log1p(-p_arr)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
 
 def digamma(x):
     """Digamma function for x > 0 (``scipy.special.digamma``), elementwise on arrays.
@@ -130,15 +109,6 @@ def log_softmax(v: np.ndarray) -> np.ndarray:
 def floored_log(x: np.ndarray) -> np.ndarray:
     """log with simplex entries clamped at SIMPLEX_FLOOR (0 log 0 territory)."""
     return np.log(np.maximum(np.asarray(x, dtype=float), SIMPLEX_FLOOR))
-
-
-def row_normalize(m: np.ndarray) -> np.ndarray:
-    """Normalize each row of a non-negative matrix to sum to one."""
-    arr = np.asarray(m, dtype=float)
-    s = arr.sum(axis=-1, keepdims=True)
-    if np.any(s <= 0):
-        raise ValueError("cannot normalize a row with non-positive mass")
-    return arr / s
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +185,6 @@ class Dataset(_EdgeIndex):
     def trials(self) -> np.ndarray:
         """Per-person total activity count (row sums of ``features``)."""
         return self.features.sum(axis=1)
-
-    @property
-    def empty_rows(self) -> np.ndarray:
-        """Indices of people with no recorded activity at all."""
-        return np.flatnonzero(self.trials == 0)
 
 
 @dataclass(frozen=True)

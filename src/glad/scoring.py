@@ -1,30 +1,28 @@
 """Anomaly scores, ranking, alarms, and evaluation metrics.
 
-Static scoring aggregates, per group, the variational expectation of how
-surprising each member's role is under the group's rate profile.  Dynamic
-scoring tracks jumps of the rate path in unconstrained space.  Evaluation
-compares flagged sets and alarm sets against generator ground truth;
-group labels from a fit are aligned to true labels by maximum-overlap
-assignment before any set comparison.
+A static fit is scored by its rate table theta (groups x roles): a group's
+score is the L1 distance of its role mixture from the population norm,
+``rate_distance_score(theta, rate_reference(theta))``, where the norm is the
+element-wise median row.  The score needs no knowledge of the generating
+rates and is unchanged by how the fit labels roles.  Dynamic scoring tracks
+jumps of the rate path in unconstrained space.  Evaluation compares flagged
+sets and alarm sets against generator ground truth; group labels from a fit
+are aligned to true labels by maximum-overlap assignment before any set
+comparison.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GladVariational, ModelParams, floored_log
-
 __all__ = [
     "AnomalyReport",
-    "static_group_score",
     "rate_distance_score",
-    "align_rate_columns",
+    "rate_reference",
     "dynamic_change_score",
     "top_fraction",
     "rank_groups",
@@ -35,41 +33,14 @@ __all__ = [
 ]
 
 
-def static_group_score(
-    state: GladVariational,
-    params: ModelParams,
-    grouping: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-group negative expected role log-rate, summed over members.
-
-    Each person contributes -sum_{m,k} lam[p,m] mu[p,k] log theta[m,k];
-    the contribution lands in the group ``grouping[p]`` (default: the
-    argmax membership).  Empty groups score 0 and trigger a warning.
-    """
-    lam, mu = state.lam, state.mu
-    if grouping is None:
-        grouping = state.grouping()
-    grouping = np.asarray(grouping, dtype=np.int64)
-    if grouping.shape != (lam.shape[0],):
-        raise ValueError("grouping must assign every person exactly once")
-    m = params.n_groups
-    if grouping.size and (grouping.min() < 0 or grouping.max() >= m):
-        raise ValueError("grouping labels out of range")
-    contrib = -np.einsum("pm,mk,pk->p", lam, floored_log(params.theta), mu)
-    scores = np.zeros(m)
-    np.add.at(scores, grouping, contrib)
-    missing = np.setdiff1d(np.arange(m), grouping)
-    if missing.size:
-        warnings.warn(f"empty groups {missing.tolist()} scored 0")
-    return scores
-
-
 def rate_distance_score(rates: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """L1 distance of each group's rate profile from a reference profile.
+    """Static anomaly score: L1 distance of each group's rate profile
+    (row of ``rates``) from a reference profile.
 
-    Evaluation-only variant for synthetic suites where the normal rate is
-    known; the model score has no signal when anomalous and normal rates
-    are permutations of each other (equal entropy).
+    With ``reference = rate_reference(rates)`` this is the score the
+    pipeline ranks and flags groups by.  It compares rate profiles
+    directly, so an anomalous mixture that only permutes the normal one
+    (same entropy, e.g. (0.9, 0.1) against (0.1, 0.9)) still stands out.
     """
     rates = np.asarray(rates, dtype=float)
     reference = np.asarray(reference, dtype=float)
@@ -90,29 +61,6 @@ def rate_reference(rates: np.ndarray) -> np.ndarray:
     if rates.ndim != 2 or rates.shape[0] < 1:
         raise ValueError("rates must be a non-empty (M, K) table")
     return np.median(rates, axis=0)
-
-
-def align_rate_columns(rates: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Role permutation minimizing the total rate distance to a reference.
-
-    Role labels are latent, so a fitted rate table may be a column
-    permutation of the truth; as long as most groups are normal, the
-    best total fit pins the labels.  Exhaustive over permutations, so K
-    must stay small.  Returns indices ``perm`` to use as ``rates[:, perm]``;
-    ties resolve to the lexicographically first permutation.
-    """
-    rates = np.asarray(rates, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    k = rates.shape[1]
-    if reference.shape != (k,):
-        raise ValueError("reference must have one entry per role")
-    if k > 8:
-        raise ValueError("role alignment enumerates permutations; K too large")
-    best = min(
-        itertools.permutations(range(k)),
-        key=lambda p: float(np.abs(rates[:, p] - reference[None, :]).sum()),
-    )
-    return np.asarray(best, dtype=np.int64)
 
 
 def dynamic_change_score(theta_path: np.ndarray) -> np.ndarray:

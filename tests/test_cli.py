@@ -140,10 +140,44 @@ def test_fit_glad_trace_elbo_is_non_decreasing(static_run):
     assert np.all(np.diff(trace[:, 1]) >= -1e-8)
 
 
-def test_fit_artifacts_and_manifest(static_run):
+# the tables each model's `fit` writes, with their header rows at 3 groups
+# and 2 roles; fit.json comes on top
+G3, R2 = "g_0,g_1,g_2", "r_0,r_1"
+EM_TABLES = {
+    "alpha": G3, "block": G3, "theta": R2, "beta": R2, "gamma": G3,
+    "grouping": "node_id,group", "trace": "iter,elbo",
+}
+FIT_TABLES = {
+    "glad": {**EM_TABLES, "lambda": G3, "mu": R2},
+    "glad0": EM_TABLES,
+    "dglad": {
+        "alpha": G3, "block": G3, "beta": R2, "theta0": R2,
+        "theta_mean": "t,group," + R2, "pi": G3,
+        "grouping": "node_id,group", "trace": "sweep,theta_rms",
+    },
+}
+
+
+def _assert_fit_tables(fit_dir, model):
+    tables = FIT_TABLES[model]
+    want = {f"{name}.csv" for name in tables} | {"fit.json"}
+    assert {p.name for p in fit_dir.iterdir()} == want, model
+    for name, header in tables.items():
+        first = (fit_dir / f"{name}.csv").read_text().split("\n", 1)[0]
+        assert first == header, (model, name)
+
+
+def test_fit_artifacts_and_manifest(static_run, dynamic_run, tmp_path):
+    _assert_fit_tables(dynamic_run[2], "dglad")
+    cfg = tmp_path / "act.cfg"
+    cfg.write_text("kind=activity\nn_nodes=24\nn_groups=3\ntrials_per_person=5\nseed=4\n")
+    assert run("generate", "--config", cfg, "--out", tmp_path / "act") == 0
+    assert run("fit", "--model", "glad0", "--data", tmp_path / "act", "--out",
+               tmp_path / "fit0", "--groups", 3, "--max-iters", 2, "--seed", 1) in (0, 2)
+    _assert_fit_tables(tmp_path / "fit0", "glad0")
+
     _, _, fit_dir = static_run
-    for name in ("alpha", "block", "theta", "beta", "gamma", "lambda", "mu", "grouping"):
-        assert (fit_dir / f"{name}.csv").exists(), name
+    _assert_fit_tables(fit_dir, "glad")
     manifest = json.loads((fit_dir / "fit.json").read_text())
     assert manifest["model"] == "glad" and manifest["converged"] is True
     _, grouping = io.read_matrix_csv(fit_dir / "grouping.csv")
@@ -170,6 +204,16 @@ def test_fit_exit_2_when_iteration_capped(static_run, tmp_path):
              "--groups", 3, "--max-iters", 1, "--seed", 1)
     assert rc == 2
     assert json.loads((out / "fit.json").read_text())["converged"] is False
+
+
+@pytest.mark.parametrize("flag,value", [("--alpha0", 0), ("--alpha0", -1), ("--tol", -1)])
+def test_fit_glad_rejects_out_of_range_hyper_flags(static_run, tmp_path, capsys, flag, value):
+    _, data_dir, _ = static_run
+    rc = run("fit", "--model", "glad", "--data", data_dir, "--out", tmp_path / "x",
+             "--groups", 3, flag, value)
+    assert rc == 1
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_fit_glad0_on_snapshot_dataset_names_expected_format(static_run, tmp_path, capsys):
@@ -214,7 +258,6 @@ FLAG_MODELS = {
     "burn_in": {"dglad"},
     "particles": {"dglad"},
     "sigma": {"dglad"},
-    "init": {"dglad"},
     "init_restarts": {"dglad"},
     "init_fit_iters": {"dglad"},
 }
@@ -222,10 +265,9 @@ FLAG_MODELS = {
 
 @pytest.mark.parametrize("flag", sorted(FLAG_MODELS))
 def test_hyper_flag_applies_to_its_models_only(flag, tmp_path, capsys):
-    value = "warm" if flag == "init" else "1"
     for model in ("glad", "glad0", "dglad"):
         rc = run("fit", "--model", model, "--data", tmp_path / "missing", "--out",
-                 tmp_path / "o", "--groups", 2, "--" + flag.replace("_", "-"), value)
+                 tmp_path / "o", "--groups", 2, "--" + flag.replace("_", "-"), 1)
         err = capsys.readouterr().err
         assert rc == 1  # the missing dataset, if the flag itself is accepted
         assert ("does not apply" in err) == (model not in FLAG_MODELS[flag]), (model, err)
@@ -274,6 +316,21 @@ def test_score_without_truth_has_no_metrics(static_run, tmp_path):
 def test_score_on_missing_fit_dir_exits_1(tmp_path, capsys):
     assert run("score", "--fit", tmp_path / "nope", "--out", tmp_path / "o") == 1
     assert "fit.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate"])
+def test_unknown_model_in_fit_json_exits_1(static_run, tmp_path, capsys, command):
+    _, data_dir, fit_dir = static_run
+    fake = tmp_path / "fit"
+    fake.mkdir()
+    for f in fit_dir.iterdir():
+        (fake / f.name).write_bytes(f.read_bytes())
+    manifest = json.loads((fake / "fit.json").read_text())
+    (fake / "fit.json").write_text(json.dumps({**manifest, "model": "nosuch"}))
+    rc = run(command, "--fit", fake, "--out", tmp_path / "out",
+             "--truth", data_dir / "truth.json")
+    assert rc == 1
+    assert "nosuch" in capsys.readouterr().err
 
 
 def test_evaluate_requires_truth(static_run, tmp_path):

@@ -1,6 +1,7 @@
 """Monte Carlo backend: conditional draws, particle filter, full sampler."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,8 +192,6 @@ def test_config_validation():
         DGladConfig(n_particles=1)
     with pytest.raises(ValueError):
         DGladConfig(sigma=-0.1)
-    with pytest.raises(ValueError):
-        DGladConfig(init="tepid")
     with pytest.raises(ValueError):
         DGladConfig(init_restarts=0)
 
@@ -608,14 +607,16 @@ def test_run_sampler_zero_sweeps_returns_initialization():
     assert np.array_equal(res.trace.G[0], res.trace.G[2])
 
 
-def test_run_sampler_random_init_uses_seed_stream():
+def test_run_sampler_start_draws_roles_and_memberships_from_seed_stream():
+    # the anchor fit seeds itself, so the sampler's stream opens with the
+    # starting roles and then the membership vectors
     data, _ = small_dynamic_instance(seed=2)
     params = make_params(m=2, k=2, v=2, seed=2)
-    cfg = DGladConfig(sweeps=0, burn_in=0, n_particles=8, seed=11, init="random")
+    cfg = DGladConfig(sweeps=0, burn_in=0, n_particles=8, seed=11)
     res = run_sampler(data, 2, 2, cfg, params=params)
     rng = np.random.default_rng(11)
-    assert np.array_equal(res.trace.G, rng.integers(0, 2, size=(3, data.n_nodes)))
     assert np.array_equal(res.trace.R, rng.integers(0, 2, size=(3, data.n_nodes)))
+    np.testing.assert_array_equal(res.trace.pi, rng.dirichlet(params.alpha, size=data.n_nodes))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -626,18 +627,14 @@ def test_scan_replays_all_roles_then_each_persons_groups(seed):
     # snapshot (people ascending, snapshots ascending)
     data, _ = small_dynamic_instance(seed=seed)
     params = make_params(m=2, k=2, v=2, seed=seed)
-    cfg = DGladConfig(sweeps=1, burn_in=0, n_particles=8, seed=20 + seed, init="random")
+    cfg = DGladConfig(sweeps=1, burn_in=0, n_particles=8, seed=20 + seed)
     res = run_sampler(data, 2, 2, cfg, params=params)
+    # the starting state is a sweeps=0 run; its draws open the stream
+    trace = run_sampler(data, 2, 2, replace(cfg, sweeps=0), params=params).trace
     rng = np.random.default_rng(20 + seed)
     horizon, n = data.horizon, data.n_nodes
-    trace = DGladTrace(
-        G=rng.integers(0, 2, size=(horizon, n)),
-        R=rng.integers(0, 2, size=(horizon, n)),
-        pi=rng.dirichlet(params.alpha, size=n),
-        theta_hat=np.tile(params.theta0, (horizon, 1, 1)),
-        particles=np.tile(params.theta0, (8, 1, 1)),
-        weights=np.full((2, 8), 1.0 / 8),
-    )
+    rng.integers(0, 2, size=(horizon, n))
+    rng.dirichlet(params.alpha, size=n)
     for t in range(horizon):
         for p in range(n):
             trace.R[t, p] = sample_role(p, t, data, params, trace, rng)

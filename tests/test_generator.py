@@ -103,7 +103,7 @@ def test_generate_glad_trials_vector_and_zero():
     trials = np.array([0, 1, 2, 3, 4])
     data, _ = generate_glad(params, 5, trials, seed=2)
     np.testing.assert_array_equal(data.trials, trials)
-    np.testing.assert_array_equal(data.empty_rows, [0])
+    np.testing.assert_array_equal(np.flatnonzero(data.trials == 0), [0])
     with pytest.raises(ValueError):
         generate_glad(params, 5, np.array([1, 2]), seed=2)
 

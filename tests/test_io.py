@@ -334,6 +334,22 @@ def test_matrix_csv_exact_float_round_trip(tmp_path):
     np.testing.assert_array_equal(back, m)  # bit-exact, not approx
 
 
+@pytest.mark.parametrize(
+    "table,row",
+    [
+        (np.array([[0.1, -2.5, 1e-300]]), "0.1,-2.5,1e-300"),
+        (np.array([[0.1, 2.0, 0.5]], dtype=np.float32), "0.10000000149011612,2.0,0.5"),
+        (np.array([[3, -4, 0]], dtype=np.int64), "3,-4,0"),
+        (np.array([[True, False, True]]), "true,false,true"),
+        # a mixed table as the fit writers build it: int and float columns
+        (np.array([[np.int64(7), 1, np.float64(0.25)]], dtype=object), "7,1,0.25"),
+    ],
+)
+def test_matrix_csv_cell_format_per_kind(tmp_path, table, row):
+    io.write_matrix_csv(tmp_path / "m.csv", table, ["a", "b", "c"])
+    assert (tmp_path / "m.csv").read_text() == "a,b,c\n" + row + "\n"
+
+
 def test_matrix_csv_header_mismatch(tmp_path):
     with pytest.raises(ValueError, match="header"):
         io.write_matrix_csv(tmp_path / "m.csv", np.zeros((2, 3)), ["a"])

@@ -10,61 +10,14 @@ from glad.model import (
     Dataset,
     GladVariational,
     ModelParams,
-    PROB_EPS,
-    bernoulli_loglik,
     digamma,
     floored_log,
     log_softmax,
-    row_normalize,
     softmax,
     validate_params,
 )
 
 EULER_MASCHERONI = 0.5772156649015329
-
-
-# ---------------------------------------------------------------------------
-# bernoulli_loglik
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "y,p,expected",
-    [
-        (1, 0.5, math.log(0.5)),          # -0.693147...
-        (0, 0.5, math.log(0.5)),
-        (1, 0.9, math.log(0.9)),
-        (0, 0.9, math.log(0.1)),
-        (1, PROB_EPS, math.log(PROB_EPS)),
-    ],
-)
-def test_bernoulli_loglik_values(y, p, expected):
-    assert bernoulli_loglik(y, p) == pytest.approx(expected, abs=1e-12)
-
-
-def test_bernoulli_loglik_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        bernoulli_loglik(2, 0.5)
-    with pytest.raises(ValueError):
-        bernoulli_loglik(1, 0.0)
-    with pytest.raises(ValueError):
-        bernoulli_loglik(0, 1.0)
-    with pytest.raises(ValueError):
-        bernoulli_loglik(1, -0.2)
-
-
-@given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
-def test_bernoulli_loglik_sums_to_total_probability_one(p):
-    # exp(f(1,p)) + exp(f(0,p)) == 1
-    total = math.exp(bernoulli_loglik(1, p)) + math.exp(bernoulli_loglik(0, p))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bernoulli_loglik_vectorized_matches_scalar():
-    y = np.array([1.0, 0.0, 1.0])
-    p = np.array([0.3, 0.3, 0.8])
-    out = bernoulli_loglik(y, p)
-    for i in range(3):
-        assert out[i] == pytest.approx(bernoulli_loglik(y[i], p[i]), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +126,6 @@ def test_floored_log_clamps_zero():
     assert out[1] == 0.0
 
 
-def test_row_normalize():
-    out = row_normalize(np.array([[2.0, 2.0], [1.0, 3.0]]))
-    np.testing.assert_allclose(out, [[0.5, 0.5], [0.25, 0.75]])
-    with pytest.raises(ValueError):
-        row_normalize(np.array([[0.0, 0.0]]))
-
-
 # ---------------------------------------------------------------------------
 # value objects and validate_params
 # ---------------------------------------------------------------------------
@@ -233,7 +179,6 @@ def test_dataset_checks_symmetry_and_counts():
     d = Dataset(features=np.array([[1, 2], [0, 0]]), links=np.array([[0, 1], [1, 0]]))
     assert d.n_nodes == 2 and d.n_features == 2
     np.testing.assert_array_equal(d.trials, [3, 0])
-    np.testing.assert_array_equal(d.empty_rows, [1])
 
 
 def test_dataset_edge_index_leaves_out_the_diagonal():

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from glad.generator import InjectionConfig, inject_anomalies
 from glad.glad_vem import FitConfig, fit
-from glad.model import GladVariational, ModelParams
 from glad.scoring import (
     AnomalyReport,
-    align_rate_columns,
     dynamic_change_score,
     evaluate_dynamic,
     evaluate_static,
@@ -19,106 +17,9 @@ from glad.scoring import (
     match_groups,
     rank_groups,
     rate_distance_score,
-    static_group_score,
+    rate_reference,
     top_fraction,
 )
-
-
-def _params(m=2, k=2, theta=None):
-    theta = np.full((m, k), 1.0 / k) if theta is None else np.asarray(theta, float)
-    return ModelParams(
-        alpha=np.full(m, 0.1),
-        block=np.full((m, m), 0.2),
-        theta=theta,
-        beta=np.full((k, k), 1.0 / k),
-    )
-
-
-def _state(lam, mu):
-    lam = np.asarray(lam, float)
-    return GladVariational(gamma=0.1 + lam, lam=lam, mu=np.asarray(mu, float))
-
-
-# ---------------------------------------------------------------------------
-# static score
-# ---------------------------------------------------------------------------
-
-def test_static_score_uniform_theta_counts_members():
-    # uniform rates: every member contributes exactly log K
-    lam = np.array([[1, 0], [1, 0], [0, 1.0]])
-    mu = np.full((3, 2), 0.5)
-    scores = static_group_score(_state(lam, mu), _params())
-    np.testing.assert_allclose(scores, [2 * math.log(2), math.log(2)], atol=1e-12)
-
-
-def test_static_score_one_hot_certain_role_is_zero():
-    lam = np.array([[1.0, 0.0]])
-    mu = np.array([[1.0, 0.0]])
-    theta = np.array([[1.0, 0.0], [0.5, 0.5]])
-    with pytest.warns(UserWarning):  # group 1 has no members
-        scores = static_group_score(_state(lam, mu), _params(theta=theta))
-    assert scores[0] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_static_score_empty_group_warns_and_scores_zero():
-    lam = np.array([[1, 0], [1, 0.0]])
-    mu = np.full((2, 2), 0.5)
-    with pytest.warns(UserWarning, match="empty"):
-        scores = static_group_score(_state(lam, mu), _params())
-    assert scores[1] == 0.0
-
-
-def test_static_score_defaults_to_argmax_grouping():
-    lam = np.array([[0.9, 0.1], [0.2, 0.8]])
-    mu = np.full((2, 2), 0.5)
-    state = _state(lam, mu)
-    got = static_group_score(state, _params())
-    explicit = static_group_score(state, _params(), grouping=np.array([0, 1]))
-    np.testing.assert_allclose(got, explicit)
-
-
-def test_static_score_matches_loop_oracle():
-    rng = np.random.default_rng(5)
-    n, m, k = 7, 3, 2
-    lam = rng.dirichlet(np.ones(m), size=n)
-    mu = rng.dirichlet(np.ones(k), size=n)
-    theta = rng.dirichlet(np.ones(k), size=m)
-    grouping = rng.integers(0, m, size=n)
-    got = static_group_score(_state(lam, mu), _params(m, k, theta), grouping)
-    want = np.zeros(m)
-    for p in range(n):
-        s = 0.0
-        for a in range(m):
-            for b in range(k):
-                s -= lam[p, a] * mu[p, b] * math.log(theta[a, b])
-        want[grouping[p]] += s
-    np.testing.assert_allclose(got, want, atol=1e-10)
-    assert np.all(got >= 0)
-
-
-def test_static_score_label_permutation_equivariant():
-    rng = np.random.default_rng(6)
-    n, m, k = 6, 3, 2
-    lam = rng.dirichlet(np.ones(m), size=n)
-    mu = rng.dirichlet(np.ones(k), size=n)
-    theta = rng.dirichlet(np.ones(k), size=m)
-    grouping = rng.integers(0, m, size=n)
-    perm = np.array([1, 2, 0])
-    base = static_group_score(_state(lam, mu), _params(m, k, theta), grouping)
-    moved = static_group_score(
-        _state(lam[:, perm], mu), _params(m, k, theta[perm]), perm.argsort()[grouping]
-    )
-    np.testing.assert_allclose(moved, base[np.argsort(perm.argsort())], atol=1e-12)
-    np.testing.assert_allclose(np.sort(moved), np.sort(base), atol=1e-12)
-
-
-def test_static_score_bad_grouping_rejected():
-    lam = np.full((2, 2), 0.5)
-    state = _state(lam, lam)
-    with pytest.raises(ValueError):
-        static_group_score(state, _params(), grouping=np.array([0]))
-    with pytest.raises(ValueError):
-        static_group_score(state, _params(), grouping=np.array([0, 5]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,20 +34,14 @@ def test_rate_distance_score_values():
         rate_distance_score(rates, np.array([0.1, 0.2, 0.7]))
 
 
-def test_align_rate_columns_undoes_role_swap():
-    # four normal groups fitted with swapped role labels, one anomalous
-    rates = np.array([[0.9, 0.1]] * 4 + [[0.1, 0.9]])
-    perm = align_rate_columns(rates, np.array([0.1, 0.9]))
-    np.testing.assert_array_equal(perm, [1, 0])
-    scores = rate_distance_score(rates[:, perm], np.array([0.1, 0.9]))
-    assert scores.argmax() == 4
-
-
-def test_align_rate_columns_identity_when_already_aligned():
-    rates = np.array([[0.15, 0.85], [0.1, 0.9]])
-    np.testing.assert_array_equal(align_rate_columns(rates, np.array([0.1, 0.9])), [0, 1])
-    with pytest.raises(ValueError):
-        align_rate_columns(np.ones((2, 9)) / 9, np.ones(9) / 9)
+def test_pipeline_score_flags_a_permuted_mixture_whatever_the_role_labels():
+    # four normal groups and one whose mixture permutes theirs; relabeling
+    # the roles (a column swap) leaves every score unchanged
+    rates = np.array([[0.1, 0.9]] * 4 + [[0.9, 0.1]])
+    scores = rate_distance_score(rates, rate_reference(rates))
+    np.testing.assert_allclose(scores, [0.0] * 4 + [1.6], atol=1e-12)
+    swapped = rates[:, ::-1]
+    np.testing.assert_array_equal(rate_distance_score(swapped, rate_reference(swapped)), scores)
 
 
 def test_dynamic_change_score_constant_path_is_zero():
@@ -340,9 +235,8 @@ def test_injection_pipeline_ranks_anomalous_group_first(seed):
     data, truth = inject_anomalies(cfg)
     res = fit(data, cfg.n_groups, cfg.n_roles, FitConfig(max_iters=60, seed=seed))
     mapping = match_groups(res.state.grouping(), truth.group, cfg.n_groups)
-    reference = np.asarray(cfg.normal_rate)
-    perm = align_rate_columns(res.params.theta, reference)
-    scores = rate_distance_score(res.params.theta[:, perm], reference)
+    theta = res.params.theta
+    scores = rate_distance_score(theta, rate_reference(theta))
     flagged_true_labels = {int(mapping[g]) for g in top_fraction(scores, cfg.anomaly_fraction)}
     metrics = evaluate_static(flagged_true_labels, truth.anomalous_groups, cfg.n_groups)
     assert metrics["accuracy"] == 1.0, (flagged_true_labels, truth.anomalous_groups)
