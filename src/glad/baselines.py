@@ -30,7 +30,8 @@ class MixtureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.tol < 0:
+        # written so that NaN fails the check
+        if not (self.max_iters >= 1 and self.tol >= 0):
             raise ValueError("need max_iters >= 1 and tol >= 0")
 
 
@@ -123,7 +124,6 @@ def fit_group_lda(
     weights = np.full((m, k), 1.0 / k)
 
     trace = []
-    previous = -np.inf
     converged = False
     for _ in range(config.max_iters):
         row_ll = _mixture_loglik_rows(features, beta)
@@ -138,18 +138,12 @@ def fit_group_lda(
             group_resp / np.maximum(sizes, 1)[:, None],
             1.0 / k,
         )
-        mass = features.T @ resp
-        col = mass.sum(axis=0)
-        if np.any(col <= 0):
-            warnings.warn("starved mixture component; uniform emission fallback")
-            mass = np.where(col > 0, mass, 1.0)
-        beta = mass / mass.sum(axis=0, keepdims=True)
+        beta = glad_vem.normalize_or_uniform(features.T @ resp, 0, "beta column")
 
         trace.append(loglik)
-        if abs(loglik - previous) <= config.tol * max(1.0, abs(previous)):
+        if len(trace) > 1 and glad_vem.stalled(trace[-2], loglik, config.tol):
             converged = True
             break
-        previous = loglik
 
     global_rate = (sizes @ weights) / max(1, n)
     rates = np.where((sizes >= 2)[:, None], weights, global_rate[None, :])

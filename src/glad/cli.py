@@ -268,6 +268,7 @@ def cmd_fit(args) -> int:
             f"{args.data} holds a {kind} dataset"
         )
 
+    result = model.fit(data, args.groups, args.roles, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -277,7 +278,6 @@ def cmd_fit(args) -> int:
         "n_nodes": int(data.n_nodes),
         "seed": args.seed,
     }
-    result = model.fit(data, args.groups, args.roles, config)
     manifest.update(model.write(out, result, config))
     gio.write_json(out / "fit.json", manifest)
     return EXIT_OK if manifest["converged"] else EXIT_NO_CONVERGENCE
@@ -369,9 +369,9 @@ def _prepare_report(args, want_truth: bool):
 
 
 def cmd_score(args) -> int:
+    _, report, _, _ = _prepare_report(args, want_truth=False)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, report, _, _ = _prepare_report(args, want_truth=False)
     _emit_scores(out, report)
     flagged = ",".join(str(g) for g in report.flagged)
     print(f"flagged groups: {flagged}")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glad_vem import FitConfig, fit
+from .glad_vem import FitConfig, best_of_restarts, fit
 from .model import (
     SIMPLEX_ATOL,
     DynamicDataset,
@@ -210,9 +210,10 @@ class DGladConfig:
             raise ValueError("burn_in must be non-negative")
         if self.n_particles < 2:
             raise ValueError("need at least two particles")
-        if self.sigma < 0:
+        # written so that NaN fails the checks
+        if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
         if self.init_fit_iters < 1:
             raise ValueError("init_fit_iters must be at least 1")
@@ -491,25 +492,17 @@ def particle_filter_theta(
 
 
 def _anchor_fit(data: DynamicDataset, n_groups: int, n_roles: int, config: DGladConfig):
-    """Short static fit on the first snapshot, best bound of seeded restarts.
+    """Short static fit on the first snapshot, the best bound of
+    ``config.init_restarts`` seeded runs: a cheap and deterministic escape
+    from a start that merged two groups."""
 
-    Mean-field starts occasionally merge two groups; the merged basin is
-    visibly worse in bound, so keeping the best of ``config.init_restarts``
-    runs is a cheap and deterministic escape hatch.
-    """
-    best = None
-    for child in np.random.SeedSequence(config.seed).spawn(config.init_restarts):
-        static = FitConfig(
-            max_iters=config.init_fit_iters,
-            seed=int(child.generate_state(1)[0]),
-            alpha0=config.alpha0,
-        )
+    def run(seed):
+        static = FitConfig(max_iters=config.init_fit_iters, seed=seed, alpha0=config.alpha0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            attempt = fit(data.snapshots[0], n_groups, n_roles, static)
-        if best is None or attempt.trace[-1] > best.trace[-1]:
-            best = attempt
-    return best
+            return fit(data.snapshots[0], n_groups, n_roles, static)
+
+    return best_of_restarts(run, config.seed, config.init_restarts)
 
 
 def default_params(

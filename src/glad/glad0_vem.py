@@ -29,17 +29,35 @@ indexing), as in MMSB; the published form pools p's sender and receiver
 rows, which does not maximize this bound.  Each update is written once, as
 a block kernel that ``fit0`` sweeps; the public single-coordinate updates
 read one entry of it.
+
+The mean-field core shared with the static model comes from ``glad_vem``:
+E[log pi] (``_expected_log_pi``), the role logits (``_mu_logits``), the
+Dirichlet and per-activity bound terms (``dirichlet_terms``, ``row_terms``),
+the M-step kernels (``normalize_or_uniform``, ``block_ratio``,
+``update_alpha``), the start (``seed_params``, ``jitter_rows``), the stopping
+rule (``stalled``), ``best_of_restarts`` and the result type ``FitResult``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
-from .glad_vem import _mu_logits, jitter_rows, newton_alpha, seed_params
+from .glad_vem import (
+    FitResult,
+    _expected_log_pi,
+    _mu_logits,
+    best_of_restarts,
+    block_ratio,
+    dirichlet_terms,
+    jitter_rows,
+    normalize_or_uniform,
+    row_terms,
+    seed_params,
+    stalled,
+    update_alpha,
+)
 from .model import (
     ActivityDataset,
     GladNumericsError,
@@ -54,7 +72,6 @@ from .model import (
 __all__ = [
     "Fit0Config",
     "Glad0Variational",
-    "Fit0Result",
     "init_state0",
     "update_gamma0",
     "update_phi_out",
@@ -86,11 +103,12 @@ class Fit0Config:
     def __post_init__(self):
         if self.max_iters < 1 or self.inner_max < 1 or self.restarts < 1:
             raise ValueError("iteration caps must be >= 1")
-        if self.tol < 0 or self.inner_tol < 0:
+        # written so that NaN fails the checks
+        if not (self.tol >= 0 and self.inner_tol >= 0):
             raise ValueError("tolerances must be >= 0")
         if self.alpha_mode not in ("fixed", "newton"):
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
 
 
@@ -142,18 +160,6 @@ class Glad0Variational:
         return out
 
 
-@dataclass(frozen=True)
-class Fit0Result:
-    params: ModelParams
-    state: Glad0Variational
-    trace: np.ndarray
-    converged: bool
-
-    @property
-    def n_iters(self) -> int:
-        return len(self.trace) - 1
-
-
 def init_state0(
     activity_counts: np.ndarray, n_groups: int, n_roles: int
 ) -> Glad0Variational:
@@ -174,11 +180,6 @@ def init_state0(
 # ---------------------------------------------------------------------------
 # update kernels: each update written once, over whole arrays
 # ---------------------------------------------------------------------------
-
-def _elogpi(gamma):
-    # expected log-membership under each row's Dirichlet posterior
-    return digamma(gamma) - digamma(gamma.sum(axis=1))[:, None]
-
 
 def _phi_logits(y, block, other, elogpi, side, work=None):
     # group-major (M, N, N) logits of one pair side.  Side "out": the sender's
@@ -248,7 +249,7 @@ def _phi_entry(p, q, data, params, state, side):
         raise ValueError("no pair posterior for a self pair")
     pair = np.s_[p : p + 1, q : q + 1]
     person, other = (p, state.phi_in) if side == "out" else (q, state.phi_out)
-    elogpi = _elogpi(state.gamma[person : person + 1])
+    elogpi = _expected_log_pi(state.gamma[person : person + 1])
     counterpart = np.moveaxis(other[pair], 2, 0)
     logits = _phi_logits(data.links[pair], params.block, counterpart, elogpi, side)
     return _group_softmax(logits)[:, 0, 0]
@@ -298,35 +299,20 @@ def m_step0(
     phi_o, phi_i = state.phi_out, state.phi_in
     num = np.einsum("pq,pqg,pqh->gh", y, phi_o, phi_i)
     den = np.einsum("pq,pqg,pqh->gh", off.astype(float), phi_o, phi_i)
-    bad = den <= 0
-    if np.any(bad):
-        warnings.warn("pair mass vanished for some group pairs; 1/2 fallback")
-    block = np.where(bad, 0.5, num / np.where(bad, 1.0, den))
-    block = np.clip(block, PROB_EPS, 1.0 - PROB_EPS)
+    block = np.clip(block_ratio(num, den), PROB_EPS, 1.0 - PROB_EPS)
 
     k = state.mu_act[0].shape[1] if state.mu_act else 1
     flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
     flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, k))
     ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
-    theta = flat_lam.T @ flat_mu
     beta = np.zeros((data.n_features, k))
     np.add.at(beta, ids, flat_mu)
-    empty = theta.sum(axis=1) <= 0
-    if np.any(empty):
-        warnings.warn("groups with no activity mass; uniform rate fallback")
-        theta[empty] = 1.0
-    theta /= theta.sum(axis=1, keepdims=True)
-    starved = beta.sum(axis=0) <= 0
-    if np.any(starved):
-        warnings.warn("roles with no feature mass; uniform emission fallback")
-        beta[:, starved] = 1.0
-    beta /= beta.sum(axis=0, keepdims=True)
-
-    if alpha_mode == "newton":
-        alpha, ok = newton_alpha(state.gamma, alpha0=alpha)
-        if not ok:
-            warnings.warn("alpha Newton steps did not converge; using last value")
-    return ModelParams(alpha=alpha, block=block, theta=theta, beta=beta)
+    return ModelParams(
+        alpha=update_alpha(state.gamma, alpha, alpha_mode),
+        block=block,
+        theta=normalize_or_uniform(flat_lam.T @ flat_mu, 1, "theta row"),
+        beta=normalize_or_uniform(beta, 0, "beta column"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +329,9 @@ def compute_elbo0(
     """
     gamma, phi_o, phi_i = state.gamma, state.phi_out, state.phi_in
     n, m = gamma.shape
-    alpha = params.alpha
     off = (~np.eye(n, dtype=bool)).astype(float)
-    elogpi = _elogpi(gamma)
-
-    total = n * float(gammaln(alpha.sum()) - gammaln(alpha).sum())
-    total += float(((alpha - 1.0) * elogpi).sum())
-    total -= float(
-        (
-            gammaln(gamma.sum(axis=1))
-            - gammaln(gamma).sum(axis=1)
-            + ((gamma - 1.0) * elogpi).sum(axis=1)
-        ).sum()
-    )
+    elogpi = _expected_log_pi(gamma)
+    total = dirichlet_terms(params.alpha, gamma, elogpi)
 
     phi_o_masked = phi_o * off[:, :, None]
     phi_i_masked = phi_i * off[:, :, None]
@@ -372,19 +348,15 @@ def compute_elbo0(
     total -= float((phi_o_masked * floored_log(phi_o)).sum())
     total -= float((phi_i_masked * floored_log(phi_i)).sum())
 
-    log_theta = floored_log(params.theta)
-    log_beta = floored_log(params.beta)
     counts = np.array([lam.shape[0] for lam in state.lam_act])
     person = np.repeat(np.arange(n), counts)
     flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
     flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, 1))
     ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
-    total += float((flat_lam * elogpi[person]).sum())
-    total += float(np.einsum("ag,gk,ak->", flat_lam, log_theta, flat_mu))
-    total += float((flat_mu * log_beta[ids]).sum())
-    total -= float((flat_lam * floored_log(flat_lam)).sum())
-    total -= float((flat_mu * floored_log(flat_mu)).sum())
-    return total
+    return total + row_terms(
+        flat_lam, elogpi[person], flat_mu, floored_log(params.theta),
+        floored_log(params.beta)[ids],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +378,7 @@ def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
     same holds for the stacked activity arrays given gamma and each other.
     """
     n = gamma.shape[0]
-    elogpi = _elogpi(gamma)
+    elogpi = _expected_log_pi(gamma)
     y = data.links
     # one scratch buffer for both pair sides, freed before the M-step and
     # the bound, so it adds nothing to the fit's peak memory
@@ -438,7 +410,7 @@ def fit0(
     n_groups: int,
     n_roles: int,
     config: Fit0Config | None = None,
-) -> Fit0Result:
+) -> FitResult:
     """Nested variational EM: inner E-loop to a fixed point, then M-step.
 
     The inner loop repeats block sweeps until the largest posterior change
@@ -451,18 +423,13 @@ def fit0(
     """
     config = config or Fit0Config()
     if config.restarts > 1:
-        children = np.random.SeedSequence(config.seed).spawn(config.restarts)
-        best = None
-        for child in children:
-            sub = replace(config, restarts=1, seed=int(child.generate_state(1)[0]))
-            candidate = fit0(data, n_groups, n_roles, sub)
-            if best is None or candidate.trace[-1] > best.trace[-1]:
-                best = candidate
-        return best
+        return best_of_restarts(
+            lambda seed: fit0(data, n_groups, n_roles, replace(config, restarts=1, seed=seed)),
+            config.seed,
+            config.restarts,
+        )
     rng = np.random.default_rng(config.seed)
     n = data.n_nodes
-    if n_groups > n:
-        warnings.warn("more groups than people; expect degenerate groups")
     params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
 
     counts = data.activity_counts
@@ -492,8 +459,7 @@ def fit0(
             mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
         )
 
-    bound = compute_elbo0(data, params, snapshot())
-    trace = [bound]
+    trace = [compute_elbo0(data, params, snapshot())]
     converged = False
     for _ in range(config.max_iters):
         for _ in range(config.inner_max):
@@ -504,14 +470,13 @@ def fit0(
                 break
         state = snapshot()
         params = m_step0(data, state, params.alpha, alpha_mode=config.alpha_mode)
-        previous = bound
         bound = compute_elbo0(data, params, state)
         if not np.isfinite(bound):
             raise GladNumericsError("lower bound became non-finite")
         trace.append(bound)
-        if abs(bound - previous) <= config.tol * max(1.0, abs(previous)):
+        if stalled(trace[-2], bound, config.tol):
             converged = True
             break
-    return Fit0Result(
+    return FitResult(
         params=params, state=snapshot(), trace=np.asarray(trace), converged=converged
     )

@@ -21,6 +21,11 @@ The M-step re-estimates beta (per-role feature distributions), theta
 (per-group role mixtures) and the block matrix in closed form; the Dirichlet
 prior alpha stays fixed by default and can be re-fitted by a guarded Newton
 iteration (``alpha_mode="newton"``).
+
+The pieces the per-activity variant (``glad0_vem``) and the baselines share
+live here once: E[log pi], the Dirichlet and per-row bound terms, the
+normalise-with-uniform-fallback and block-ratio M-step kernels, the alpha
+update, the relative-change stopping rule and ``best_of_restarts``.
 """
 
 from __future__ import annotations
@@ -98,15 +103,17 @@ class FitConfig:
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol < 0:
+        # written so that NaN fails the checks
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ValueError("alpha0 must be positive")
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters, final variational state and the ELBO trace.
+    """Fitted parameters, final variational state and the ELBO trace of
+    ``fit`` and of glad0's ``fit0``.
 
     ``trace[0]`` is the bound at initialization; one entry follows per EM
     iteration.  ``converged`` is False when the loop ran out of iterations
@@ -114,7 +121,7 @@ class FitResult:
     """
 
     params: ModelParams
-    state: GladVariational
+    state: GladVariational  # a Glad0Variational from fit0
     trace: np.ndarray
     converged: bool
 
@@ -210,6 +217,37 @@ def update_mu(p: int, data: Dataset, params: ModelParams, state: GladVariational
                               data.features[p] @ floored_log(params.beta)))
 
 
+def normalize_or_uniform(counts: np.ndarray, axis: int, what: str) -> np.ndarray:
+    """``counts`` normalized along ``axis``; a ``what`` (row or column) with
+    no mass becomes uniform, with a warning."""
+    den = counts.sum(axis=axis, keepdims=True)
+    if np.any(den <= 0):
+        warnings.warn(f"{what} with no mass; substituting uniform")
+        counts = np.where(den > 0, counts, 1.0)
+        den = counts.sum(axis=axis, keepdims=True)
+    return counts / den
+
+
+def block_ratio(linked: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Expected link frequency per group pair: linked over total pair mass,
+    1/2 (with a warning) where the pair mass vanished."""
+    bad = total <= 0
+    if np.any(bad):
+        warnings.warn("no pair mass for some group pairs; substituting 1/2")
+    return np.where(bad, 0.5, linked / np.where(bad, 1.0, total))
+
+
+def update_alpha(gamma: np.ndarray, alpha: np.ndarray, alpha_mode: str) -> np.ndarray:
+    """The prior after an M-step: unchanged (``"fixed"``) or the guarded
+    Newton maximizer started at ``alpha`` (``"newton"``, which warns itself
+    when it stops early)."""
+    if alpha_mode == "newton":
+        alpha, _ = newton_alpha(gamma, alpha0=alpha)
+    elif alpha_mode != "fixed":
+        raise ValueError("alpha_mode must be 'fixed' or 'newton'")
+    return alpha
+
+
 def m_step(
     data: Dataset,
     state: GladVariational,
@@ -223,9 +261,9 @@ def m_step(
 
     beta columns are expected-count feature distributions per role, theta rows
     expected role mixtures per group, and the block matrix the expected link
-    frequency between group pairs over all ordered non-self pairs (clamped to
-    the Bernoulli band, symmetrized to kill round-off skew).  Degenerate
-    denominators fall back to uniform entries with a warning.  With
+    frequency between group pairs over all ordered non-self pairs
+    (symmetrized to kill round-off skew, then clamped to the Bernoulli band).
+    Degenerate denominators fall back to uniform entries with a warning.  With
     ``links_only`` the previous theta/beta are carried through unchanged.
     """
     lam, mu = state.lam, state.mu
@@ -237,41 +275,47 @@ def m_step(
             raise ValueError("links_only m_step needs the previous parameters")
         theta, beta = prev.theta, prev.beta
     else:
-        theta_num = lam.T @ mu
-        theta_den = theta_num.sum(axis=1, keepdims=True)
-        if np.any(theta_den <= 0):
-            warnings.warn("empty group in theta update; substituting uniform row")
-            theta_num = np.where(theta_den > 0, theta_num, 1.0)
-            theta_den = theta_num.sum(axis=1, keepdims=True)
-        theta = theta_num / theta_den
-
-        beta_num = data.features.T @ mu
-        beta_den = beta_num.sum(axis=0, keepdims=True)
-        if np.any(beta_den <= 0):
-            warnings.warn("unused role in beta update; substituting uniform column")
-            beta_num = np.where(beta_den > 0, beta_num, 1.0)
-            beta_den = beta_num.sum(axis=0, keepdims=True)
-        beta = beta_num / beta_den
+        theta = normalize_or_uniform(lam.T @ mu, 1, "theta row")
+        beta = normalize_or_uniform(data.features.T @ mu, 0, "beta column")
 
     once = _linked_mass(data, lam)
-    linked = once + once.T
     col = lam.sum(axis=0)
-    total = np.outer(col, col) - lam.T @ lam
-    if np.any(total <= 0):
-        warnings.warn("degenerate pair mass in block update; substituting 1/2")
-    block = np.where(total > 0, linked / np.where(total > 0, total, 1.0), 0.5)
-    block = 0.5 * (block + block.T)
-    block = np.clip(block, PROB_EPS, 1.0 - PROB_EPS)
-
-    if alpha_mode == "newton":
-        alpha, _ = newton_alpha(state.gamma, alpha0=alpha)
-    elif alpha_mode != "fixed":
-        raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-    return ModelParams(alpha=np.asarray(alpha, dtype=float), block=block, theta=theta, beta=beta)
+    block = block_ratio(once + once.T, np.outer(col, col) - lam.T @ lam)
+    block = np.clip(0.5 * (block + block.T), PROB_EPS, 1.0 - PROB_EPS)
+    alpha = update_alpha(state.gamma, alpha, alpha_mode)
+    return ModelParams(alpha=alpha, block=block, theta=theta, beta=beta)
 
 
-def _dirichlet_objective(alpha: np.ndarray, suff: np.ndarray) -> float:
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum() + (alpha - 1.0) @ suff)
+def _dirichlet_prior(alpha: np.ndarray, elogpi: np.ndarray) -> float:
+    """E[log Dir(pi | alpha)] summed over the rows of ``elogpi`` (E[log pi]
+    per person); one row is ``newton_alpha``'s objective."""
+    elogpi = np.atleast_2d(elogpi)
+    norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
+    return elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
+
+
+def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) -> float:
+    """The membership part of the bound: E[log p(pi | alpha)] - E[log q(pi | gamma)],
+    summed over people, with ``elogpi`` = E[log pi] under q."""
+    log_q = (
+        gammaln(gamma.sum(axis=1))
+        - gammaln(gamma).sum(axis=1)
+        + ((gamma - 1.0) * elogpi).sum(axis=1)
+    )
+    return _dirichlet_prior(alpha, elogpi) - float(log_q.sum())
+
+
+def row_terms(lam, elogpi, mu=None, log_theta=None, feature_loglik=None) -> float:
+    """The per-row part of the bound, one row per person here and per
+    activity in glad0: E[log p(G | pi)] + E[log p(R | G)] + E[log p(x | R)]
+    plus the entropies of q(G) and q(R).  ``elogpi`` is E[log pi] of each
+    row's owner and ``feature_loglik`` each row's feature log-likelihood per
+    role; with ``mu`` None (links only) the role and feature terms drop."""
+    total = float((lam * elogpi).sum()) - float((lam * floored_log(lam)).sum())
+    if mu is not None:
+        total += float(np.einsum("ag,gk,ak->", lam, log_theta, mu))
+        total += float((mu * feature_loglik).sum()) - float((mu * floored_log(mu)).sum())
+    return total
 
 
 def newton_alpha(
@@ -306,11 +350,11 @@ def newton_alpha(
         c = polygamma(1, alpha.sum())
         b = (grad / q).sum() / (1.0 / c + (1.0 / q).sum())
         step = (grad - b) / q
-        base = _dirichlet_objective(alpha, suff)
+        base = _dirichlet_prior(alpha, suff)
         scale = 1.0
         for _ in range(60):
             candidate = alpha - scale * step
-            if np.all(candidate > 0) and _dirichlet_objective(candidate, suff) >= base:
+            if np.all(candidate > 0) and _dirichlet_prior(candidate, suff) >= base:
                 break
             scale *= 0.5
         else:
@@ -341,12 +385,8 @@ def compute_elbo(
     the Dirichlet, group and role entropies of q.  ``links_only`` keeps only
     the terms that survive when activities are ignored.
     """
-    gamma, lam, mu = state.gamma, state.lam, state.mu
-    alpha = params.alpha
-    n_nodes = gamma.shape[0]
-
-    elogpi = _expected_log_pi(gamma)
-    group_term = float((lam * elogpi).sum())
+    lam = state.lam
+    elogpi = _expected_log_pi(state.gamma)
 
     # once-counted pair masses: linked over the edges; all pairs p < q
     # through later[p] = sum_{q > p} lambda_q
@@ -358,27 +398,14 @@ def compute_elbo(
     log_1mb = np.log1p(-params.block)
     pair_term = float((linked * log_b + (total - linked) * log_1mb).sum())
 
-    dir_prior = n_nodes * float(gammaln(alpha.sum()) - gammaln(alpha).sum())
-    dir_prior += float(((alpha - 1.0) * elogpi.sum(axis=0)).sum())
-
-    ent_gamma = float(
-        (
-            gammaln(gamma.sum(axis=1))
-            - gammaln(gamma).sum(axis=1)
-            + ((gamma - 1.0) * elogpi).sum(axis=1)
-        ).sum()
+    bound = pair_term + dirichlet_terms(params.alpha, state.gamma, elogpi)
+    if links_only:
+        return bound + row_terms(lam, elogpi)
+    x = data.features
+    coef = float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
+    return bound + coef + row_terms(
+        lam, elogpi, state.mu, floored_log(params.theta), x @ floored_log(params.beta)
     )
-    ent_lam = float((lam * floored_log(lam)).sum())
-
-    total_elbo = group_term + pair_term + dir_prior - ent_gamma - ent_lam
-    if not links_only:
-        x = data.features
-        coef = gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum()
-        point_term = float(coef) + float((mu * (x @ floored_log(params.beta))).sum())
-        role_term = float(np.einsum("pm,mk,pk->", lam, floored_log(params.theta), mu))
-        ent_mu = float((mu * floored_log(mu)).sum())
-        total_elbo += point_term + role_term - ent_mu
-    return total_elbo
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +497,8 @@ def seed_params(
     random draws; a symmetric jitter keeps block starts seed-dependent.
     """
     n = data.n_nodes
+    if n_groups > n:
+        warnings.warn("more groups than people; expect degenerate groups")
     theta = rng.dirichlet(np.ones(n_roles), size=n_groups)
     beta = rng.dirichlet(np.ones(data.n_features), size=n_roles).T
     pairs = n * (n - 1) // 2
@@ -504,6 +533,24 @@ def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     return params, np.array(state.gamma), lam, mu
 
 
+def stalled(previous: float, current: float, tol: float) -> bool:
+    """The EM loops' stopping rule: the bound (or log-likelihood) moved by
+    at most ``tol`` relative to the previous value (absolute below 1)."""
+    return abs(current - previous) <= tol * max(1.0, abs(previous))
+
+
+def best_of_restarts(run, seed: int, n: int):
+    """Best-bound result of ``run(child_seed)`` over ``n`` child seeds
+    spawned from ``seed``; ties keep the earlier run.  Mean-field starts
+    occasionally merge groups, and the merged basin scores visibly worse."""
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(n):
+        attempt = run(int(child.generate_state(1)[0]))
+        if best is None or attempt.trace[-1] > best.trace[-1]:
+            best = attempt
+    return best
+
+
 def fit(
     data: Dataset,
     n_groups: int,
@@ -521,8 +568,6 @@ def fit(
     non-finite bound aborts with :class:`GladNumericsError`.
     """
     config = config or FitConfig()
-    if n_groups > data.n_nodes:
-        warnings.warn("more groups than people; expect degenerate groups")
     if n_roles > data.n_features:
         warnings.warn("more roles than features; expect redundant roles")
 
@@ -550,9 +595,8 @@ def fit(
                 f"ELBO became non-finite at iteration {iteration} "
                 f"(previous value {trace[-1]:.6g}); aborting"
             )
-        previous = trace[-1]
         trace.append(bound)
-        if abs(bound - previous) <= config.tol * max(1.0, abs(previous)):
+        if stalled(trace[-2], bound, config.tol):
             converged = True
             break
     return FitResult(

@@ -412,28 +412,22 @@ def parse_config_text(text: str) -> dict:
     return raw
 
 
-_MISSING = object()
-
-
 def coerce_config(raw: dict, schema: dict) -> dict:
     """Typed view of a parsed config.
 
     ``schema`` maps key -> (kind, default); kinds are "int", "float", "bool",
-    "str", "int_list" / "float_list" (comma-separated) and "float_pair".
-    Keys absent from the schema are errors, as are missing keys whose default
-    is the required marker ``...``.
+    "str" and "int_list" / "float_list" (comma-separated).  Keys absent from
+    the schema are errors; missing keys take their default.
     """
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     out = {}
     for key, (kind, default) in schema.items():
-        text = raw.get(key, _MISSING)
-        if text is _MISSING:
-            if default is ...:
-                raise ValueError(f"config is missing required key {key!r}")
+        if key not in raw:
             out[key] = default
             continue
+        text = raw[key]
         try:
             if kind == "int":
                 out[key] = int(text)
@@ -457,11 +451,6 @@ def coerce_config(raw: dict, schema: dict) -> dict:
                 out[key] = tuple(float(c) for c in text.split(",") if c.strip() != "")
                 if not out[key]:
                     raise ValueError
-            elif kind == "float_pair":
-                cells = [float(c) for c in text.split(",")]
-                if len(cells) != 2:
-                    raise ValueError
-                out[key] = tuple(cells)
             else:  # pragma: no cover - schema bug, not user input
                 raise AssertionError(f"unknown schema kind {kind!r}")
         except ValueError:

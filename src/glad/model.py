@@ -64,6 +64,19 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
     return _readonly(np.array(a, dtype=dtype, order="C", copy=True))
 
 
+def _checked_links(links) -> np.ndarray:
+    """A read-only int8 copy of ``links`` after checking that it is a square,
+    symmetric 0/1 matrix."""
+    y = _frozen(links, dtype=np.int8)
+    if y.ndim != 2 or y.shape[0] != y.shape[1]:
+        raise ValueError("links must be a square matrix")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("links must be 0/1")
+    if not np.array_equal(y, y.T):
+        raise ValueError("links must be symmetric")
+    return y
+
+
 # ---------------------------------------------------------------------------
 # numerical kernels
 # ---------------------------------------------------------------------------
@@ -157,19 +170,13 @@ class Dataset(_EdgeIndex):
 
     def __post_init__(self):
         x = _frozen(self.features, dtype=np.int64)
-        y = _frozen(self.links, dtype=np.int8)
+        y = _checked_links(self.links)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D count matrix")
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError("links must be a square matrix")
         if y.shape[0] != x.shape[0]:
             raise ValueError("features and links disagree on the number of people")
         if np.any(x < 0):
             raise ValueError("feature counts must be non-negative")
-        if not np.all((y == 0) | (y == 1)):
-            raise ValueError("links must be 0/1")
-        if not np.array_equal(y, y.T):
-            raise ValueError("links must be symmetric")
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "links", y)
 
@@ -202,11 +209,7 @@ class ActivityDataset(_EdgeIndex):
     n_features: int
 
     def __post_init__(self):
-        y = _frozen(self.links, dtype=np.int8)
-        if y.ndim != 2 or y.shape[0] != y.shape[1]:
-            raise ValueError("links must be a square matrix")
-        if not np.array_equal(y, y.T):
-            raise ValueError("links must be symmetric")
+        y = _checked_links(self.links)
         if len(self.feature_ids) != y.shape[0]:
             raise ValueError("feature_ids and links disagree on the number of people")
         rows = []

@@ -103,6 +103,9 @@ def test_group_lda_trace_nondecreasing_and_converges():
     res = fit_group_lda(features, grouping, 2, MixtureConfig(seed=1))
     assert np.all(np.diff(res.trace) >= -1e-8)
     assert res.converged
+    # the stopping rule compares two log-likelihoods, so it cannot stop
+    # the loop after its first iteration
+    assert res.trace.size > 1
 
 
 def test_group_lda_recovers_group_rates():
@@ -142,6 +145,9 @@ def test_group_lda_input_validation():
         fit_group_lda(np.zeros((4, 2), dtype=int), np.array([0, 0, 1, 5]), 2, n_groups=2)
     with pytest.raises(ValueError):
         fit_group_lda(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), 0)
+    for bad in ({"tol": float("nan")}, {"tol": -1.0}, {"max_iters": 0}):
+        with pytest.raises(ValueError):
+            MixtureConfig(**bad)
 
 
 # ---------------------------------------------------------------------------

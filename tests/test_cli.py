@@ -216,6 +216,33 @@ def test_fit_glad_rejects_out_of_range_hyper_flags(static_run, tmp_path, capsys,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("model,flag", [
+    ("glad", "--tol"), ("glad", "--alpha0"),
+    ("glad0", "--tol"), ("glad0", "--inner-tol"), ("glad0", "--alpha0"),
+    ("dglad", "--sigma"), ("dglad", "--alpha0"),
+])
+def test_fit_rejects_nan_hyper_flags(tmp_path, capsys, model, flag):
+    # the config refuses NaN before the (missing) dataset is read
+    rc = run("fit", "--model", model, "--data", tmp_path / "missing", "--out", tmp_path / "x",
+             "--groups", 2, flag, "nan")
+    assert rc == 1
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_failing_commands_leave_no_out_directory(static_run, tmp_path):
+    _, data_dir, _ = static_run
+    failing = [
+        ("score", "--fit", tmp_path / "nowhere"),
+        ("fit", "--model", "glad", "--data", data_dir, "--groups", 0),
+        ("fit", "--model", "glad", "--data", data_dir, "--groups", 3, "--roles", 0),
+    ]
+    for i, argv in enumerate(failing):
+        out = tmp_path / f"out{i}"
+        assert run(*argv, "--out", out) == 1, argv
+        assert not out.exists(), argv
+
+
 def test_fit_glad0_on_snapshot_dataset_names_expected_format(static_run, tmp_path, capsys):
     _, data_dir, _ = static_run
     rc = run("fit", "--model", "glad0", "--data", data_dir, "--out", tmp_path / "x",

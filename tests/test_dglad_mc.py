@@ -731,6 +731,28 @@ def test_run_sampler_deterministic():
     assert np.array_equal(a.history, b.history)
 
 
+def test_run_sampler_pinned_theta_mean_and_grouping():
+    # recorded before the anchor fit's restart loop moved into glad_vem: a
+    # changed child-seed derivation or draw order moves these far beyond the
+    # 1e-10 tolerance
+    cfg = InjectionConfig(
+        n_nodes=16, n_groups=2, n_roles=2, trials_per_person=25,
+        block_in=0.6, block_out=0.05, seed=4,
+    )
+    data, _ = inject_dynamic_change(cfg, horizon=3, change_time=2, changed_fraction=0.5, seed=4)
+    res = run_sampler(data, 2, 2, DGladConfig(
+        sweeps=3, burn_in=1, n_particles=8, sigma=0.3, seed=5, init_fit_iters=6,
+    ))
+    want_theta_mean = [
+        -27.80920156568314, -0.05583477106394256, -1.398783258152546, -0.2841907076539774,
+        -27.72741291321827, -0.15354123139643522, -1.524354804326062, -0.17915677666944138,
+        -27.584191171452424, -0.12092154739974488, -1.3670727682297759, -1.3871399828552358,
+    ]
+    want_grouping = [0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1]
+    np.testing.assert_allclose(res.theta_mean.ravel(), want_theta_mean, rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(res.trace.grouping(), want_grouping)
+
+
 def test_run_sampler_validates_inputs():
     data, _ = small_dynamic_instance(seed=4)
     with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from glad.glad0_vem import (
     update_phi_out,
 )
 from glad.glad_vem import FitConfig
-from glad.model import ActivityDataset, ModelParams, PROB_EPS
+from glad.model import ActivityDataset, Dataset, ModelParams, PROB_EPS
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +372,27 @@ def test_mu0_one_hot_emissions_pin_the_role():
     assert got.argmax() == 1 and got[1] > 0.999
 
 
+def test_m_step0_failed_newton_warns_once():
+    # memberships pinned to opposite corners drive the prior's optimum
+    # towards zero, where the Newton iteration cannot meet its gradient
+    # tolerance; that one failure is reported once, by newton_alpha
+    data, params, state = random_instance0(3, n=4, m=2, k=2, v=4)
+    gamma = np.tile([[1e-300, 1.0], [1.0, 1e-300]], (2, 1))
+    state = replace(state, gamma=gamma)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        m_step0(data, state, params.alpha, alpha_mode="newton")
+    assert [str(w.message) for w in caught] == [
+        "newton_alpha stopped before reaching the gradient tolerance"
+    ]
+
+
+def test_m_step0_rejects_unknown_alpha_mode():
+    data, params, state = random_instance0(3, n=4, m=2, k=2, v=4)
+    with pytest.raises(ValueError, match="alpha_mode"):
+        m_step0(data, state, params.alpha, alpha_mode="bogus")
+
+
 def test_m_step0_one_hot_saturates_block():
     n, m = 4, 2
     phi_out = np.zeros((n, n, m))
@@ -392,6 +414,20 @@ def test_m_step0_one_hot_saturates_block():
         got = m_step0(data, state, np.array([0.1, 0.1]))
     assert got.block[0, 1] == pytest.approx(1 - PROB_EPS)
     assert got.block[1, 0] == pytest.approx(0.5)  # no mass: fallback
+
+
+@pytest.mark.parametrize("links,match", [
+    ([[0, 2], [2, 0]], "0/1"),
+    ([[0, 1], [0, 0]], "symmetric"),
+    ([[0, 1, 0], [1, 0, 0]], "square"),
+])
+def test_activity_dataset_checks_links_as_dataset_does(links, match):
+    # a link weight of 2 would weight that pair twice in glad0's bound
+    n = len(links)
+    with pytest.raises(ValueError, match=match):
+        Dataset(features=np.ones((n, 2), dtype=int), links=links)
+    with pytest.raises(ValueError, match=match):
+        ActivityDataset(feature_ids=(np.zeros(1, dtype=int),) * n, links=links, n_features=2)
 
 
 # ---------------------------------------------------------------------------
