@@ -39,7 +39,6 @@ from .model import (
     GladNumericsError,
     floored_log,
     log_softmax,
-    softmax,
 )
 
 __all__ = [
@@ -50,13 +49,9 @@ __all__ = [
     "bootstrap_filter",
     "default_params",
     "effective_sample_size",
-    "group_posterior",
     "particle_filter_theta",
-    "role_posterior",
     "run_sampler",
-    "sample_group",
     "sample_pi",
-    "sample_role",
     "systematic_resample",
 ]
 
@@ -211,10 +206,10 @@ class DGladConfig:
         if self.n_particles < 2:
             raise ValueError("need at least two particles")
         # written so that NaN fails the checks
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be non-negative")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError("sigma must be non-negative and finite")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be positive and finite")
         if self.init_fit_iters < 1:
             raise ValueError("init_fit_iters must be at least 1")
         if self.init_restarts < 1:
@@ -247,34 +242,12 @@ def _draw_rows(logits: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(below.sum(axis=-1), logits.shape[-1] - 1)
 
 
-def _draw_logits(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """One draw from a single row of unnormalized log probabilities."""
-    return int(_draw_rows(logits, rng.random()))
-
-
-def _check_node_time(p: int, t: int, n: int, horizon: int) -> None:
-    if not 0 <= t < horizon:
-        raise ValueError(f"snapshot {t} outside 0..{horizon - 1}")
-    if not 0 <= p < n:
-        raise ValueError(f"person {p} outside 0..{n - 1}")
-
-
 def _role_kernel(ls_theta, groups, feat_scores):
     """Unnormalized log conditional of roles, one row per (snapshot, person):
     the log-rate row of the person's current group plus the log likelihood
     of their features under each emission column.  ``ls_theta`` is
     (T, M, K), ``groups`` (T, N) and ``feat_scores`` (T, N, K)."""
     return ls_theta[np.arange(groups.shape[0])[:, None], groups] + feat_scores
-
-
-def _role_logits(
-    p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
-) -> np.ndarray:
-    return _role_kernel(
-        log_softmax(trace.theta_hat[t : t + 1]),
-        trace.G[t : t + 1, p : p + 1],
-        data.snapshots[t].features[p] @ floored_log(params.beta),
-    )[0, 0]
 
 
 def _group_kernel(logpi_p, ls_role, logb, log1mb, linked, group_counts, g_p):
@@ -289,88 +262,33 @@ def _group_kernel(logpi_p, ls_role, logb, log1mb, linked, group_counts, g_p):
     return logits
 
 
-def _group_logits(
-    p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
-) -> np.ndarray:
-    m = params.n_groups
-    g_row = trace.G[t]
-    return _group_kernel(
-        floored_log(trace.pi[p]),
-        log_softmax(trace.theta_hat[t])[:, trace.R[t, p]],
-        np.log(params.block),
-        np.log1p(-params.block),
-        np.bincount(g_row[data.snapshots[t].links[p].astype(bool)], minlength=m)[None],
-        np.bincount(g_row, minlength=m)[None],
-        g_row[p : p + 1],
-    )[0]
+def _draw_memberships(alpha: np.ndarray, groups: np.ndarray, rng: np.random.Generator):
+    """Membership vectors of the people in the columns of ``groups`` (T, N).
 
-
-def role_posterior(
-    p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
-) -> np.ndarray:
-    """Full conditional over person ``p``'s role in snapshot ``t``.
-
-    Proportional to the soft-maxed rate row of the person's current group
-    times the multinomial likelihood of the snapshot's feature counts under
-    each emission column.
+    The Dirichlet prior is conjugate to the per-snapshot group draws, so each
+    conditional is Dirichlet at ``alpha`` plus the person's group counts
+    across the horizon.  The draw is numpy's ``dirichlet`` written for a
+    block of rows: normalized gamma variates, bit for bit and on the same
+    stream as one ``rng.dirichlet`` call per person.  Below a largest
+    concentration of 0.1 numpy switches to stick-breaking, because the
+    gamma variates can then all underflow to zero; such rows are rejected.
     """
-    _check_node_time(p, t, trace.pi.shape[0], trace.horizon)
-    return softmax(_role_logits(p, t, data, params, trace))
-
-
-def group_posterior(
-    p: int, t: int, data: DynamicDataset, params: DGladParams, trace: DGladTrace
-) -> np.ndarray:
-    """Full conditional over person ``p``'s group in snapshot ``t``.
-
-    Proportional to the membership weight, the soft-maxed rate entry of the
-    person's current role, and the Bernoulli likelihood of the person's link
-    row against everyone else's current assignment — the link factor stays
-    in even though the static fitters drop activity-free people, because a
-    group that explains the links badly should not absorb the person here.
-    """
-    _check_node_time(p, t, trace.pi.shape[0], trace.horizon)
-    return softmax(_group_logits(p, t, data, params, trace))
-
-
-def sample_role(
-    p: int,
-    t: int,
-    data: DynamicDataset,
-    params: DGladParams,
-    trace: DGladTrace,
-    rng: np.random.Generator,
-) -> int:
-    """Draw a role for person ``p`` in snapshot ``t`` from its conditional."""
-    _check_node_time(p, t, trace.pi.shape[0], trace.horizon)
-    return _draw_logits(_role_logits(p, t, data, params, trace), rng)
-
-
-def sample_group(
-    p: int,
-    t: int,
-    data: DynamicDataset,
-    params: DGladParams,
-    trace: DGladTrace,
-    rng: np.random.Generator,
-) -> int:
-    """Draw a group for person ``p`` in snapshot ``t`` from its conditional."""
-    _check_node_time(p, t, trace.pi.shape[0], trace.horizon)
-    return _draw_logits(_group_logits(p, t, data, params, trace), rng)
+    alpha = np.asarray(alpha, dtype=float)
+    n, m = groups.shape[1], alpha.shape[0]
+    counts = np.bincount((np.arange(n) * m + groups).ravel(), minlength=n * m)
+    conc = alpha + counts.reshape(n, m)
+    if np.any(conc.max(axis=1) < 0.1):
+        raise ValueError("membership concentrations must reach 0.1 in every row")
+    g = rng.standard_gamma(conc)
+    return g * (1.0 / g.sum(axis=1, keepdims=True))
 
 
 def sample_pi(
     p: int, alpha: np.ndarray, trace: DGladTrace, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw person ``p``'s membership vector.
-
-    The Dirichlet prior is conjugate to the per-snapshot group draws, so the
-    conditional is Dirichlet at ``alpha`` plus the person's group counts
-    across the horizon.  An empty history returns a plain prior draw.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    counts = np.bincount(trace.G[:, p], minlength=alpha.shape[0])
-    return rng.dirichlet(alpha + counts)
+    """Draw person ``p``'s membership vector from its Dirichlet conditional
+    (see ``_draw_memberships``); an empty history gives a plain prior draw."""
+    return _draw_memberships(alpha, trace.G[:, p : p + 1], rng)[0]
 
 
 def effective_sample_size(weights: np.ndarray) -> float:
@@ -626,8 +544,7 @@ def run_sampler(
     history = np.empty((config.sweeps, horizon, n_groups, n_roles))
     for s in range(config.sweeps):
         _scan_assignments(trace, rng, feat_scores, links, logb, log1mb)
-        for p in range(n):
-            trace.pi[p] = sample_pi(p, params.alpha, trace, rng)
+        trace.pi = _draw_memberships(params.alpha, trace.G, rng)
         theta_hat, particles, weights = particle_filter_theta(
             data, params, trace, config.sigma, config.n_particles, rng
         )

@@ -11,24 +11,24 @@ variational family gives every one of those latents a private simplex:
     lam_act  ragged     per-activity group posterior, (A_p, M) per person
     mu_act   ragged     per-activity role posterior, (A_p, K) per person
 
-The fit stores the pair arrays group-major, ``phi_out[g, p, q]``: with M
-small, each per-pair softmax reduces over the leading axis, and the link
-evidence of a whole side is one (M, M) @ (M, N*N) product.  The pair
-kernels below take that layout.  ``Glad0Variational`` exposes the pair
-arrays as (N, N, M) views (``np.moveaxis``), indexed ``phi_out[p, q, g]``;
-the public updates, the M-step and the bound read that shape.  Diagonal
-(p, p) entries of the pair arrays are placeholders kept uniform; no update
-ever reads them and every sum over counterparts excludes them.
+The pair arrays are group-major, ``phi_out[g, p, q]``: with M small, each
+per-pair softmax reduces over the leading axis, and the link evidence of a
+whole side is one (M, M) @ (M, N*N) product.  ``Glad0Variational`` holds the
+arrays that ``fit0`` sweeps, and the M-step and the bound read them in that
+layout.  Diagonal (p, p) entries of the pair arrays are placeholders kept
+uniform; no update ever reads them and every sum over counterparts excludes
+them.
 
 The lower bound (``compute_elbo0``) is assembled for the model exactly as
 generated: receiver sides draw from the *receiver's* membership.  Every
 update is its exact coordinate maximizer.  The membership update credits
 person p with the pair sides drawn from p's membership, the sender row
-``phi_out[p, :]`` plus the receiver column ``phi_in[:, p]`` (in the views'
-indexing), as in MMSB; the published form pools p's sender and receiver
-rows, which does not maximize this bound.  Each update is written once, as
-a block kernel that ``fit0`` sweeps; the public single-coordinate updates
-read one entry of it.
+``phi_out[:, p, :]`` plus the receiver column ``phi_in[:, :, p]``, as in
+MMSB; the published form pools p's sender and receiver rows, which does not
+maximize this bound.  Each update is written once, as a block kernel over
+whole arrays that ``fit0`` sweeps: ``_phi_logits`` for one pair side,
+``_gamma_block``, and ``_lambda_logits`` and ``_mu_logits`` over the stacked
+activities.
 
 The mean-field core shared with the static model comes from ``glad_vem``:
 E[log pi] (``_expected_log_pi``), the role logits (``_mu_logits``), the
@@ -50,6 +50,7 @@ from .glad_vem import (
     _mu_logits,
     best_of_restarts,
     block_ratio,
+    checked_bound,
     dirichlet_terms,
     jitter_rows,
     normalize_or_uniform,
@@ -60,7 +61,6 @@ from .glad_vem import (
 )
 from .model import (
     ActivityDataset,
-    GladNumericsError,
     ModelParams,
     PROB_EPS,
     SIMPLEX_ATOL,
@@ -72,12 +72,6 @@ from .model import (
 __all__ = [
     "Fit0Config",
     "Glad0Variational",
-    "init_state0",
-    "update_gamma0",
-    "update_phi_out",
-    "update_phi_in",
-    "update_lambda0",
-    "update_mu0",
     "m_step0",
     "compute_elbo0",
     "fit0",
@@ -108,8 +102,8 @@ class Fit0Config:
             raise ValueError("tolerances must be >= 0")
         if self.alpha_mode not in ("fixed", "newton"):
             raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,13 +118,13 @@ class Glad0Variational:
 
     def __post_init__(self):
         n, m = self.gamma.shape
-        if self.phi_out.shape != (n, n, m) or self.phi_in.shape != (n, n, m):
-            raise ValueError("pair posteriors must be (N, N, M)")
+        if self.phi_out.shape != (m, n, n) or self.phi_in.shape != (m, n, n):
+            raise ValueError("pair posteriors must be (M, N, N)")
         if np.any(~(self.gamma > 0)):
             raise ValueError("gamma must stay strictly positive")
         for name, arr in (("phi_out", self.phi_out), ("phi_in", self.phi_in)):
-            if np.any(np.abs(arr.sum(axis=2) - 1.0) > SIMPLEX_ATOL):
-                raise ValueError(f"{name} rows must be simplices")
+            if np.any(np.abs(arr.sum(axis=0) - 1.0) > SIMPLEX_ATOL):
+                raise ValueError(f"{name} pair posteriors must be simplices")
         if len(self.lam_act) != n or len(self.mu_act) != n:
             raise ValueError("need one activity posterior list per person")
         for lam, mu in zip(self.lam_act, self.mu_act):
@@ -158,23 +152,6 @@ class Glad0Variational:
             else:
                 out[p] = int(self.gamma[p].argmax())
         return out
-
-
-def init_state0(
-    activity_counts: np.ndarray, n_groups: int, n_roles: int
-) -> Glad0Variational:
-    """Uniform posteriors sized for ``activity_counts`` activities per person."""
-    counts = np.asarray(activity_counts, dtype=np.int64)
-    n = counts.shape[0]
-    if n < 1 or n_groups < 1 or n_roles < 1:
-        raise ValueError("need at least one person, group, and role")
-    gamma = np.full((n, n_groups), 1.0 / n_groups)
-    phi = np.full((n, n, n_groups), 1.0 / n_groups)
-    lam = tuple(np.full((a, n_groups), 1.0 / n_groups) for a in counts)
-    mu = tuple(np.full((a, n_roles), 1.0 / n_roles) for a in counts)
-    return Glad0Variational(
-        gamma=gamma, phi_out=phi, phi_in=phi.copy(), lam_act=lam, mu_act=mu
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -231,57 +208,6 @@ def _lambda_logits(dig, mu, log_theta):
 
 
 # ---------------------------------------------------------------------------
-# single-coordinate updates: one entry of each kernel, read through
-# group-major views of the (N, N, M) arrays
-# ---------------------------------------------------------------------------
-
-def update_gamma0(p, alpha, phi_out, phi_in, lam_act) -> np.ndarray:
-    """Membership pseudo-counts: prior plus person p's sender row and receiver
-    column (self pair excluded) plus p's activity group posteriors."""
-    n = phi_out.shape[0]
-    person = np.repeat(np.arange(n), [lam.shape[0] for lam in lam_act])
-    act = _activity_sums(np.concatenate(lam_act), person, n)
-    return _gamma_block(alpha, np.moveaxis(phi_out, 2, 0), np.moveaxis(phi_in, 2, 0), act)[p]
-
-
-def _phi_entry(p, q, data, params, state, side):
-    if p == q:
-        raise ValueError("no pair posterior for a self pair")
-    pair = np.s_[p : p + 1, q : q + 1]
-    person, other = (p, state.phi_in) if side == "out" else (q, state.phi_out)
-    elogpi = _expected_log_pi(state.gamma[person : person + 1])
-    counterpart = np.moveaxis(other[pair], 2, 0)
-    logits = _phi_logits(data.links[pair], params.block, counterpart, elogpi, side)
-    return _group_softmax(logits)[:, 0, 0]
-
-
-def update_phi_out(p, q, data, params, state) -> np.ndarray:
-    """Sender-side pair posterior for (p, q): the sender's expected
-    log-membership plus the link evidence against the receiver side."""
-    return _phi_entry(p, q, data, params, state, "out")
-
-
-def update_phi_in(p, q, data, params, state) -> np.ndarray:
-    """Receiver-side pair posterior for (p, q), keyed by the receiver's
-    membership (the side is drawn from person q's distribution)."""
-    return _phi_entry(p, q, data, params, state, "in")
-
-
-def update_lambda0(p, a, params, state) -> np.ndarray:
-    """Activity group posterior: digamma of the membership pseudo-counts
-    plus the role posterior's expected log-rate per group."""
-    log_theta = floored_log(params.theta)
-    return softmax(_lambda_logits(digamma(state.gamma[p]), state.mu_act[p][a], log_theta))
-
-
-def update_mu0(p, a, data, params, state) -> np.ndarray:
-    """Activity role posterior: expected log-rate under the activity's
-    group posterior plus the observed feature's log-emission."""
-    log_beta = floored_log(params.beta)[data.feature_ids[p][a]]
-    return softmax(_mu_logits(state.lam_act[p][a], floored_log(params.theta), log_beta))
-
-
-# ---------------------------------------------------------------------------
 # M-step
 # ---------------------------------------------------------------------------
 
@@ -297,8 +223,8 @@ def m_step0(
     off = ~np.eye(n, dtype=bool)
     y = data.links.astype(float) * off
     phi_o, phi_i = state.phi_out, state.phi_in
-    num = np.einsum("pq,pqg,pqh->gh", y, phi_o, phi_i)
-    den = np.einsum("pq,pqg,pqh->gh", off.astype(float), phi_o, phi_i)
+    num = np.einsum("pq,gpq,hpq->gh", y, phi_o, phi_i)
+    den = np.einsum("pq,gpq,hpq->gh", off.astype(float), phi_o, phi_i)
     block = np.clip(block_ratio(num, den), PROB_EPS, 1.0 - PROB_EPS)
 
     k = state.mu_act[0].shape[1] if state.mu_act else 1
@@ -333,15 +259,15 @@ def compute_elbo0(
     elogpi = _expected_log_pi(gamma)
     total = dirichlet_terms(params.alpha, gamma, elogpi)
 
-    phi_o_masked = phi_o * off[:, :, None]
-    phi_i_masked = phi_i * off[:, :, None]
-    total += float(np.einsum("pqg,pg->", phi_o_masked, elogpi))
-    total += float(np.einsum("pqh,qh->", phi_i_masked, elogpi))
+    phi_o_masked = phi_o * off
+    phi_i_masked = phi_i * off
+    total += float(np.einsum("gpq,pg->", phi_o_masked, elogpi))
+    total += float(np.einsum("hpq,qh->", phi_i_masked, elogpi))
 
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)
-    linked = np.einsum("pqg,gh,pqh->pq", phi_o, log_b, phi_i)
-    unlinked = np.einsum("pqg,gh,pqh->pq", phi_o, log_1mb, phi_i)
+    linked = np.einsum("gpq,gh,hpq->pq", phi_o, log_b, phi_i)
+    unlinked = np.einsum("gpq,gh,hpq->pq", phi_o, log_1mb, phi_i)
     y = data.links.astype(float)
     total += float((off * (y * linked + (1.0 - y) * unlinked)).sum())
 
@@ -453,15 +379,15 @@ def fit0(
     def snapshot():
         return Glad0Variational(
             gamma=gamma,
-            phi_out=np.moveaxis(phi_out, 0, 2),
-            phi_in=np.moveaxis(phi_in, 0, 2),
+            phi_out=phi_out,
+            phi_in=phi_in,
             lam_act=tuple(np.array(a) for a in np.split(flat_lam, cuts)),
             mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
         )
 
-    trace = [compute_elbo0(data, params, snapshot())]
+    trace = [checked_bound(compute_elbo0(data, params, snapshot()), 0)]
     converged = False
-    for _ in range(config.max_iters):
+    for iteration in range(1, config.max_iters + 1):
         for _ in range(config.inner_max):
             delta = _sweep0(
                 data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
@@ -470,9 +396,7 @@ def fit0(
                 break
         state = snapshot()
         params = m_step0(data, state, params.alpha, alpha_mode=config.alpha_mode)
-        bound = compute_elbo0(data, params, state)
-        if not np.isfinite(bound):
-            raise GladNumericsError("lower bound became non-finite")
+        bound = checked_bound(compute_elbo0(data, params, state), iteration)
         trace.append(bound)
         if stalled(trace[-2], bound, config.tol):
             converged = True

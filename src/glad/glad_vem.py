@@ -2,13 +2,15 @@
 
 Mean-field family: q(pi_p) Dirichlet(gamma_p), q(G_p) categorical(lambda_p),
 q(R_p) categorical(mu_p).  The E-step is a Gauss-Seidel sweep over people in
-index order, updating gamma_p, lambda_p, mu_p in that order (the public
-single-person updates, written back in place); every update is the exact
-coordinate maximizer of the evidence lower bound, so the per-iteration trace
-is non-decreasing.  The bound counts each unordered pair once
-(the adjacency matrix is symmetric; both endpoints still see every partner in
-their lambda update, which is the exact gradient of the once-counted term for
-a symmetric block matrix).  Self-pairs are excluded throughout.
+index order, updating gamma_p, lambda_p, mu_p in that order, each written back
+in place; every update is the exact coordinate maximizer of the evidence
+lower bound, so the per-iteration trace is non-decreasing.  Each update is
+written once, as the kernel the sweep runs: gamma = alpha + lambda,
+``_lambda_logits`` for one person and ``_mu_logits`` for a block of rows.
+The bound counts each unordered pair once (the adjacency matrix is
+symmetric; both endpoints still see every partner in their lambda update,
+which is the exact gradient of the once-counted term for a symmetric block
+matrix).  Self-pairs are excluded throughout.
 
 The graph is read through the dataset's edge index (``Dataset.edges`` and
 ``Dataset.neighbours``), never as a dense N x N matrix, so one EM iteration
@@ -53,9 +55,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "init_state",
-    "update_gamma",
-    "update_lambda",
-    "update_mu",
     "m_step",
     "newton_alpha",
     "compute_elbo",
@@ -106,8 +105,8 @@ class FitConfig:
         # written so that NaN fails the checks
         if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
-        if not self.alpha0 > 0:
-            raise ValueError("alpha0 must be positive")
+        if not 0 < self.alpha0 < np.inf:
+            raise ValueError("alpha0 must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -142,14 +141,9 @@ def init_state(n_nodes: int, n_groups: int, n_roles: int) -> GladVariational:
 
 
 # ---------------------------------------------------------------------------
-# coordinate updates (single person; the fit loop uses the same math swept
-# in place, and the tests pin both against straight-line transcriptions)
+# update kernels (the sweep runs them; the tests pin each against a
+# straight-line transcription)
 # ---------------------------------------------------------------------------
-
-def update_gamma(p: int, params: ModelParams, state: GladVariational) -> np.ndarray:
-    """gamma_p = alpha + lambda_p."""
-    return params.alpha + state.lam[p]
-
 
 def _expected_log_pi(gamma: np.ndarray) -> np.ndarray:
     """E[log pi] under Dirichlet(gamma), along the last axis."""
@@ -182,39 +176,11 @@ def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
     return logits
 
 
-def update_lambda(
-    p: int,
-    data: Dataset,
-    params: ModelParams,
-    state: GladVariational,
-    links_only: bool = False,
-) -> np.ndarray:
-    """Exact coordinate update of the group responsibilities of person p.
-
-    log lambda_{p,m} collects the expected role log-likelihood under theta,
-    the Dirichlet expectation digamma(gamma_pm) - digamma(sum gamma_p), and
-    the link evidence against every other person, then normalizes.
-    """
-    lam, block = state.lam, params.block
-    indptr, indices = data.neighbours
-    role_logits = None if links_only else floored_log(params.theta) @ state.mu[p]
-    logits = _lambda_logits(p, _expected_log_pi(state.gamma[p]),
-                            indices[indptr[p]:indptr[p + 1]], lam, lam.sum(axis=0),
-                            np.log(block), np.log1p(-block), role_logits)
-    return softmax(logits)
-
-
 def _mu_logits(lam, log_theta, log_beta):
     """Unnormalized log role posterior: the expected log-rate under the
     group posterior ``lam`` plus the feature log-likelihood of each role,
     ``log_beta``; one row per person here and per activity in glad0."""
     return lam @ log_theta + log_beta
-
-
-def update_mu(p: int, data: Dataset, params: ModelParams, state: GladVariational) -> np.ndarray:
-    """Exact coordinate update of the role responsibilities of person p."""
-    return softmax(_mu_logits(state.lam[p], floored_log(params.theta),
-                              data.features[p] @ floored_log(params.beta)))
 
 
 def normalize_or_uniform(counts: np.ndarray, axis: int, what: str) -> np.ndarray:
@@ -533,6 +499,15 @@ def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     return params, np.array(state.gamma), lam, mu
 
 
+def checked_bound(bound: float, iteration: int) -> float:
+    """``bound``, or :class:`GladNumericsError` naming the iteration (0 is
+    the initialization) when it is not finite."""
+    if not np.isfinite(bound):
+        when = "at initialization" if iteration == 0 else f"at iteration {iteration}"
+        raise GladNumericsError(f"lower bound is non-finite {when}; aborting")
+    return bound
+
+
 def stalled(previous: float, current: float, tol: float) -> bool:
     """The EM loops' stopping rule: the bound (or log-likelihood) moved by
     at most ``tol`` relative to the previous value (absolute below 1)."""
@@ -565,7 +540,8 @@ def fit(
     noise (re-normalized).
     The ELBO is recorded at initialization and after every iteration; the
     loop stops when its relative change drops below ``config.tol``.  A
-    non-finite bound aborts with :class:`GladNumericsError`.
+    non-finite bound, the initial one included, aborts with
+    :class:`GladNumericsError`.
     """
     config = config or FitConfig()
     if n_roles > data.n_features:
@@ -574,7 +550,8 @@ def fit(
     params, gamma, lam, mu = _init_fit(data, n_groups, n_roles, config)
     xlogbeta = data.features @ floored_log(params.beta)
 
-    trace = [compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)]
+    state = GladVariational(gamma, lam, mu)
+    trace = [checked_bound(compute_elbo(data, params, state, config.links_only), 0)]
     converged = False
     for iteration in range(1, config.max_iters + 1):
         _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
@@ -589,12 +566,7 @@ def fit(
         )
         if not config.links_only:
             xlogbeta = data.features @ floored_log(params.beta)
-        bound = compute_elbo(data, params, state, config.links_only)
-        if not np.isfinite(bound):
-            raise GladNumericsError(
-                f"ELBO became non-finite at iteration {iteration} "
-                f"(previous value {trace[-1]:.6g}); aborting"
-            )
+        bound = checked_bound(compute_elbo(data, params, state, config.links_only), iteration)
         trace.append(bound)
         if stalled(trace[-2], bound, config.tol):
             converged = True

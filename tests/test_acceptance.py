@@ -31,25 +31,25 @@ from glad.generator import (
 )
 from glad.glad0_vem import (
     Fit0Config,
+    _activity_sums,
+    _gamma_block,
+    _group_softmax,
+    _phi_logits,
     fit0,
     m_step0,
-    update_gamma0,
-    update_lambda0,
-    update_mu0,
-    update_phi_in,
-    update_phi_out,
 )
+from glad.glad0_vem import _lambda_logits as _lambda0_logits
 from glad.glad_vem import (
     FitConfig,
+    _expected_log_pi,
+    _lambda_logits,
+    _mu_logits,
     compute_elbo,
     fit,
     infer_state,
     m_step,
-    update_gamma,
-    update_lambda,
-    update_mu,
 )
-from glad.model import ModelParams
+from glad.model import ModelParams, digamma, floored_log, softmax
 from glad.scoring import (
     dynamic_change_score,
     evaluate_dynamic,
@@ -124,20 +124,23 @@ def test_update_kernels_match_straightline_oracles():
         k = 2 + (seed // 2) % 2
         v = 2 + seed % 3
         data, params, state = tgv.random_instance(seed, n=n, m=m, k=k, v=v)
+        indptr, indices = data.neighbours
+        elogpi = _expected_log_pi(state.gamma)
+        log_theta = floored_log(params.theta)
+        role_logits = state.mu @ log_theta.T
+        col = state.lam.sum(axis=0)
+        log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
+        mu = softmax(_mu_logits(state.lam, log_theta, data.features @ floored_log(params.beta)))
         for p in range(n):
-            got = update_lambda(p, data, params, state)
+            got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
+                                         state.lam, col, log_b, log_1mb, role_logits[p]))
             want = tgv.oracle_lambda(
                 p, data.features, data.links, params.alpha, params.block,
                 params.theta, params.beta, state.gamma, state.lam, state.mu,
             )
             worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-            got = update_mu(p, data, params, state)
             want = tgv.oracle_mu(p, data.features, params.theta, params.beta, state.lam)
-            worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-            got = update_gamma(p, params, state)
-            worst_abs = max(
-                worst_abs, float(np.abs(got - (params.alpha + state.lam[p])).max())
-            )
+            worst_abs = max(worst_abs, float(np.abs(mu[p] - want).max()))
         fitted = m_step(data, state, params.alpha)
         blk, th, be = tgv.oracle_m_step(data.features, data.links, state.lam, state.mu)
         for got, want in ((fitted.block, blk), (fitted.theta, th), (fitted.beta, be)):
@@ -159,38 +162,45 @@ def test_update_kernels_match_straightline_oracles():
         data, params, state = tg0.random_instance0(
             seed, n=n, m=m, k=k, v=v, max_acts=2 + seed % 3
         )
+        phi_out, phi_in = tg0.pair_major(state)
+        counts = data.activity_counts
+        person = np.repeat(np.arange(n), counts)
+        flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
+        elogpi = _expected_log_pi(state.gamma)
+        gamma = _gamma_block(params.alpha, state.phi_out, state.phi_in,
+                             _activity_sums(flat_lam, person, n))
+        new_out, new_in = (
+            _group_softmax(_phi_logits(data.links, params.block, other, elogpi, side))
+            for side, other in (("out", state.phi_in), ("in", state.phi_out))
+        )
+        if person.size:  # a softmax needs at least one activity row
+            log_theta = floored_log(params.theta)
+            lam = softmax(_lambda0_logits(digamma(state.gamma)[person], flat_mu, log_theta))
+            log_beta = floored_log(params.beta)[np.concatenate(data.feature_ids)]
+            mu = softmax(_mu_logits(flat_lam, log_theta, log_beta))
+        row = 0
         for p in range(n):
-            got = update_gamma0(p, params.alpha, state.phi_out, state.phi_in, state.lam_act)
-            want = tg0.oracle_gamma0(
-                p, params.alpha, state.phi_out, state.phi_in, state.lam_act
-            )
-            worst_abs = max(worst_abs, float(np.abs(got - want).max()))
+            want = tg0.oracle_gamma0(p, params.alpha, phi_out, phi_in, state.lam_act)
+            worst_abs = max(worst_abs, float(np.abs(gamma[p] - want).max()))
             for q in range(n):
                 if q == p:
                     continue
-                got = update_phi_out(p, q, data, params, state)
-                want = tg0.oracle_phi_out(
-                    p, q, data.links, params.block, state.gamma, state.phi_in
-                )
-                worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-                got = update_phi_in(p, q, data, params, state)
-                want = tg0.oracle_phi_in(
-                    p, q, data.links, params.block, state.gamma, state.phi_out
-                )
-                worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-            for a in range(data.activity_counts[p]):
-                got = update_lambda0(p, a, params, state)
+                want = tg0.oracle_phi_out(p, q, data.links, params.block, state.gamma, phi_in)
+                worst_abs = max(worst_abs, float(np.abs(new_out[:, p, q] - want).max()))
+                want = tg0.oracle_phi_in(p, q, data.links, params.block, state.gamma, phi_out)
+                worst_abs = max(worst_abs, float(np.abs(new_in[:, p, q] - want).max()))
+            for a in range(counts[p]):
                 want = tg0.oracle_lambda0(p, a, state.gamma, params.theta, state.mu_act)
-                worst_abs = max(worst_abs, float(np.abs(got - want).max()))
-                got = update_mu0(p, a, data, params, state)
+                worst_abs = max(worst_abs, float(np.abs(lam[row] - want).max()))
                 want = tg0.oracle_mu0(
                     p, a, data.feature_ids, params.theta, params.beta, state.lam_act
                 )
-                worst_abs = max(worst_abs, float(np.abs(got - want).max()))
+                worst_abs = max(worst_abs, float(np.abs(mu[row] - want).max()))
+                row += 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fitted = m_step0(data, state, params.alpha)
-        want_block = tg0.oracle_m_step0_block(data.links, state.phi_out, state.phi_in)
+        want_block = tg0.oracle_m_step0_block(data.links, phi_out, phi_in)
         worst_abs = max(worst_abs, float(np.abs(fitted.block - want_block).max()))
         if sum(data.activity_counts) > 0:
             theta = np.zeros((m, k))

@@ -222,12 +222,15 @@ def test_fit_glad_rejects_out_of_range_hyper_flags(static_run, tmp_path, capsys,
     ("dglad", "--sigma"), ("dglad", "--alpha0"),
 ])
 def test_fit_rejects_nan_hyper_flags(tmp_path, capsys, model, flag):
-    # the config refuses NaN before the (missing) dataset is read
-    rc = run("fit", "--model", model, "--data", tmp_path / "missing", "--out", tmp_path / "x",
-             "--groups", 2, flag, "nan")
-    assert rc == 1
-    assert "must be" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    # the config refuses NaN, and an infinite prior or walk scale, before
+    # the (missing) dataset is read; an infinite tolerance is the documented
+    # one-iteration mode
+    for value in ("nan",) if flag.endswith("tol") else ("nan", "inf"):
+        rc = run("fit", "--model", model, "--data", tmp_path / "missing",
+                 "--out", tmp_path / "x", "--groups", 2, flag, value)
+        assert rc == 1, value
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_failing_commands_leave_no_out_directory(static_run, tmp_path):

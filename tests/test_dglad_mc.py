@@ -12,22 +12,29 @@ from glad.dglad_mc import (
     DGladConfig,
     DGladParams,
     DGladTrace,
+    _draw_memberships,
+    _draw_rows,
+    _group_kernel,
+    _role_kernel,
     _scan_assignments,
     bootstrap_filter,
     default_params,
     effective_sample_size,
-    group_posterior,
     particle_filter_theta,
-    role_posterior,
     run_sampler,
-    sample_group,
     sample_pi,
-    sample_role,
     systematic_resample,
 )
 from glad.generator import InjectionConfig, inject_anomalies, inject_dynamic_change
 from glad.glad_vem import FitConfig, fit
-from glad.model import Dataset, DynamicDataset, GladNumericsError, softmax
+from glad.model import (
+    Dataset,
+    DynamicDataset,
+    GladNumericsError,
+    floored_log,
+    log_softmax,
+    softmax,
+)
 from glad.scoring import dynamic_change_score, match_groups
 
 
@@ -199,14 +206,21 @@ def test_config_validation():
 # ------------------------------------------------------- role conditional
 
 
+# The role kernel scores every (snapshot, person) at once from the stacked
+# feature log likelihoods; the group kernel scores one person in every
+# snapshot from their neighbours' and everyone's group counts.
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_role_posterior_matches_oracle(seed):
     params = make_params(m=3, k=4, v=5, seed=seed)
     trace = make_trace(params, horizon=3, n=5, seed=seed)
     data = make_data(params, horizon=3, n=5, seed=seed)
+    feat_scores = np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta)
+    post = softmax(_role_kernel(log_softmax(trace.theta_hat), trace.G, feat_scores))
     for t in range(3):
         for p in range(5):
-            got = role_posterior(p, t, data, params, trace)
+            got = post[t, p]
             want = oracle_role(p, t, data, params, trace)
             assert np.allclose(got, want, atol=1e-12)
             assert np.isclose(got.sum(), 1.0)
@@ -221,10 +235,10 @@ def test_role_posterior_uniform_when_nothing_distinguishes():
         theta0=np.zeros((2, 2)),
     )
     trace = make_trace(params, horizon=1, n=3, seed=1)
-    trace.theta_hat = np.zeros((1, 2, 2))
     data = make_data(params, horizon=1, n=3, seed=1)
-    for p in range(3):
-        assert np.allclose(role_posterior(p, 0, data, params, trace), 0.5)
+    feat_scores = data.snapshots[0].features[None] @ floored_log(params.beta)
+    logits = _role_kernel(log_softmax(np.zeros((1, 2, 2))), trace.G, feat_scores)
+    assert np.allclose(softmax(logits), 0.5)
 
 
 def test_role_posterior_pinned_by_supported_column():
@@ -236,35 +250,24 @@ def test_role_posterior_pinned_by_supported_column():
         theta0=np.zeros((2, 2)),
     )
     trace = make_trace(params, horizon=1, n=2, seed=0)
-    trace.theta_hat = np.zeros((1, 2, 2))
     feats = np.array([[0, 3, 3], [0, 4, 2]])
-    links = np.zeros((2, 2), dtype=np.int8)
-    data = DynamicDataset(snapshots=(Dataset(features=feats, links=links),))
-    for p in range(2):
-        post = role_posterior(p, 0, data, params, trace)
-        assert post[1] > 0.999
+    logits = _role_kernel(log_softmax(np.zeros((1, 2, 2))), trace.G,
+                          feats[None] @ floored_log(params.beta))
+    assert np.all(softmax(logits)[0, :, 1] > 0.999)
 
 
 def test_sample_role_frequencies_match_posterior():
+    # person 1's role row, tiled: one inverse-CDF draw per uniform
     params = make_params(m=2, k=2, v=3, seed=3)
     trace = make_trace(params, horizon=1, n=3, seed=3)
     data = make_data(params, horizon=1, n=3, seed=3)
-    post = role_posterior(1, 0, data, params, trace)
+    feat_scores = data.snapshots[0].features[None] @ floored_log(params.beta)
+    logits = _role_kernel(log_softmax(trace.theta_hat), trace.G, feat_scores)[0, 1]
+    post = oracle_role(1, 0, data, params, trace)
     rng = np.random.default_rng(11)
-    draws = np.array([sample_role(1, 0, data, params, trace, rng) for _ in range(100_000)])
+    draws = _draw_rows(np.tile(logits, (100_000, 1)), rng.random(100_000))
     freq = np.bincount(draws, minlength=2) / draws.shape[0]
     assert np.all(np.abs(freq - post) < 0.01)
-
-
-def test_role_rejects_out_of_range_indices():
-    params = make_params()
-    trace = make_trace(params)
-    data = make_data(params)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_role(9, 0, data, params, trace, rng)
-    with pytest.raises(ValueError):
-        sample_role(0, 5, data, params, trace, rng)
 
 
 # ------------------------------------------------------ group conditional
@@ -275,11 +278,18 @@ def test_group_posterior_matches_oracle(seed):
     params = make_params(m=3, k=2, v=4, seed=seed + 20)
     trace = make_trace(params, horizon=2, n=6, seed=seed)
     data = make_data(params, horizon=2, n=6, seed=seed)
-    for t in range(2):
-        for p in range(6):
-            got = group_posterior(p, t, data, params, trace)
+    member = np.eye(3)[trace.G]  # (T, N, M) one-hot groups
+    linked = np.stack([s.links for s in data.snapshots]) @ member
+    ls_theta = log_softmax(trace.theta_hat)
+    for p in range(6):
+        post = softmax(_group_kernel(
+            floored_log(trace.pi[p]), ls_theta[[0, 1], :, trace.R[:, p]],
+            np.log(params.block), np.log1p(-params.block),
+            linked[:, p], member.sum(axis=1), trace.G[:, p],
+        ))
+        for t in range(2):
             want = oracle_group(p, t, data, params, trace)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            assert np.allclose(post[t], want, rtol=1e-9, atol=1e-12)
 
 
 def test_group_posterior_reduces_to_membership():
@@ -293,27 +303,45 @@ def test_group_posterior_reduces_to_membership():
     trace = make_trace(params, horizon=1, n=4, seed=2)
     trace.theta_hat = np.tile(np.array([0.4, -0.1]), (1, 3, 1))
     data = make_data(params, horizon=1, n=4, seed=2)
+    member = np.eye(3)[trace.G]
+    linked = data.snapshots[0].links[None] @ member
     for p in range(4):
-        post = group_posterior(p, 0, data, params, trace)
-        assert np.allclose(post, trace.pi[p], rtol=1e-9)
+        post = softmax(_group_kernel(
+            floored_log(trace.pi[p]), log_softmax(trace.theta_hat)[:, :, trace.R[0, p]],
+            np.log(params.block), np.log1p(-params.block),
+            linked[:, p], member.sum(axis=1), trace.G[:, p],
+        ))
+        assert np.allclose(post[0], trace.pi[p], rtol=1e-9)
 
 
 def test_single_group_always_zero():
     params = make_params(m=1, k=2, v=3, seed=5)
     trace = make_trace(params, horizon=1, n=3, seed=5)
     data = make_data(params, horizon=1, n=3, seed=5)
-    rng = np.random.default_rng(0)
-    assert sample_group(2, 0, data, params, trace, rng) == 0
+    member = np.eye(1)[trace.G[0]]
+    logits = _group_kernel(
+        floored_log(trace.pi[2]), log_softmax(trace.theta_hat)[:, :, trace.R[0, 2]],
+        np.log(params.block), np.log1p(-params.block),
+        data.snapshots[0].links[None, 2] @ member, member.sum(axis=0)[None], trace.G[:, 2],
+    )
+    assert _draw_rows(logits, np.random.default_rng(0).random(1))[0] == 0
 
 
 def test_sample_group_frequencies_match_enumeration():
-    # three people, two groups: exact conditional by brute force
+    # three people, two groups: exact conditional by brute force; person 0's
+    # group row, tiled, one inverse-CDF draw per uniform
     params = make_params(m=2, k=2, v=3, seed=7)
     trace = make_trace(params, horizon=1, n=3, seed=7)
     data = make_data(params, horizon=1, n=3, seed=7)
+    member = np.eye(2)[trace.G[0]]
+    logits = _group_kernel(
+        floored_log(trace.pi[0]), log_softmax(trace.theta_hat)[:, :, trace.R[0, 0]],
+        np.log(params.block), np.log1p(-params.block),
+        data.snapshots[0].links[None, 0] @ member, member.sum(axis=0)[None], trace.G[:, 0],
+    )
     post = oracle_group(0, 0, data, params, trace)
     rng = np.random.default_rng(13)
-    draws = np.array([sample_group(0, 0, data, params, trace, rng) for _ in range(100_000)])
+    draws = _draw_rows(np.tile(logits, (100_000, 1)), rng.random(100_000))
     freq = np.bincount(draws, minlength=2) / draws.shape[0]
     assert np.all(np.abs(freq - post) < 0.01)
 
@@ -339,15 +367,23 @@ def test_group_posterior_label_permutation_equivariance():
         particles=trace.particles[:, perm, :],
         weights=trace.weights[perm],
     )
-    for t in range(2):
+    links = np.stack([s.links for s in data.snapshots])
+    feat_scores = np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta)
+    post = {}
+    for key, (prm, trc) in enumerate(((params, trace), (params2, trace2))):
+        member = np.eye(4)[trc.G]
+        ls_theta = log_softmax(trc.theta_hat)
+        post[key, "role"] = softmax(_role_kernel(ls_theta, trc.G, feat_scores))
         for p in range(5):
-            a = group_posterior(p, t, data, params, trace)
-            b = group_posterior(p, t, data, params2, trace2)
-            assert np.allclose(b, a[perm], rtol=1e-10)
-            # roles see groups only through the current rate row
-            ra = role_posterior(p, t, data, params, trace)
-            rb = role_posterior(p, t, data, params2, trace2)
-            assert np.allclose(rb, ra, rtol=1e-10)
+            post[key, p] = softmax(_group_kernel(
+                floored_log(trc.pi[p]), ls_theta[[0, 1], :, trc.R[:, p]],
+                np.log(prm.block), np.log1p(-prm.block),
+                (links @ member)[:, p], member.sum(axis=1), trc.G[:, p],
+            ))
+    for p in range(5):
+        assert np.allclose(post[1, p], post[0, p][:, perm], rtol=1e-10)
+    # roles see groups only through the current rate row
+    assert np.allclose(post[1, "role"], post[0, "role"], rtol=1e-10)
 
 
 # ------------------------------------------------------------- membership
@@ -365,7 +401,7 @@ def test_sample_pi_prior_mean_without_history():
     )
     alpha = np.array([2.0, 1.0, 1.0])
     rng = np.random.default_rng(3)
-    draws = np.array([sample_pi(0, alpha, empty, rng) for _ in range(20_000)])
+    draws = _draw_memberships(alpha, np.tile(empty.G[:, :1], (1, 20_000)), rng)
     assert np.all(np.abs(draws.mean(axis=0) - alpha / alpha.sum()) < 0.01)
 
 
@@ -375,7 +411,7 @@ def test_sample_pi_counts_shift_the_mean():
     trace.G = np.array([[0, 1], [0, 0], [0, 1], [1, 0]])  # person 0: counts [3, 1]
     alpha = np.array([1.0, 1.0])
     rng = np.random.default_rng(4)
-    draws = np.array([sample_pi(0, alpha, trace, rng) for _ in range(100_000)])
+    draws = _draw_memberships(alpha, np.tile(trace.G[:, :1], (1, 100_000)), rng)
     assert np.all(np.abs(draws.mean(axis=0) - [4.0 / 6.0, 2.0 / 6.0]) < 0.01)
 
 
@@ -387,9 +423,32 @@ def test_sample_pi_concentrates_with_more_history():
     long.G = np.ones((40, 1), dtype=np.int64)
     alpha = np.ones(2)
     rng = np.random.default_rng(5)
-    sd_short = np.std([sample_pi(0, alpha, short, rng)[1] for _ in range(4000)])
-    sd_long = np.std([sample_pi(0, alpha, long, rng)[1] for _ in range(4000)])
+    sd_short = np.std(_draw_memberships(alpha, np.tile(short.G, (1, 4000)), rng)[:, 1])
+    sd_long = np.std(_draw_memberships(alpha, np.tile(long.G, (1, 4000)), rng)[:, 1])
     assert sd_long < sd_short / 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_membership_draw_is_numpys_dirichlet_per_person(seed):
+    # bit for bit, and the stream stays in step, so run_sampler's single
+    # block draw matches one rng.dirichlet (or sample_pi) call per person
+    params = make_params(m=4, seed=seed)
+    trace = make_trace(params, horizon=5, n=30, seed=seed)
+    alpha = np.random.default_rng(seed).uniform(0.05, 2.0, size=4)
+    block, loop, single = (np.random.default_rng(100 + seed) for _ in range(3))
+    got = _draw_memberships(alpha, trace.G, block)
+    want = [loop.dirichlet(alpha + np.bincount(trace.G[:, p], minlength=4)) for p in range(30)]
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, [sample_pi(p, alpha, trace, single) for p in range(30)])
+    assert block.random() == loop.random() == single.random()
+
+
+def test_membership_draw_rejects_stick_breaking_rows():
+    # numpy's dirichlet switches to stick-breaking below a largest
+    # concentration of 0.1, where normalized gamma variates can be 0/0
+    with pytest.raises(ValueError, match="0.1"):
+        _draw_memberships(np.full(3, 0.05), np.zeros((0, 2), dtype=np.int64),
+                          np.random.default_rng(0))
 
 
 # ---------------------------------------------------- resampling plumbing
@@ -621,10 +680,11 @@ def test_run_sampler_start_draws_roles_and_memberships_from_seed_stream():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_scan_replays_all_roles_then_each_persons_groups(seed):
-    # one sweep's G/R are the public conditionals replayed in the blocked
-    # order on the sampler's own seeded stream: every role (snapshots
-    # ascending, people ascending), then each person's group in every
-    # snapshot (people ascending, snapshots ascending)
+    # one sweep's G/R are the oracle conditionals replayed in the blocked
+    # order on the sampler's own seeded stream, one inverse-CDF draw per
+    # uniform: every role (snapshots ascending, people ascending), then each
+    # person's group in every snapshot (people ascending, snapshots
+    # ascending), each draw written back before the next
     data, _ = small_dynamic_instance(seed=seed)
     params = make_params(m=2, k=2, v=2, seed=seed)
     cfg = DGladConfig(sweeps=1, burn_in=0, n_particles=8, seed=20 + seed)
@@ -635,12 +695,14 @@ def test_scan_replays_all_roles_then_each_persons_groups(seed):
     horizon, n = data.horizon, data.n_nodes
     rng.integers(0, 2, size=(horizon, n))
     rng.dirichlet(params.alpha, size=n)
+    u = rng.random((horizon, n))
     for t in range(horizon):
         for p in range(n):
-            trace.R[t, p] = sample_role(p, t, data, params, trace, rng)
+            trace.R[t, p] = _draw_rows(np.log(oracle_role(p, t, data, params, trace)), u[t, p])
     for p in range(n):
+        u = rng.random(horizon)
         for t in range(horizon):
-            trace.G[t, p] = sample_group(p, t, data, params, trace, rng)
+            trace.G[t, p] = _draw_rows(np.log(oracle_group(p, t, data, params, trace)), u[t])
     assert np.array_equal(res.trace.R, trace.R)
     assert np.array_equal(res.trace.G, trace.G)
 

@@ -11,23 +11,33 @@ from glad.generator import generate_glad0
 from glad.glad0_vem import (
     Fit0Config,
     Glad0Variational,
+    _activity_sums,
+    _gamma_block,
+    _group_softmax,
+    _lambda_logits,
+    _phi_logits,
     _sweep0,
     compute_elbo0,
     fit0,
-    init_state0,
     m_step0,
-    update_gamma0,
-    update_lambda0,
-    update_mu0,
-    update_phi_in,
-    update_phi_out,
 )
-from glad.glad_vem import FitConfig
-from glad.model import ActivityDataset, Dataset, ModelParams, PROB_EPS
+from glad.glad_vem import FitConfig, _expected_log_pi, _mu_logits
+from glad.model import (
+    ActivityDataset,
+    Dataset,
+    GladNumericsError,
+    ModelParams,
+    PROB_EPS,
+    digamma,
+    floored_log,
+    softmax,
+)
 
 
 # ---------------------------------------------------------------------------
-# straight-line oracles (plain loops, scipy digamma)
+# straight-line oracles (plain loops, scipy digamma); they index the pair
+# arrays pair-major, phi[p, q, g], so the tests hand them np.moveaxis views
+# of the group-major state
 # ---------------------------------------------------------------------------
 
 def _flog(v):
@@ -143,59 +153,79 @@ def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
     lam = tuple(rng.dirichlet(np.ones(m), size=c) for c in counts)
     mu = tuple(rng.dirichlet(np.ones(k), size=c) for c in counts)
     state = Glad0Variational(
-        gamma=gamma, phi_out=phi_out, phi_in=phi_in, lam_act=lam, mu_act=mu
+        gamma=gamma, phi_out=np.moveaxis(phi_out, 2, 0), phi_in=np.moveaxis(phi_in, 2, 0),
+        lam_act=lam, mu_act=mu,
     )
     return data, params, state
 
 
+def pair_major(state):
+    """(N, N, M) views of the state's pair arrays, the oracles' indexing."""
+    return np.moveaxis(state.phi_out, 0, 2), np.moveaxis(state.phi_in, 0, 2)
+
+
 # ---------------------------------------------------------------------------
-# update oracles
+# update kernels against the oracles, every entry of each block
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
 def test_update_gamma0_matches_oracle(seed):
     data, params, state = random_instance0(seed)
-    for p in range(data.n_nodes):
-        got = update_gamma0(p, params.alpha, state.phi_out, state.phi_in, state.lam_act)
-        want = oracle_gamma0(p, params.alpha, state.phi_out, state.phi_in, state.lam_act)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    n = data.n_nodes
+    person = np.repeat(np.arange(n), data.activity_counts)
+    act = _activity_sums(np.concatenate(state.lam_act), person, n)
+    got = _gamma_block(params.alpha, state.phi_out, state.phi_in, act)
+    phi_out, phi_in = pair_major(state)
+    for p in range(n):
+        want = oracle_gamma0(p, params.alpha, phi_out, phi_in, state.lam_act)
+        np.testing.assert_allclose(got[p], want, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_update_phi_matches_oracle(seed):
     data, params, state = random_instance0(seed)
     n = data.n_nodes
+    elogpi = _expected_log_pi(state.gamma)
+    new_out = _group_softmax(_phi_logits(data.links, params.block, state.phi_in, elogpi, "out"))
+    new_in = _group_softmax(_phi_logits(data.links, params.block, state.phi_out, elogpi, "in"))
+    phi_out, phi_in = pair_major(state)
     for p in range(n):
         for q in range(n):
             if p == q:
                 continue
             np.testing.assert_allclose(
-                update_phi_out(p, q, data, params, state),
-                oracle_phi_out(p, q, data.links, params.block, state.gamma, state.phi_in),
+                new_out[:, p, q],
+                oracle_phi_out(p, q, data.links, params.block, state.gamma, phi_in),
                 atol=1e-12,
             )
             np.testing.assert_allclose(
-                update_phi_in(p, q, data, params, state),
-                oracle_phi_in(p, q, data.links, params.block, state.gamma, state.phi_out),
+                new_in[:, p, q],
+                oracle_phi_in(p, q, data.links, params.block, state.gamma, phi_out),
                 atol=1e-12,
             )
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_update_activity_posteriors_match_oracle(seed):
+    # one row per activity, people ascending, as fit0 stacks them
     data, params, state = random_instance0(seed)
-    for p in range(data.n_nodes):
-        for a in range(data.activity_counts[p]):
-            np.testing.assert_allclose(
-                update_lambda0(p, a, params, state),
-                oracle_lambda0(p, a, state.gamma, params.theta, state.mu_act),
-                atol=1e-12,
-            )
-            np.testing.assert_allclose(
-                update_mu0(p, a, data, params, state),
-                oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, state.lam_act),
-                atol=1e-12,
-            )
+    counts = data.activity_counts
+    person = np.repeat(np.arange(data.n_nodes), counts)
+    log_theta = floored_log(params.theta)
+    log_beta = floored_log(params.beta)[np.concatenate(data.feature_ids)]
+    lam = softmax(_lambda_logits(digamma(state.gamma)[person], np.concatenate(state.mu_act),
+                                 log_theta))
+    mu = softmax(_mu_logits(np.concatenate(state.lam_act), log_theta, log_beta))
+    acts = [(p, a) for p in range(data.n_nodes) for a in range(counts[p])]
+    for row, (p, a) in enumerate(acts):
+        np.testing.assert_allclose(
+            lam[row], oracle_lambda0(p, a, state.gamma, params.theta, state.mu_act), atol=1e-12
+        )
+        np.testing.assert_allclose(
+            mu[row],
+            oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, state.lam_act),
+            atol=1e-12,
+        )
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -204,19 +234,19 @@ def test_m_step0_block_matches_oracle(seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         got = m_step0(data, state, params.alpha)
-    want = oracle_m_step0_block(data.links, state.phi_out, state.phi_in)
+    want = oracle_m_step0_block(data.links, *pair_major(state))
     np.testing.assert_allclose(got.block, want, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_sweep0_is_the_public_updates_in_block_order(seed):
-    # one block sweep = update_phi_out over all pairs, then update_phi_in,
-    # update_gamma0, update_lambda0 and update_mu0, each written back; the
-    # sweep takes group-major (M, N, N) copies of the pair arrays
+    # one block sweep = the oracle phi_out update over all pairs, then
+    # phi_in, gamma, the activity lambdas and the activity mus, each written
+    # back before the next block
     data, params, state = random_instance0(seed, n=5, m=3)
     n, counts = data.n_nodes, data.activity_counts
     gamma = np.array(state.gamma)
-    phi_out, phi_in = (np.moveaxis(a, 2, 0).copy() for a in (state.phi_out, state.phi_in))
+    phi_out, phi_in = np.array(state.phi_out), np.array(state.phi_in)
     flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
     person = np.repeat(np.arange(n), counts)
     ids = np.concatenate(data.feature_ids)
@@ -225,21 +255,25 @@ def test_sweep0_is_the_public_updates_in_block_order(seed):
     pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
     acts = [(p, a) for p in range(n) for a in range(counts[p])]
     assert acts
+    want_gamma = np.array(state.gamma)
+    want_out, want_in = (a.copy() for a in pair_major(state))
+    want_lam = [np.array(a) for a in state.lam_act]
+    want_mu = [np.array(a) for a in state.mu_act]
     for p, q in pairs:
-        state.phi_out[p, q] = update_phi_out(p, q, data, params, state)
+        want_out[p, q] = oracle_phi_out(p, q, data.links, params.block, want_gamma, want_in)
     for p, q in pairs:
-        state.phi_in[p, q] = update_phi_in(p, q, data, params, state)
+        want_in[p, q] = oracle_phi_in(p, q, data.links, params.block, want_gamma, want_out)
     for p in range(n):
-        state.gamma[p] = update_gamma0(p, params.alpha, state.phi_out, state.phi_in, state.lam_act)
+        want_gamma[p] = oracle_gamma0(p, params.alpha, want_out, want_in, want_lam)
     for p, a in acts:
-        state.lam_act[p][a] = update_lambda0(p, a, params, state)
+        want_lam[p][a] = oracle_lambda0(p, a, want_gamma, params.theta, want_mu)
     for p, a in acts:
-        state.mu_act[p][a] = update_mu0(p, a, data, params, state)
-    np.testing.assert_allclose(np.moveaxis(phi_out, 0, 2), state.phi_out, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(np.moveaxis(phi_in, 0, 2), state.phi_in, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(gamma, state.gamma, atol=1e-10, rtol=0)
-    np.testing.assert_allclose(flat_lam, np.concatenate(state.lam_act), atol=1e-10, rtol=0)
-    np.testing.assert_allclose(flat_mu, np.concatenate(state.mu_act), atol=1e-10, rtol=0)
+        want_mu[p][a] = oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, want_lam)
+    np.testing.assert_allclose(np.moveaxis(phi_out, 0, 2), want_out, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(np.moveaxis(phi_in, 0, 2), want_in, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(gamma, want_gamma, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(flat_lam, np.concatenate(want_lam), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(flat_mu, np.concatenate(want_mu), atol=1e-10, rtol=0)
 
 
 def test_m_step0_theta_beta_match_oracle():
@@ -266,78 +300,55 @@ def test_m_step0_theta_beta_match_oracle():
 # ---------------------------------------------------------------------------
 
 def test_gamma0_single_node_one_activity():
-    phi = np.full((1, 1, 2), 0.5)
-    lam = (np.array([[1.0, 0.0]]),)
-    got = update_gamma0(0, np.array([1.0, 1.0]), phi, phi, lam)
-    np.testing.assert_allclose(got, [2.0, 1.0], atol=1e-12)
+    phi = np.full((2, 1, 1), 0.5)
+    act = _activity_sums(np.array([[1.0, 0.0]]), np.array([0]), 1)
+    got = _gamma_block(np.array([1.0, 1.0]), phi, phi, act)
+    np.testing.assert_allclose(got, [[2.0, 1.0]], atol=1e-12)
 
 
 def test_gamma0_uniform_pairs_count_directions():
-    phi = np.full((3, 3, 2), 0.5)
-    lam = tuple(np.zeros((0, 2)) for _ in range(3))
-    got = update_gamma0(1, np.zeros(2), phi, phi, lam)
-    np.testing.assert_allclose(got, [2.0, 2.0], atol=1e-12)
+    phi = np.full((2, 3, 3), 0.5)
+    got = _gamma_block(np.zeros(2), phi, phi, np.zeros((3, 2)))
+    np.testing.assert_allclose(got[1], [2.0, 2.0], atol=1e-12)
 
 
 def test_phi_out_constant_block_reduces_to_digamma():
     data, params, state = random_instance0(0)
-    flat = ModelParams(params.alpha, np.full((2, 2), 0.3), params.theta, params.beta)
-    got = update_phi_out(0, 1, data, flat, state)
+    elogpi = _expected_log_pi(state.gamma)
+    logits = _phi_logits(data.links, np.full((2, 2), 0.3), state.phi_in, elogpi, "out")
     g = state.gamma[0]
     want = np.exp(scipy.special.psi(g) - scipy.special.psi(g.sum()))
-    np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
+    np.testing.assert_allclose(_group_softmax(logits)[:, 0, 1], want / want.sum(), atol=1e-12)
 
 
 def test_phi_uniform_under_symmetric_gamma_and_flat_block():
     data, params, state = random_instance0(1)
-    sym = Glad0Variational(
-        gamma=np.full((4, 2), 1.3),
-        phi_out=state.phi_out,
-        phi_in=state.phi_in,
-        lam_act=state.lam_act,
-        mu_act=state.mu_act,
-    )
-    flat = ModelParams(params.alpha, np.full((2, 2), 0.4), params.theta, params.beta)
-    np.testing.assert_allclose(update_phi_out(2, 3, data, flat, sym), [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(update_phi_in(2, 3, data, flat, sym), [0.5, 0.5], atol=1e-12)
+    elogpi = _expected_log_pi(np.full((4, 2), 1.3))
+    flat = np.full((2, 2), 0.4)
+    for side, other in (("out", state.phi_in), ("in", state.phi_out)):
+        got = _group_softmax(_phi_logits(data.links, flat, other, elogpi, side))
+        np.testing.assert_allclose(got[:, 2, 3], [0.5, 0.5], atol=1e-12)
 
 
 def test_phi_out_linked_follows_one_hot_counterpart():
     data, params, state = random_instance0(2)
     block = np.array([[0.9, 0.1], [0.1, 0.9]])
-    strong = ModelParams(params.alpha, block, params.theta, params.beta)
     linked = np.ones((4, 4), dtype=int) - np.eye(4, dtype=int)
     data = ActivityDataset(feature_ids=data.feature_ids, links=linked, n_features=3)
     one_hot = np.array(state.phi_in)
-    one_hot[0, 1] = [0.0, 1.0]
-    pointed = Glad0Variational(
-        gamma=np.full((4, 2), 1.0),
-        phi_out=state.phi_out,
-        phi_in=one_hot,
-        lam_act=state.lam_act,
-        mu_act=state.mu_act,
-    )
-    got = update_phi_out(0, 1, data, strong, pointed)
-    assert got.argmax() == 1
-
-
-def test_phi_rejects_self_pair():
-    data, params, state = random_instance0(0)
-    with pytest.raises(ValueError):
-        update_phi_out(1, 1, data, params, state)
-    with pytest.raises(ValueError):
-        update_phi_in(2, 2, data, params, state)
+    one_hot[:, 0, 1] = [0.0, 1.0]
+    elogpi = _expected_log_pi(np.full((4, 2), 1.0))
+    got = _group_softmax(_phi_logits(data.links, block, one_hot, elogpi, "out"))
+    assert got[:, 0, 1].argmax() == 1
 
 
 def test_lambda0_identical_rate_rows_uses_gamma_only():
     data, params, state = random_instance0(4)
-    same = ModelParams(
-        params.alpha, params.block, np.array([[0.3, 0.7], [0.3, 0.7]]), params.beta
-    )
     p = 0
     if data.activity_counts[p] == 0:
         pytest.skip("instance drew no activities for person 0")
-    got = update_lambda0(p, 0, same, state)
+    same = np.array([[0.3, 0.7], [0.3, 0.7]])
+    got = softmax(_lambda_logits(digamma(state.gamma[p]), state.mu_act[p][0], np.log(same)))
     g = np.exp(scipy.special.psi(state.gamma[p]))
     np.testing.assert_allclose(got, g / g.sum(), atol=1e-12)
 
@@ -346,29 +357,18 @@ def test_mu0_identical_emissions_uses_rates_only():
     data, params, state = random_instance0(6)
     p = next(p for p in range(4) if data.activity_counts[p] > 0)
     same_beta = np.full((3, 2), 1.0 / 3)
-    flat = ModelParams(params.alpha, params.block, params.theta, same_beta)
-    got = update_mu0(p, 0, data, flat, state)
+    log_beta = np.log(same_beta)[data.feature_ids[p][0]]
+    got = softmax(_mu_logits(state.lam_act[p][0], floored_log(params.theta), log_beta))
     s = state.lam_act[p][0] @ np.log(params.theta)
     want = np.exp(s - s.max())
     np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
 
 
 def test_mu0_one_hot_emissions_pin_the_role():
-    feature_ids = (np.array([1]),)
-    data = ActivityDataset(feature_ids=feature_ids, links=np.zeros((1, 1)), n_features=2)
-    beta = np.array([[1.0, 0.0], [0.0, 1.0]])  # role 0 emits feature 0, role 1 feature 1
-    params = ModelParams(
-        alpha=np.array([1.0]), block=np.array([[0.5]]),
-        theta=np.array([[0.5, 0.5]]), beta=beta,
-    )
-    state = Glad0Variational(
-        gamma=np.array([[1.0]]),
-        phi_out=np.full((1, 1, 1), 1.0),
-        phi_in=np.full((1, 1, 1), 1.0),
-        lam_act=(np.array([[1.0]]),),
-        mu_act=(np.array([[0.5, 0.5]]),),
-    )
-    got = update_mu0(0, 0, data, params, state)
+    # one activity with feature 1; role 0 emits feature 0, role 1 feature 1
+    beta = np.array([[1.0, 0.0], [0.0, 1.0]])
+    theta = np.array([[0.5, 0.5]])
+    got = softmax(_mu_logits(np.array([1.0]), floored_log(theta), floored_log(beta)[1]))
     assert got.argmax() == 1 and got[1] > 0.999
 
 
@@ -395,10 +395,10 @@ def test_m_step0_rejects_unknown_alpha_mode():
 
 def test_m_step0_one_hot_saturates_block():
     n, m = 4, 2
-    phi_out = np.zeros((n, n, m))
-    phi_in = np.zeros((n, n, m))
-    phi_out[:, :, 0] = 1.0
-    phi_in[:, :, 1] = 1.0
+    phi_out = np.zeros((m, n, n))
+    phi_in = np.zeros((m, n, n))
+    phi_out[0] = 1.0
+    phi_in[1] = 1.0
     y = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
     data = ActivityDataset(
         feature_ids=tuple(np.zeros(0, dtype=int) for _ in range(n)), links=y, n_features=2
@@ -431,42 +431,31 @@ def test_activity_dataset_checks_links_as_dataset_does(links, match):
 
 
 # ---------------------------------------------------------------------------
-# state container and init
+# state container
 # ---------------------------------------------------------------------------
 
-def test_init_state0_uniform_and_sized():
-    s = init_state0(np.array([2, 0, 1]), 2, 3)
-    assert s.phi_out.shape == (3, 3, 2)
-    assert [a.shape for a in s.lam_act] == [(2, 2), (0, 2), (1, 2)]
-    assert [a.shape for a in s.mu_act] == [(2, 3), (0, 3), (1, 3)]
-    np.testing.assert_allclose(s.gamma, 0.5)
-    with pytest.raises(ValueError):
-        init_state0(np.array([1]), 0, 2)
-
-
 def test_state_validation_catches_bad_rows():
-    good = init_state0(np.array([1, 1]), 2, 2)
-    bad_phi = np.array(good.phi_out)
-    bad_phi[0, 1] = [0.7, 0.7]
+    # three people, two groups, one activity each, pair arrays group-major
+    phi = np.full((2, 3, 3), 0.5)
+    acts = tuple(np.full((1, 2), 0.5) for _ in range(3))
+    good = dict(gamma=np.full((3, 2), 0.5), phi_out=phi, phi_in=phi, lam_act=acts, mu_act=acts)
+    Glad0Variational(**good)
+    with pytest.raises(ValueError, match=r"\(M, N, N\)"):
+        Glad0Variational(**{**good, "phi_in": np.moveaxis(phi, 0, 2)})
+    bad_phi = phi.copy()
+    bad_phi[:, 0, 1] = [0.7, 0.7]
     with pytest.raises(ValueError, match="simplices"):
-        Glad0Variational(
-            gamma=good.gamma, phi_out=bad_phi, phi_in=good.phi_in,
-            lam_act=good.lam_act, mu_act=good.mu_act,
-        )
+        Glad0Variational(**{**good, "phi_out": bad_phi})
     with pytest.raises(ValueError, match="positive"):
-        Glad0Variational(
-            gamma=np.zeros((2, 2)), phi_out=good.phi_out, phi_in=good.phi_in,
-            lam_act=good.lam_act, mu_act=good.mu_act,
-        )
+        Glad0Variational(**{**good, "gamma": np.zeros((3, 2))})
 
 
 def test_grouping_falls_back_to_gamma_without_activities():
-    s = init_state0(np.array([0, 2]), 2, 2)
+    phi = np.full((2, 2, 2), 0.5)
     gamma = np.array([[0.2, 5.0], [1.0, 1.0]])
     lam = (np.zeros((0, 2)), np.array([[0.9, 0.1], [0.8, 0.2]]))
-    state = Glad0Variational(
-        gamma=gamma, phi_out=s.phi_out, phi_in=s.phi_in, lam_act=lam, mu_act=s.mu_act
-    )
+    mu = (np.zeros((0, 2)), np.full((2, 2), 0.5))
+    state = Glad0Variational(gamma=gamma, phi_out=phi, phi_in=phi, lam_act=lam, mu_act=mu)
     np.testing.assert_array_equal(state.grouping(), [1, 0])
 
 
@@ -493,6 +482,16 @@ def test_fit0_single_outer_iteration_when_tol_inf():
     data, _ = generate_glad0(_planted_params(), 12, 4, seed=0)
     res = fit0(data, 2, 2, Fit0Config(max_iters=20, tol=np.inf, seed=0))
     assert res.n_iters == 1 and res.converged
+
+
+def test_fit0_checks_the_bound_at_initialization():
+    # log Gamma of a subnormal prior is inf, so the very first bound is not
+    # finite; the abort names the start, not the first iteration
+    data, _ = generate_glad0(_planted_params(), 12, 4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(GladNumericsError, match="at initialization"):
+            fit0(data, 2, 2, Fit0Config(max_iters=3, alpha0=1e-320))
 
 
 def test_fit0_deterministic():
@@ -591,8 +590,8 @@ def test_fit0_returned_state_satisfies_invariants():
     data, _ = generate_glad0(_planted_params(), 12, 3, seed=4)
     res = fit0(data, 2, 2, Fit0Config(max_iters=6, seed=1))
     s = res.state
-    np.testing.assert_allclose(s.phi_out.sum(axis=2), 1.0, atol=1e-9)
-    np.testing.assert_allclose(s.phi_in.sum(axis=2), 1.0, atol=1e-9)
+    np.testing.assert_allclose(s.phi_out.sum(axis=0), 1.0, atol=1e-9)
+    np.testing.assert_allclose(s.phi_in.sum(axis=0), 1.0, atol=1e-9)
     for lam, mu in zip(s.lam_act, s.mu_act):
         if lam.size:
             np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)

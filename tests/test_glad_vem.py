@@ -10,17 +10,26 @@ from glad.generator import InjectionConfig, generate_glad, inject_anomalies
 from glad.glad_vem import (
     FitConfig,
     FitResult,
+    _expected_log_pi,
+    _lambda_logits,
+    _mu_logits,
+    _sequential_sweep,
     compute_elbo,
     fit,
     infer_state,
     init_state,
     m_step,
     newton_alpha,
-    update_gamma,
-    update_lambda,
-    update_mu,
 )
-from glad.model import Dataset, GladVariational, ModelParams, PROB_EPS
+from glad.model import (
+    Dataset,
+    GladNumericsError,
+    GladVariational,
+    ModelParams,
+    PROB_EPS,
+    floored_log,
+    softmax,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +178,9 @@ def rel_close(a, b, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# unit updates against the oracles
+# update kernels against the oracles.  The lambda kernel takes what the sweep
+# computes once per sweep: E[log pi] and role logits of every person, the
+# neighbour lists, the column sum of lambda and the log block matrices.
 # ---------------------------------------------------------------------------
 
 def test_init_state_uniform():
@@ -182,18 +193,25 @@ def test_init_state_uniform():
 
 
 def test_update_gamma_is_alpha_plus_lambda():
+    # the sweep's gamma block reads every person's pre-sweep lambda
     data, params, state = random_instance(0)
-    for p in range(data.n_nodes):
-        np.testing.assert_allclose(
-            update_gamma(p, params, state), params.alpha + state.lam[p], atol=0
-        )
+    gamma, lam, mu = (np.array(a) for a in (state.gamma, state.lam, state.mu))
+    xlogbeta = data.features @ floored_log(params.beta)
+    _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, False)
+    np.testing.assert_array_equal(gamma, params.alpha + state.lam)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_update_lambda_matches_oracle(seed):
     data, params, state = random_instance(seed)
+    indptr, indices = data.neighbours
+    elogpi = _expected_log_pi(state.gamma)
+    role_logits = state.mu @ floored_log(params.theta).T
+    col = state.lam.sum(axis=0)
+    log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
     for p in range(data.n_nodes):
-        got = update_lambda(p, data, params, state)
+        got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
+                                     state.lam, col, log_b, log_1mb, role_logits[p]))
         want = oracle_lambda(
             p, data.features, data.links, params.alpha, params.block,
             params.theta, params.beta, state.gamma, state.lam, state.mu,
@@ -204,24 +222,29 @@ def test_update_lambda_matches_oracle(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_update_mu_matches_oracle(seed):
     data, params, state = random_instance(seed, v=4)
+    got = softmax(_mu_logits(state.lam, floored_log(params.theta),
+                             data.features @ floored_log(params.beta)))
     for p in range(data.n_nodes):
-        got = update_mu(p, data, params, state)
         want = oracle_mu(p, data.features, params.theta, params.beta, state.lam)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got[p], want, atol=1e-12)
 
 
 def test_update_lambda_constant_block_ignores_links():
     # all block entries equal: the pairwise term is constant in m and the
     # result is driven by the point-wise and digamma terms alone
     data, params, state = random_instance(3)
-    flat = ModelParams(params.alpha, np.full((2, 2), 0.4), params.theta, params.beta)
-    nolinks = Dataset(features=data.features, links=np.zeros_like(data.links))
+    indptr, indices = data.neighbours
+    elogpi = _expected_log_pi(state.gamma)
+    role_logits = state.mu @ floored_log(params.theta).T
+    col = state.lam.sum(axis=0)
+    log_b, log_1mb = np.log(np.full((2, 2), 0.4)), np.log1p(-np.full((2, 2), 0.4))
     for p in range(data.n_nodes):
-        np.testing.assert_allclose(
-            update_lambda(p, data, flat, state),
-            update_lambda(p, nolinks, flat, state),
-            atol=1e-12,
+        linked, alone = (
+            softmax(_lambda_logits(p, elogpi[p], nbrs, state.lam, col, log_b, log_1mb,
+                                   role_logits[p]))
+            for nbrs in (indices[indptr[p]:indptr[p + 1]], np.zeros(0, dtype=np.int64))
         )
+        np.testing.assert_allclose(linked, alone, atol=1e-12)
 
 
 def test_update_lambda_single_node_uniform():
@@ -233,10 +256,12 @@ def test_update_lambda_single_node_uniform():
         theta=np.full((2, 2), 0.5),
         beta=np.array([[0.7, 0.3], [0.3, 0.7]]),
     )
-    state = GladVariational(
-        gamma=np.array([[1.2, 1.2]]), lam=np.array([[0.5, 0.5]]), mu=np.array([[0.6, 0.4]])
+    gamma, lam, mu = np.array([[1.2, 1.2]]), np.array([[0.5, 0.5]]), np.array([[0.6, 0.4]])
+    logits = _lambda_logits(
+        0, _expected_log_pi(gamma[0]), data.neighbours[1], lam, lam.sum(axis=0),
+        np.log(params.block), np.log1p(-params.block), floored_log(params.theta) @ mu[0],
     )
-    np.testing.assert_allclose(update_lambda(0, data, params, state), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(softmax(logits), [0.5, 0.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -375,12 +400,19 @@ def test_m_step_block_matches_oracles_with_self_links(seed):
 def test_lambda_updates_ignore_self_links(seed):
     data, params, state = random_instance(seed, n=6, m=3, k=2, v=3)
     looped = _with_self_links(data)
+    indptr, indices = looped.neighbours
+    elogpi = _expected_log_pi(state.gamma)
+    role_logits = state.mu @ floored_log(params.theta).T
+    col = state.lam.sum(axis=0)
+    log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
     for p in range(data.n_nodes):
         want = oracle_lambda(
             p, data.features, looped.links, params.alpha, params.block,
             params.theta, params.beta, state.gamma, state.lam, state.mu,
         )
-        np.testing.assert_allclose(update_lambda(p, looped, params, state), want, atol=1e-12)
+        got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
+                                     state.lam, col, log_b, log_1mb, role_logits[p]))
+        np.testing.assert_allclose(got, want, atol=1e-12)
     swept, _ = infer_state(looped, params, FitConfig(max_iters=2))
     plain, _ = infer_state(data, params, FitConfig(max_iters=2))
     np.testing.assert_array_equal(swept.lam, plain.lam)
@@ -422,6 +454,17 @@ def test_fit_tol_inf_runs_exactly_one_iteration():
     res = fit(data, 3, 2, FitConfig(tol=np.inf, seed=0))
     assert res.n_iters == 1
     assert res.converged
+
+
+def test_fit_checks_the_bound_at_initialization():
+    # a subnormal prior passes the config check, but log Gamma of it is
+    # inf and the prior's normalizer inf - inf; the abort names the start,
+    # not the first iteration
+    data, _ = _planted(seed=0, n=30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(GladNumericsError, match="at initialization"):
+            fit(data, 2, 2, FitConfig(max_iters=3, alpha0=1e-320))
 
 
 def test_fit_deterministic_under_seed():
@@ -495,17 +538,21 @@ def test_fit_warns_more_groups_than_people():
 @pytest.mark.parametrize("links_only", [False, True])
 @pytest.mark.parametrize("seed", range(4))
 def test_infer_state_sweep_is_the_public_updates_in_place(seed, links_only):
-    # one E-sweep = update_gamma -> update_lambda -> update_mu for each person
-    # in index order, each result written back before the next person
+    # one E-sweep = the oracle updates gamma_p -> lambda_p -> mu_p for each
+    # person in index order, each result written back before the next
+    # person.  Links-only drops the role term, which an all-ones theta (log
+    # zero) reproduces in the oracle, and leaves mu untouched.
     data, params, _ = random_instance(seed, n=6, m=3, k=2, v=3)
     state, _ = infer_state(data, params, FitConfig(max_iters=1, links_only=links_only))
     start = init_state(data.n_nodes, params.n_groups, params.n_roles)
     gamma, lam, mu = (np.array(a) for a in (start.gamma, start.lam, start.mu))
+    theta = np.ones_like(params.theta) if links_only else params.theta
     for p in range(data.n_nodes):
-        gamma[p] = update_gamma(p, params, GladVariational(gamma, lam, mu))
-        lam[p] = update_lambda(p, data, params, GladVariational(gamma, lam, mu), links_only)
+        gamma[p] = params.alpha + lam[p]
+        lam[p] = oracle_lambda(p, data.features, data.links, params.alpha, params.block,
+                               theta, params.beta, gamma, lam, mu)
         if not links_only:
-            mu[p] = update_mu(p, data, params, GladVariational(gamma, lam, mu))
+            mu[p] = oracle_mu(p, data.features, params.theta, params.beta, lam)
     np.testing.assert_allclose(state.gamma, gamma, atol=1e-10, rtol=0)
     np.testing.assert_allclose(state.lam, lam, atol=1e-10, rtol=0)
     np.testing.assert_allclose(state.mu, mu, atol=1e-10, rtol=0)
