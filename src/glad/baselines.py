@@ -4,9 +4,10 @@ Stage one fits the links alone (the joint model with every point-wise term
 switched off) and hardens memberships to their argmax.  Stage two, given
 that grouping, runs EM for a K-component multinomial mixture over the
 activity rows — one shared emission table, one mixture weight vector per
-group — and scores each group by how badly the population-level mixture
-explains its members.  Comparing this pipeline against the joint fit is
-the point: the baseline cannot let role structure inform the grouping.
+group — in the joint fit's EM loop (``glad_vem.run_em``), and scores each
+group by how badly the population-level mixture explains its members.
+Comparing this pipeline against the joint fit is the point: the baseline
+cannot let role structure inform the grouping.
 """
 
 from __future__ import annotations
@@ -22,17 +23,14 @@ from .model import Dataset, floored_log
 
 __all__ = ["MixtureConfig", "MmsbResult", "GroupMixtureResult", "fit_mmsb", "fit_group_lda"]
 
+# The mixture EM's iteration cap and relative log-likelihood tolerance.
+MAX_ITERS = 200
+TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class MixtureConfig:
-    max_iters: int = 200
-    tol: float = 1e-6
     seed: int = 0
-
-    def __post_init__(self):
-        # written so that NaN fails the check
-        if not (self.max_iters >= 1 and self.tol >= 0):
-            raise ValueError("need max_iters >= 1 and tol >= 0")
 
 
 @dataclass(frozen=True)
@@ -67,9 +65,7 @@ def fit_mmsb(
     links = np.asarray(links)
     config = replace(config or glad_vem.FitConfig(), links_only=True)
     data = Dataset(features=np.zeros((links.shape[0], 1), dtype=np.int64), links=links)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # blank features warn upstream
-        result = glad_vem.fit(data, n_groups, 1, config)
+    result = glad_vem.fit(data, n_groups, 1, config)
     return MmsbResult(
         grouping=result.state.grouping(),
         block=result.params.block,
@@ -123,11 +119,10 @@ def fit_group_lda(
     beta = rng.dirichlet(np.ones(v), size=k).T
     weights = np.full((m, k), 1.0 / k)
 
-    trace = []
-    converged = False
-    for _ in range(config.max_iters):
-        row_ll = _mixture_loglik_rows(features, beta)
-        scored = row_ll + floored_log(weights)[grouping]
+    def step():
+        # the log-likelihood at the current parameters, then the M-step
+        nonlocal weights, beta
+        scored = _mixture_loglik_rows(features, beta) + floored_log(weights)[grouping]
         loglik = float(logsumexp(scored, axis=1).sum())
         resp = np.exp(scored - logsumexp(scored, axis=1, keepdims=True))
 
@@ -139,11 +134,9 @@ def fit_group_lda(
             1.0 / k,
         )
         beta = glad_vem.normalize_or_uniform(features.T @ resp, 0, "beta column")
+        return loglik
 
-        trace.append(loglik)
-        if len(trace) > 1 and glad_vem.stalled(trace[-2], loglik, config.tol):
-            converged = True
-            break
+    trace, converged = glad_vem.run_em(step(), step, MAX_ITERS - 1, TOL)
 
     global_rate = (sizes @ weights) / max(1, n)
     rates = np.where((sizes >= 2)[:, None], weights, global_rate[None, :])
@@ -158,6 +151,6 @@ def fit_group_lda(
         global_rate=global_rate,
         beta=beta,
         scores=scores,
-        trace=np.asarray(trace),
+        trace=trace,
         converged=converged,
     )

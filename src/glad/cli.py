@@ -444,7 +444,7 @@ _MODELS = {
 _FLAG_FIELDS = {"particles": "n_particles"}
 # config fields with no hyper flag: --seed is set on its own, and no
 # command-line run needs the others
-_UNFLAGGED = {"seed", "alpha_mode", "links_only"}
+_UNFLAGGED = {"seed", "links_only"}
 
 
 def _flag_models() -> dict:

@@ -33,9 +33,9 @@ activities.
 The mean-field core shared with the static model comes from ``glad_vem``:
 E[log pi] (``_expected_log_pi``), the role logits (``_mu_logits``), the
 Dirichlet and per-activity bound terms (``dirichlet_terms``, ``row_terms``),
-the M-step kernels (``normalize_or_uniform``, ``block_ratio``,
-``update_alpha``), the start (``seed_params``, ``jitter_rows``), the stopping
-rule (``stalled``), ``best_of_restarts`` and the result type ``FitResult``.
+the M-step kernels (``normalize_or_uniform``, ``block_ratio``), the start
+(``seed_params``, ``jitter_rows``), the EM loop (``run_em``),
+``best_of_restarts`` and the result type ``FitResult``.
 """
 
 from __future__ import annotations
@@ -50,14 +50,12 @@ from .glad_vem import (
     _mu_logits,
     best_of_restarts,
     block_ratio,
-    checked_bound,
     dirichlet_terms,
     jitter_rows,
     normalize_or_uniform,
     row_terms,
+    run_em,
     seed_params,
-    stalled,
-    update_alpha,
 )
 from .model import (
     ActivityDataset,
@@ -82,15 +80,14 @@ __all__ = [
 class Fit0Config:
     """Knobs of the nested loop: ``max_iters``/``tol`` bound the outer EM
     loop, ``inner_max``/``inner_tol`` the inner block sweeps.  The prior
-    starts at ``alpha0``; ``alpha_mode="newton"`` re-fits it in every M-step.
-    ``restarts > 1`` keeps the best final bound of several seeded fits."""
+    ``alpha0`` stays fixed.  ``restarts > 1`` keeps the best final bound of
+    several seeded fits."""
 
     max_iters: int = 100
     tol: float = 1e-6
     inner_max: int = 50
     inner_tol: float = 1e-6
     seed: int = 0
-    alpha_mode: str = "fixed"
     alpha0: float = 0.1
     restarts: int = 1
 
@@ -100,8 +97,6 @@ class Fit0Config:
         # written so that NaN fails the checks
         if not (self.tol >= 0 and self.inner_tol >= 0):
             raise ValueError("tolerances must be >= 0")
-        if self.alpha_mode not in ("fixed", "newton"):
-            raise ValueError("alpha_mode must be 'fixed' or 'newton'")
         if not 0 < self.alpha0 < np.inf:
             raise ValueError("alpha0 must be positive and finite")
 
@@ -215,10 +210,9 @@ def m_step0(
     data: ActivityDataset,
     state: Glad0Variational,
     alpha: np.ndarray,
-    *,
-    alpha_mode: str = "fixed",
 ) -> ModelParams:
-    """Closed-form parameter maximizers from pair and activity posteriors."""
+    """Closed-form parameter maximizers from pair and activity posteriors;
+    the prior ``alpha`` passes through unchanged."""
     n, m = state.gamma.shape
     off = ~np.eye(n, dtype=bool)
     y = data.links.astype(float) * off
@@ -234,7 +228,7 @@ def m_step0(
     beta = np.zeros((data.n_features, k))
     np.add.at(beta, ids, flat_mu)
     return ModelParams(
-        alpha=update_alpha(state.gamma, alpha, alpha_mode),
+        alpha=alpha,
         block=block,
         theta=normalize_or_uniform(flat_lam.T @ flat_mu, 1, "theta row"),
         beta=normalize_or_uniform(beta, 0, "beta column"),
@@ -341,13 +335,15 @@ def fit0(
 
     The inner loop repeats block sweeps until the largest posterior change
     drops below ``inner_tol`` (or ``inner_max`` sweeps) and warm-starts
-    from the previous outer iteration's posteriors.  The outer loop stops
-    on relative change of the lower bound.  With ``restarts > 1`` the
-    whole procedure reruns from derived seeds and the best final bound
-    wins (bad symmetry-breaking basins score visibly worse).
+    from the previous outer iteration's posteriors.  The outer loop is
+    ``run_em``: it stops on relative change of the lower bound.  With
+    ``restarts > 1`` the whole procedure reruns from derived seeds and the
+    best final bound wins (bad symmetry-breaking basins score visibly worse).
     Deterministic under seed.
     """
     config = config or Fit0Config()
+    if min(n_groups, n_roles) < 1:
+        raise ValueError("n_groups and n_roles must be positive")
     if config.restarts > 1:
         return best_of_restarts(
             lambda seed: fit0(data, n_groups, n_roles, replace(config, restarts=1, seed=seed)),
@@ -385,9 +381,8 @@ def fit0(
             mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
         )
 
-    trace = [checked_bound(compute_elbo0(data, params, snapshot()), 0)]
-    converged = False
-    for iteration in range(1, config.max_iters + 1):
+    def step():
+        nonlocal params
         for _ in range(config.inner_max):
             delta = _sweep0(
                 data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
@@ -395,12 +390,9 @@ def fit0(
             if delta <= config.inner_tol:
                 break
         state = snapshot()
-        params = m_step0(data, state, params.alpha, alpha_mode=config.alpha_mode)
-        bound = checked_bound(compute_elbo0(data, params, state), iteration)
-        trace.append(bound)
-        if stalled(trace[-2], bound, config.tol):
-            converged = True
-            break
-    return FitResult(
-        params=params, state=snapshot(), trace=np.asarray(trace), converged=converged
-    )
+        params = m_step0(data, state, params.alpha)
+        return compute_elbo0(data, params, state)
+
+    first = compute_elbo0(data, params, snapshot())
+    trace, converged = run_em(first, step, config.max_iters, config.tol)
+    return FitResult(params=params, state=snapshot(), trace=trace, converged=converged)

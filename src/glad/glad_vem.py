@@ -21,13 +21,13 @@ reverse cumulative sum; the once-counted link mass is then subtracted from it.
 
 The M-step re-estimates beta (per-role feature distributions), theta
 (per-group role mixtures) and the block matrix in closed form; the Dirichlet
-prior alpha stays fixed by default and can be re-fitted by a guarded Newton
-iteration (``alpha_mode="newton"``).
+prior alpha stays fixed at its starting value.
 
 The pieces the per-activity variant (``glad0_vem``) and the baselines share
 live here once: E[log pi], the Dirichlet and per-row bound terms, the
-normalise-with-uniform-fallback and block-ratio M-step kernels, the alpha
-update, the relative-change stopping rule and ``best_of_restarts``.
+normalise-with-uniform-fallback and block-ratio M-step kernels,
+``best_of_restarts`` and the EM loop itself, ``run_em``: it records the
+trace, aborts on a non-finite entry and stops on relative change.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, polygamma
+from scipy.special import gammaln
 
 from .model import (
     ActivityDataset,
@@ -56,7 +56,6 @@ __all__ = [
     "FitResult",
     "init_state",
     "m_step",
-    "newton_alpha",
     "compute_elbo",
     "infer_state",
     "fit",
@@ -65,11 +64,6 @@ __all__ = [
 
 # Multiplicative symmetry-breaking noise on the uniform starting state.
 INIT_NOISE = 0.01
-# The Dirichlet-prior Newton loop also stops once a full step is this small
-# relative to alpha: at small alpha the gradient grows like 1/alpha, and the
-# steps of 1e-9 to 1e-8 of alpha that the absolute gradient tolerance still
-# asks for gain less than the objective's float resolution.
-ALPHA_STEP_RTOL = 1e-6
 # Edges per block in the linked-mass sum.  The two gathered (EDGE_CHUNK, M)
 # blocks stay in cache, and no (E, M) copy is ever held: at 2e5 edges this
 # is about 3x faster than one gather of every edge and keeps 15 MB off the
@@ -86,20 +80,17 @@ class FitConfig:
     involves activities (features, roles, their entropies) and freezes
     theta/beta, which turns the fitter into a plain mixed-membership
     blockmodel; the baseline module relies on this.  ``alpha0`` is the
-    starting (and, with ``alpha_mode="fixed"``, final) Dirichlet prior.  The
-    E-step is always the Gauss-Seidel sweep that carries the ascent guarantee.
+    Dirichlet prior, which the fit keeps fixed.  The E-step is always the
+    Gauss-Seidel sweep that carries the ascent guarantee.
     """
 
     max_iters: int = 200
     tol: float = 1e-6
     seed: int = 0
-    alpha_mode: str = "fixed"  # "fixed" | "newton"
     alpha0: float = 0.1
     links_only: bool = False
 
     def __post_init__(self):
-        if self.alpha_mode not in ("fixed", "newton"):
-            raise ValueError("alpha_mode must be 'fixed' or 'newton'")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         # written so that NaN fails the checks
@@ -203,23 +194,11 @@ def block_ratio(linked: np.ndarray, total: np.ndarray) -> np.ndarray:
     return np.where(bad, 0.5, linked / np.where(bad, 1.0, total))
 
 
-def update_alpha(gamma: np.ndarray, alpha: np.ndarray, alpha_mode: str) -> np.ndarray:
-    """The prior after an M-step: unchanged (``"fixed"``) or the guarded
-    Newton maximizer started at ``alpha`` (``"newton"``, which warns itself
-    when it stops early)."""
-    if alpha_mode == "newton":
-        alpha, _ = newton_alpha(gamma, alpha0=alpha)
-    elif alpha_mode != "fixed":
-        raise ValueError("alpha_mode must be 'fixed' or 'newton'")
-    return alpha
-
-
 def m_step(
     data: Dataset,
     state: GladVariational,
     alpha: np.ndarray,
     *,
-    alpha_mode: str = "fixed",
     links_only: bool = False,
     prev: ModelParams | None = None,
 ) -> ModelParams:
@@ -229,8 +208,9 @@ def m_step(
     expected role mixtures per group, and the block matrix the expected link
     frequency between group pairs over all ordered non-self pairs
     (symmetrized to kill round-off skew, then clamped to the Bernoulli band).
-    Degenerate denominators fall back to uniform entries with a warning.  With
-    ``links_only`` the previous theta/beta are carried through unchanged.
+    Degenerate denominators fall back to uniform entries with a warning.  The
+    prior ``alpha`` passes through unchanged; with ``links_only`` so do the
+    previous theta/beta.
     """
     lam, mu = state.lam, state.mu
     if lam.shape[0] != data.n_nodes:
@@ -248,27 +228,20 @@ def m_step(
     col = lam.sum(axis=0)
     block = block_ratio(once + once.T, np.outer(col, col) - lam.T @ lam)
     block = np.clip(0.5 * (block + block.T), PROB_EPS, 1.0 - PROB_EPS)
-    alpha = update_alpha(state.gamma, alpha, alpha_mode)
     return ModelParams(alpha=alpha, block=block, theta=theta, beta=beta)
-
-
-def _dirichlet_prior(alpha: np.ndarray, elogpi: np.ndarray) -> float:
-    """E[log Dir(pi | alpha)] summed over the rows of ``elogpi`` (E[log pi]
-    per person); one row is ``newton_alpha``'s objective."""
-    elogpi = np.atleast_2d(elogpi)
-    norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
-    return elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
 
 
 def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) -> float:
     """The membership part of the bound: E[log p(pi | alpha)] - E[log q(pi | gamma)],
     summed over people, with ``elogpi`` = E[log pi] under q."""
+    norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
+    log_p = elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
     log_q = (
         gammaln(gamma.sum(axis=1))
         - gammaln(gamma).sum(axis=1)
         + ((gamma - 1.0) * elogpi).sum(axis=1)
     )
-    return _dirichlet_prior(alpha, elogpi) - float(log_q.sum())
+    return log_p - float(log_q.sum())
 
 
 def row_terms(lam, elogpi, mu=None, log_theta=None, feature_loglik=None) -> float:
@@ -282,59 +255,6 @@ def row_terms(lam, elogpi, mu=None, log_theta=None, feature_loglik=None) -> floa
         total += float(np.einsum("ag,gk,ak->", lam, log_theta, mu))
         total += float((mu * feature_loglik).sum()) - float((mu * floored_log(mu)).sum())
     return total
-
-
-def newton_alpha(
-    gamma: np.ndarray,
-    alpha0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iters: int = 100,
-):
-    """Maximum-likelihood Dirichlet prior from the variational posteriors.
-
-    The sufficient statistic is the average expected log-membership
-    mean_p E[log pi_pm] implied by the gamma rows.  Newton steps use the
-    diagonal-plus-rank-one structure of the Hessian; steps are halved until
-    they keep alpha positive and do not decrease the objective, so plugging
-    the result into the ELBO preserves ascent.  Returns ``(alpha, converged)``:
-    converged once the gradient norm is below ``tol`` or a full Newton step is
-    below ``ALPHA_STEP_RTOL`` relative to alpha.  Warns when neither holds
-    after ``max_iters`` iterations.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    suff = _expected_log_pi(gamma).mean(axis=0)
-    m = gamma.shape[1]
-    alpha = np.full(m, 1.0) if alpha0 is None else np.array(alpha0, dtype=float, copy=True)
-
-    converged = False
-    for _ in range(max_iters):
-        grad = digamma(alpha.sum()) - digamma(alpha) + suff
-        if np.max(np.abs(grad)) < tol:
-            converged = True
-            break
-        q = -polygamma(1, alpha)
-        c = polygamma(1, alpha.sum())
-        b = (grad / q).sum() / (1.0 / c + (1.0 / q).sum())
-        step = (grad - b) / q
-        base = _dirichlet_prior(alpha, suff)
-        scale = 1.0
-        for _ in range(60):
-            candidate = alpha - scale * step
-            if np.all(candidate > 0) and _dirichlet_prior(candidate, suff) >= base:
-                break
-            scale *= 0.5
-        else:
-            break  # no acceptable step remains; stay at the current iterate
-        alpha = alpha - scale * step
-        if np.max(np.abs(step / alpha)) < ALPHA_STEP_RTOL:
-            converged = True
-            break
-    if not converged:
-        grad = digamma(alpha.sum()) - digamma(alpha) + suff
-        converged = bool(np.max(np.abs(grad)) < tol)
-        if not converged:
-            warnings.warn("newton_alpha stopped before reaching the gradient tolerance")
-    return alpha, converged
 
 
 def compute_elbo(
@@ -499,19 +419,25 @@ def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
     return params, np.array(state.gamma), lam, mu
 
 
-def checked_bound(bound: float, iteration: int) -> float:
-    """``bound``, or :class:`GladNumericsError` naming the iteration (0 is
-    the initialization) when it is not finite."""
-    if not np.isfinite(bound):
-        when = "at initialization" if iteration == 0 else f"at iteration {iteration}"
-        raise GladNumericsError(f"lower bound is non-finite {when}; aborting")
-    return bound
+def run_em(first: float, step, max_iters: int, tol: float) -> tuple:
+    """The EM loop of every fit: ``(trace, converged)``.
 
-
-def stalled(previous: float, current: float, tol: float) -> bool:
-    """The EM loops' stopping rule: the bound (or log-likelihood) moved by
-    at most ``tol`` relative to the previous value (absolute below 1)."""
-    return abs(current - previous) <= tol * max(1.0, abs(previous))
+    ``trace[0]`` is ``first``, the bound (or log-likelihood) at the start;
+    each of at most ``max_iters`` iterations appends ``step()``, which runs
+    one E-step and M-step and returns the new value.  A non-finite entry
+    aborts with :class:`GladNumericsError` naming its iteration (0 is the
+    start).  The loop converges once the last entry moved by at most ``tol``
+    relative to the one before (absolute below 1).
+    """
+    trace = []
+    for iteration in range(max_iters + 1):
+        trace.append(step() if iteration else first)
+        if not np.isfinite(trace[-1]):
+            when = f"at iteration {iteration}" if iteration else "at initialization"
+            raise GladNumericsError(f"lower bound is non-finite {when}; aborting")
+        if iteration and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
+            return np.array(trace), True
+    return np.array(trace), False
 
 
 def best_of_restarts(run, seed: int, n: int):
@@ -538,8 +464,8 @@ def fit(
     random, the block matrix starts assortative at the observed density,
     and the uniform state gets +-1% multiplicative symmetry-breaking
     noise (re-normalized).
-    The ELBO is recorded at initialization and after every iteration; the
-    loop stops when its relative change drops below ``config.tol``.  A
+    ``run_em`` records the ELBO at initialization and after every iteration
+    and stops when its relative change drops below ``config.tol``.  A
     non-finite bound, the initial one included, aborts with
     :class:`GladNumericsError`.
     """
@@ -550,30 +476,17 @@ def fit(
     params, gamma, lam, mu = _init_fit(data, n_groups, n_roles, config)
     xlogbeta = data.features @ floored_log(params.beta)
 
-    state = GladVariational(gamma, lam, mu)
-    trace = [checked_bound(compute_elbo(data, params, state, config.links_only), 0)]
-    converged = False
-    for iteration in range(1, config.max_iters + 1):
+    def step():
+        nonlocal params, xlogbeta
         _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
         state = GladVariational(gamma, lam, mu)
-        params = m_step(
-            data,
-            state,
-            params.alpha,
-            alpha_mode=config.alpha_mode,
-            links_only=config.links_only,
-            prev=params,
-        )
+        params = m_step(data, state, params.alpha, links_only=config.links_only, prev=params)
         if not config.links_only:
             xlogbeta = data.features @ floored_log(params.beta)
-        bound = checked_bound(compute_elbo(data, params, state, config.links_only), iteration)
-        trace.append(bound)
-        if stalled(trace[-2], bound, config.tol):
-            converged = True
-            break
+        return compute_elbo(data, params, state, config.links_only)
+
+    first = compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)
+    trace, converged = run_em(first, step, config.max_iters, config.tol)
     return FitResult(
-        params=params,
-        state=GladVariational(gamma, lam, mu),
-        trace=np.array(trace),
-        converged=converged,
+        params=params, state=GladVariational(gamma, lam, mu), trace=trace, converged=converged
     )

@@ -231,8 +231,12 @@ def make_report(
     """Assemble a report: rank, flag the top fraction, raise alarms, score.
 
     Alarms are (group, t) pairs whose transition score exceeds
-    ``threshold``.  Metrics appear only when ground truth is supplied.
+    ``threshold``, which must be finite: no score exceeds a NaN, so a NaN
+    threshold would raise no alarm and read as zero recall.  Metrics appear
+    only when ground truth is supplied.
     """
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, not {threshold}")
     group_scores = np.asarray(group_scores, dtype=float)
     ranking = rank_groups(group_scores)
     flagged = top_fraction(group_scores, fraction)

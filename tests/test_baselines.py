@@ -55,6 +55,13 @@ def test_mmsb_trace_monotone():
     assert np.all(np.diff(res.fit.trace) >= -1e-8)
 
 
+def test_mmsb_passes_fit_warnings_to_the_caller():
+    # the links-only fit warns only on a real fallback, and the caller sees it
+    y = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    with pytest.warns(UserWarning, match="more groups than people"):
+        fit_mmsb(y, 4, FitConfig(max_iters=3, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # stage two: per-group mixtures
 # ---------------------------------------------------------------------------
@@ -145,9 +152,24 @@ def test_group_lda_input_validation():
         fit_group_lda(np.zeros((4, 2), dtype=int), np.array([0, 0, 1, 5]), 2, n_groups=2)
     with pytest.raises(ValueError):
         fit_group_lda(np.zeros((4, 2), dtype=int), np.zeros(4, dtype=int), 0)
-    for bad in ({"tol": float("nan")}, {"tol": -1.0}, {"max_iters": 0}):
-        with pytest.raises(ValueError):
-            MixtureConfig(**bad)
+
+
+def test_group_lda_pinned_trace_and_scores():
+    # recorded while the mixture EM still ran its own loop: a reordered
+    # M-step, a shifted trace entry or a changed stopping rule moves these
+    # far beyond the 1e-10 tolerance
+    data, truth = inject_anomalies(
+        InjectionConfig(n_nodes=40, n_groups=3, trials_per_person=20, seed=2)
+    )
+    res = fit_group_lda(data.features, truth.group, 2, MixtureConfig(seed=5))
+    want_trace = [
+        -508.0430258203878, -233.44482207106046, -71.3410765089468,
+        -71.27970169178838, -71.27970169177603,
+    ]
+    want_scores = [31.131925059023562, 27.936722759018448, 32.93195494251219]
+    np.testing.assert_allclose(res.trace, want_trace, rtol=1e-10, atol=0)
+    np.testing.assert_allclose(res.scores, want_scores, rtol=1e-10, atol=0)
+    assert res.converged
 
 
 # ---------------------------------------------------------------------------

@@ -233,16 +233,25 @@ def test_fit_rejects_nan_hyper_flags(tmp_path, capsys, model, flag):
         assert not (tmp_path / "x").exists()
 
 
-def test_failing_commands_leave_no_out_directory(static_run, tmp_path):
+def test_failing_commands_leave_no_out_directory(static_run, tmp_path, capsys):
     _, data_dir, _ = static_run
+    cfg = tmp_path / "act.cfg"
+    cfg.write_text("kind=activity\nn_nodes=12\nn_groups=2\ntrials_per_person=3\nseed=2\n")
+    act_dir = tmp_path / "act"
+    assert run("generate", "--config", cfg, "--out", act_dir) == 0
     failing = [
         ("score", "--fit", tmp_path / "nowhere"),
         ("fit", "--model", "glad", "--data", data_dir, "--groups", 0),
         ("fit", "--model", "glad", "--data", data_dir, "--groups", 3, "--roles", 0),
+        ("fit", "--model", "glad0", "--data", act_dir, "--groups", 0),
+        ("fit", "--model", "glad0", "--data", act_dir, "--groups", 2, "--roles", 0),
+        ("fit", "--model", "glad0", "--data", act_dir, "--groups", 0, "--restarts", 2),
     ]
     for i, argv in enumerate(failing):
         out = tmp_path / f"out{i}"
+        capsys.readouterr()
         assert run(*argv, "--out", out) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
         assert not out.exists(), argv
 
 
@@ -341,6 +350,20 @@ def test_score_without_truth_has_no_metrics(static_run, tmp_path):
     assert run("score", "--fit", fit_dir, "--out", out) == 0
     report = AnomalyReport.from_json((out / "report.json").read_text())
     assert report.metrics == {}
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_threshold_exits_1(dynamic_run, tmp_path, capsys, command, value):
+    # no change score exceeds a NaN threshold, so it would raise no alarm
+    # and read as zero recall
+    _, data_dir, fit_dir = dynamic_run
+    out = tmp_path / "report"
+    rc = run(command, "--fit", fit_dir, "--out", out,
+             "--truth", data_dir / "truth.json", "--threshold", value)
+    assert rc == 1
+    assert "threshold must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_score_on_missing_fit_dir_exits_1(tmp_path, capsys):

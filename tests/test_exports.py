@@ -1,6 +1,9 @@
-"""Every public export of the package resolves, and each one is used."""
+"""Every public export of the package resolves, and each one is used; every
+config field is set by the program, not only by tests."""
 
+import argparse
 import ast
+import dataclasses
 import functools
 import importlib
 import pkgutil
@@ -9,6 +12,11 @@ from pathlib import Path
 import pytest
 
 import glad
+from glad.baselines import MixtureConfig
+from glad.cli import _FLAG_FIELDS, _MODELS, build_parser
+from glad.dglad_mc import DGladConfig
+from glad.glad0_vem import Fit0Config
+from glad.glad_vem import FitConfig
 
 MODULES = ["glad"] + [f"glad.{info.name}" for info in pkgutil.iter_modules(glad.__path__)]
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,22 +39,31 @@ def test_all_names_resolve(name):
 
 
 @functools.cache
+def _program_files():
+    # parsed sources of the program, the benchmark and the scripts, without
+    # their tests
+    return tuple(
+        ast.parse(path.read_text())
+        for folder in ("src", "perfbench", "scripts")
+        for path in (ROOT / folder).rglob("*.py")
+        if not path.name.startswith("test_")
+    )
+
+
+@functools.cache
 def _names_used_outside_tests():
     # identifiers read, attributes taken and names imported anywhere in the
     # program, the benchmark and the scripts; a definition, an assignment,
     # an ``__all__`` string or a docstring mention is not a use
     used = set()
-    for folder in ("src", "perfbench", "scripts"):
-        for path in (ROOT / folder).rglob("*.py"):
-            if path.name.startswith("test_"):
-                continue
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name)
+    for tree in _program_files():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
     return frozenset(used)
 
 
@@ -58,3 +75,39 @@ def test_every_export_is_used_outside_tests(name):
         if attr not in used and (name, attr) not in SAMPLERS
     ]
     assert not unused, f"{name} exports names only tests reach: {unused}"
+
+
+def _keywords_passed_outside_tests(callee):
+    # keyword names of every call to ``callee`` (a bare or dotted name) in
+    # the program, the benchmark and the scripts
+    passed = set()
+    for tree in _program_files():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    passed.update(k.arg for k in node.keywords if k.arg)
+    return passed
+
+
+def _fit_flag_fields():
+    # the config field each `glad fit` option sets, --seed included
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        _FLAG_FIELDS.get(action.dest, action.dest)
+        for action in commands.choices["fit"]._actions
+        if action.option_strings
+    }
+
+
+@pytest.mark.parametrize("config", [FitConfig, Fit0Config, DGladConfig, MixtureConfig])
+def test_every_config_field_is_set_outside_tests(config):
+    # a field that only tests set is a mode the pipeline never runs
+    reached = _keywords_passed_outside_tests(config.__name__)
+    reached |= _keywords_passed_outside_tests("replace")
+    if config in {model.config for model in _MODELS.values()}:
+        reached |= _fit_flag_fields()
+    unset = [f.name for f in dataclasses.fields(config) if f.name not in reached]
+    assert not unset, f"{config.__name__} fields no program run sets: {unset}"

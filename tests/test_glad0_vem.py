@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,27 +371,6 @@ def test_mu0_one_hot_emissions_pin_the_role():
     assert got.argmax() == 1 and got[1] > 0.999
 
 
-def test_m_step0_failed_newton_warns_once():
-    # memberships pinned to opposite corners drive the prior's optimum
-    # towards zero, where the Newton iteration cannot meet its gradient
-    # tolerance; that one failure is reported once, by newton_alpha
-    data, params, state = random_instance0(3, n=4, m=2, k=2, v=4)
-    gamma = np.tile([[1e-300, 1.0], [1.0, 1e-300]], (2, 1))
-    state = replace(state, gamma=gamma)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        m_step0(data, state, params.alpha, alpha_mode="newton")
-    assert [str(w.message) for w in caught] == [
-        "newton_alpha stopped before reaching the gradient tolerance"
-    ]
-
-
-def test_m_step0_rejects_unknown_alpha_mode():
-    data, params, state = random_instance0(3, n=4, m=2, k=2, v=4)
-    with pytest.raises(ValueError, match="alpha_mode"):
-        m_step0(data, state, params.alpha, alpha_mode="bogus")
-
-
 def test_m_step0_one_hot_saturates_block():
     n, m = 4, 2
     phi_out = np.zeros((m, n, n))
@@ -508,19 +486,6 @@ def test_fit0_outer_trace_monotone(seed):
     data, _ = generate_glad0(_planted_params(), 25, 6, seed=seed)
     res = fit0(data, 2, 2, Fit0Config(max_iters=30, seed=seed))
     assert np.all(np.diff(res.trace) >= -1e-8), np.diff(res.trace).min()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_fit0_newton_alpha_mode_stays_monotone(seed):
-    # at alpha ~ 0.01-0.05 the last Newton steps gain less than the objective
-    # resolves; they must count as converged, not warn
-    data, _ = generate_glad0(_planted_params(), 25, 6, seed=seed)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = fit0(data, 2, 2, Fit0Config(max_iters=30, seed=seed, alpha_mode="newton"))
-    assert not [w for w in caught if "newton" in str(w.message).lower()]
-    assert np.all(np.diff(res.trace) >= -1e-8), np.diff(res.trace).min()
-    assert not np.allclose(res.params.alpha, Fit0Config().alpha0)
 
 
 def test_fit0_pinned_trace_and_grouping():

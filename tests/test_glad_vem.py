@@ -19,7 +19,7 @@ from glad.glad_vem import (
     infer_state,
     init_state,
     m_step,
-    newton_alpha,
+    run_em,
 )
 from glad.model import (
     Dataset,
@@ -292,30 +292,6 @@ def test_m_step_one_hot_clique_saturates_block():
     assert got.block[1, 1] == pytest.approx(0.5)
 
 
-def test_newton_alpha_recovers_dirichlet():
-    # gamma rows built as a large-count proxy of Dirichlet([2, 5]) draws
-    rng = np.random.default_rng(0)
-    pi = rng.dirichlet([2.0, 5.0], size=10_000)
-    gamma = 1000.0 * pi
-    alpha, converged = newton_alpha(gamma)
-    assert converged
-    np.testing.assert_allclose(alpha, [2.0, 5.0], rtol=0.05)
-
-
-def test_newton_alpha_keeps_objective_nondecreasing():
-    rng = np.random.default_rng(1)
-    gamma = rng.uniform(0.2, 4.0, size=(50, 3))
-    from glad.glad_vem import _dirichlet_prior
-
-    from glad.model import digamma as dg
-
-    suff = (dg(gamma) - dg(gamma.sum(axis=1))[:, None]).mean(axis=0)
-    start = np.array([0.5, 0.5, 0.5])
-    alpha, _ = newton_alpha(gamma, alpha0=start)
-    assert _dirichlet_prior(alpha, suff) >= _dirichlet_prior(start, suff)
-    assert np.all(alpha > 0)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_compute_elbo_matches_oracle(seed):
     data, params, state = random_instance(seed, n=5, m=3, k=2, v=3)
@@ -456,6 +432,33 @@ def test_fit_tol_inf_runs_exactly_one_iteration():
     assert res.converged
 
 
+def test_run_em_records_steps_and_stops_on_relative_change():
+    steps = iter([-50.0, -20.0, -19.99999, -19.0])
+    trace, converged = run_em(-100.0, steps.__next__, 10, 1e-6)
+    np.testing.assert_array_equal(trace, [-100.0, -50.0, -20.0, -19.99999])
+    assert converged
+    # below 1 the change is absolute; tol=0 stops only on an exact repeat
+    trace, converged = run_em(0.0, iter([1e-7, 1e-7]).__next__, 10, 0.0)
+    np.testing.assert_array_equal(trace, [0.0, 1e-7, 1e-7])
+    assert converged
+
+
+def test_run_em_caps_iterations():
+    trace, converged = run_em(0.0, iter(range(1, 100)).__next__, 3, 1e-6)
+    np.testing.assert_array_equal(trace, [0.0, 1.0, 2.0, 3.0])
+    assert not converged
+    trace, converged = run_em(0.0, iter([1.0]).__next__, 0, np.inf)
+    np.testing.assert_array_equal(trace, [0.0])
+    assert not converged
+
+
+def test_run_em_names_the_non_finite_iteration():
+    with pytest.raises(GladNumericsError, match="at initialization"):
+        run_em(np.nan, iter([1.0]).__next__, 5, 1e-6)
+    with pytest.raises(GladNumericsError, match="at iteration 2"):
+        run_em(-10.0, iter([-5.0, -np.inf, 0.0]).__next__, 5, 1e-6)
+
+
 def test_fit_checks_the_bound_at_initialization():
     # a subnormal prior passes the config check, but log Gamma of it is
     # inf and the prior's normalizer inf - inf; the abort names the start,
@@ -508,13 +511,6 @@ def test_fit_recovers_planted_partition():
     rows, cols = linear_sum_assignment(-overlap)
     agreement = overlap[rows, cols].sum() / data.n_nodes
     assert agreement >= 0.95, agreement
-
-
-def test_fit_newton_alpha_mode_stays_monotone():
-    data, _ = _planted(seed=5, n=80)
-    res = fit(data, 3, 2, FitConfig(max_iters=40, seed=2, alpha_mode="newton"))
-    assert np.all(np.diff(res.trace) >= -1e-8)
-    assert not np.array_equal(res.params.alpha, np.full(3, 0.1))
 
 
 def test_fit_links_only_freezes_activity_parameters():

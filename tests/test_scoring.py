@@ -225,6 +225,13 @@ def test_make_report_without_truth_has_no_metrics():
     np.testing.assert_array_equal(rep.flagged, [1])
 
 
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_make_report_rejects_non_finite_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        make_report(np.array([1.0, 4.0]), 0.5, change_scores=np.ones((2, 2)),
+                    threshold=threshold)
+
 # ---------------------------------------------------------------------------
 # pipeline: injected anomaly surfaces at the top of the rate-distance ranking
 # ---------------------------------------------------------------------------
