@@ -1,7 +1,9 @@
 """Two-stage baseline: network-only grouping, then per-group role mixtures.
 
-Stage one fits the links alone (the joint model with every point-wise term
-switched off) and hardens memberships to their argmax.  Stage two, given
+Stage one fits the links alone and hardens memberships to their argmax: a
+mixed-membership blockmodel (Airoldi, Blei, Fienberg & Xing, JMLR 2008),
+which is the joint fit on data with no point-wise information, one role and
+one feature that every person shows once.  Stage two, given
 that grouping, runs EM for a K-component multinomial mixture over the
 activity rows — one shared emission table, one mixture weight vector per
 group — in the joint fit's EM loop (``glad_vem.run_em``), and scores each
@@ -13,7 +15,7 @@ cannot let role structure inform the grouping.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -58,13 +60,14 @@ def fit_mmsb(
 ) -> MmsbResult:
     """Fit memberships from the link structure alone and harden them.
 
-    Wraps the joint fit in links-only mode (role and feature terms carry
-    zero weight, so the membership update sees just the digamma and
-    pairwise parts) on a dataset with blank features.
+    Runs the joint fit with one role on a constant feature that every person
+    shows once.  After every M-step theta = beta = 1, so each role and
+    feature term of the sweep and the bound is exactly 0 (log 1 and
+    gammaln(2)), and the membership update sees just the digamma and
+    pairwise parts.  A zero feature would leave beta without mass.
     """
     links = np.asarray(links)
-    config = replace(config or glad_vem.FitConfig(), links_only=True)
-    data = Dataset(features=np.zeros((links.shape[0], 1), dtype=np.int64), links=links)
+    data = Dataset(features=np.ones((links.shape[0], 1), dtype=np.int64), links=links)
     result = glad_vem.fit(data, n_groups, 1, config)
     return MmsbResult(
         grouping=result.state.grouping(),

@@ -99,18 +99,13 @@ def _generate_schema(kind: str) -> dict:
     return dict(_GENERATE_BASE)
 
 
-def _injection_config(cfg: dict) -> InjectionConfig:
+def _injection_config(cfg: dict, **overrides) -> InjectionConfig:
+    """The planted-benchmark settings found in ``cfg``, then ``overrides``;
+    any other field keeps its default."""
+    fields = {f.name: cfg[f.name] for f in dataclasses.fields(InjectionConfig) if f.name in cfg}
+    fields.update(overrides)
     return InjectionConfig(
-        n_nodes=cfg["n_nodes"],
-        n_groups=cfg["n_groups"],
-        n_roles=cfg["n_roles"],
-        anomaly_fraction=cfg["anomaly_fraction"],
-        normal_rate=tuple(cfg["normal_rate"]),
-        anomalous_rate=tuple(cfg["anomalous_rate"]),
-        trials_per_person=cfg["trials_per_person"],
-        block_in=cfg["block_in"],
-        block_out=cfg["block_out"],
-        seed=cfg["seed"],
+        **{key: tuple(v) if isinstance(v, list) else v for key, v in fields.items()}
     )
 
 
@@ -442,9 +437,8 @@ _MODELS = {
 }
 # flags whose config field has another name
 _FLAG_FIELDS = {"particles": "n_particles"}
-# config fields with no hyper flag: --seed is set on its own, and no
-# command-line run needs the others
-_UNFLAGGED = {"seed", "links_only"}
+# the config field with no hyper flag: --seed is set on its own
+_UNFLAGGED = {"seed"}
 
 
 def _flag_models() -> dict:
@@ -499,17 +493,7 @@ _METHODS = ("glad", "mmsb-lda")
 
 def _static_cell(cfg: dict, group_count: int, method: str, seed: int) -> dict:
     """One benchmark cell: generate, fit, score, match labels, evaluate."""
-    inj = InjectionConfig(
-        n_nodes=cfg["n_nodes"],
-        n_groups=group_count,
-        n_roles=cfg["n_roles"],
-        anomaly_fraction=cfg["anomaly_fraction"],
-        trials_per_person=cfg["trials_per_person"],
-        block_in=cfg["block_in"],
-        block_out=cfg["block_out"],
-        seed=seed,
-    )
-    data, truth = inject_anomalies(inj)
+    data, truth = inject_anomalies(_injection_config(cfg, n_groups=group_count, seed=seed))
     fit_config = FitConfig(max_iters=cfg["max_iters"], seed=seed)
     if method == "glad":
         result = fit(data, group_count, cfg["n_roles"], fit_config)
@@ -535,15 +519,7 @@ def _static_cell(cfg: dict, group_count: int, method: str, seed: int) -> dict:
 
 def _dynamic_cell(cfg: dict, seed: int) -> dict:
     """One d-GLAD sweep cell: FPR/recall on a fixed threshold grid."""
-    inj = InjectionConfig(
-        n_nodes=cfg["dyn_nodes"],
-        n_groups=cfg["dyn_groups"],
-        n_roles=cfg["n_roles"],
-        trials_per_person=cfg["trials_per_person"],
-        block_in=cfg["block_in"],
-        block_out=cfg["block_out"],
-        seed=seed,
-    )
+    inj = _injection_config(cfg, n_nodes=cfg["dyn_nodes"], n_groups=cfg["dyn_groups"], seed=seed)
     data, truth = inject_dynamic_change(
         inj,
         horizon=cfg["horizon"],

@@ -27,7 +27,6 @@ which is what the change-detection scores should be computed from.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,13 +411,11 @@ def particle_filter_theta(
 def _anchor_fit(data: DynamicDataset, n_groups: int, n_roles: int, config: DGladConfig):
     """Short static fit on the first snapshot, the best bound of
     ``config.init_restarts`` seeded runs: a cheap and deterministic escape
-    from a start that merged two groups."""
+    from a start that merged two groups.  Its warnings reach the caller."""
 
     def run(seed):
         static = FitConfig(max_iters=config.init_fit_iters, seed=seed, alpha0=config.alpha0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return fit(data.snapshots[0], n_groups, n_roles, static)
+        return fit(data.snapshots[0], n_groups, n_roles, static)
 
     return best_of_restarts(run, config.seed, config.init_restarts)
 

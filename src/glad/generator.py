@@ -103,6 +103,17 @@ def _sample_links(
     return y + y.T
 
 
+def _snapshot(rng, block, rates, beta, group, trials) -> tuple:
+    """One static snapshot under hard groups, in the documented order: links
+    (``block[group_p, group_q]``), then a role per person from ``rates[group]``,
+    then feature counts ``Multinomial(trials_p, beta[:, role_p])``.  Returns
+    ``(Dataset, role)``."""
+    links = _sample_links(rng, block, group[:, None], group)
+    role = _categorical_rows(rng, rates[group])
+    features = rng.multinomial(trials, beta.T[role])
+    return Dataset(features=features, links=links), role
+
+
 def generate_glad(params: ModelParams, n_nodes: int, trials, seed: int):
     """Sample a static dataset: one group, one role, one count row per person.
 
@@ -117,13 +128,8 @@ def generate_glad(params: ModelParams, n_nodes: int, trials, seed: int):
 
     pi = rng.dirichlet(params.alpha, size=n_nodes)
     group = _categorical_rows(rng, pi)
-    links = _sample_links(rng, params.block, group[:, None], group)
-    role = _categorical_rows(rng, params.theta[group])
-    features = rng.multinomial(a, params.beta.T[role])
-
-    data = Dataset(features=features, links=links)
-    truth = GroundTruth(pi=pi, group=group, role=role)
-    return data, truth
+    data, role = _snapshot(rng, params.block, params.theta, params.beta, group, a)
+    return data, GroundTruth(pi=pi, group=group, role=role)
 
 
 def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
@@ -153,11 +159,8 @@ def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
     z_out = np.zeros((n_nodes, n_nodes), dtype=np.int64)
     z_in = np.zeros((n_nodes, n_nodes), dtype=np.int64)
     iu = np.triu_indices(n_nodes, k=1)
-    cdf_pi = np.cumsum(pi, axis=1)
-    u_out = rng.random(iu[0].size)
-    u_in = rng.random(iu[0].size)
-    z_out[iu] = np.minimum((u_out[:, None] > cdf_pi[iu[0]]).sum(axis=1), m - 1)
-    z_in[iu] = np.minimum((u_in[:, None] > cdf_pi[iu[1]]).sum(axis=1), m - 1)
+    z_out[iu] = _categorical_rows(rng, pi[iu[0]])
+    z_in[iu] = _categorical_rows(rng, pi[iu[1]])
     z_out[(iu[1], iu[0])] = z_in[iu]
     z_in[(iu[1], iu[0])] = z_out[iu]
 
@@ -228,12 +231,11 @@ def generate_dglad(
     snapshots, groups, roles = [], [], []
     for t in range(1, horizon + 1):
         theta_path[t] = theta_path[t - 1] + sigma * rng.standard_normal((m, k))
-        rates = softmax(theta_path[t])
         group = _categorical_rows(rng, pi)
-        links = _sample_links(rng, params.block, group[:, None], group)
-        role = _categorical_rows(rng, rates[group])
-        features = rng.multinomial(a, params.beta.T[role])
-        snapshots.append(Dataset(features=features, links=links))
+        snapshot, role = _snapshot(
+            rng, params.block, softmax(theta_path[t]), params.beta, group, a
+        )
+        snapshots.append(snapshot)
         groups.append(group)
         roles.append(role)
 
@@ -318,11 +320,18 @@ def injection_params(cfg: InjectionConfig, anomalous: np.ndarray) -> ModelParams
     )
 
 
-def _even_grouping(n_nodes: int, n_groups: int) -> np.ndarray:
-    """Contiguous, as-even-as-possible hard grouping (first groups get the remainder)."""
-    sizes = np.full(n_groups, n_nodes // n_groups)
-    sizes[: n_nodes % n_groups] += 1
-    return np.repeat(np.arange(n_groups), sizes)
+def _planted(cfg: InjectionConfig, rng: np.random.Generator, n_marked: int) -> tuple:
+    """``(marked, params, group, pi)`` of a planted benchmark: a seeded,
+    sorted choice of ``n_marked`` groups that get the anomalous rate, the
+    implied parameters, the contiguous as-even-as-possible hard grouping
+    (first groups get the remainder) and its one-hot memberships."""
+    marked = np.sort(rng.choice(cfg.n_groups, size=n_marked, replace=False))
+    sizes = np.full(cfg.n_groups, cfg.n_nodes // cfg.n_groups)
+    sizes[: cfg.n_nodes % cfg.n_groups] += 1
+    group = np.repeat(np.arange(cfg.n_groups), sizes)
+    pi = np.zeros((cfg.n_nodes, cfg.n_groups))
+    pi[np.arange(cfg.n_nodes), group] = 1.0
+    return marked, injection_params(cfg, marked), group, pi
 
 
 def inject_anomalies(cfg: InjectionConfig):
@@ -335,20 +344,9 @@ def inject_anomalies(cfg: InjectionConfig):
     Returns ``(Dataset, GroundTruth)``.
     """
     rng = np.random.default_rng(cfg.seed)
-    anomalous = np.sort(rng.choice(cfg.n_groups, size=cfg.n_anomalous, replace=False))
-    params = injection_params(cfg, anomalous)
-
-    group = _even_grouping(cfg.n_nodes, cfg.n_groups)
-    pi = np.zeros((cfg.n_nodes, cfg.n_groups))
-    pi[np.arange(cfg.n_nodes), group] = 1.0
-
-    links = _sample_links(rng, params.block, group[:, None], group)
-    role = _categorical_rows(rng, params.theta[group])
-    features = rng.multinomial(
-        np.full(cfg.n_nodes, cfg.trials_per_person), params.beta.T[role]
-    )
-
-    data = Dataset(features=features, links=links)
+    anomalous, params, group, pi = _planted(cfg, rng, cfg.n_anomalous)
+    trials = np.full(cfg.n_nodes, cfg.trials_per_person)
+    data, role = _snapshot(rng, params.block, params.theta, params.beta, group, trials)
     truth = GroundTruth(
         pi=pi, group=group, role=role, anomalous_groups=frozenset(int(g) for g in anomalous)
     )
@@ -371,13 +369,7 @@ def inject_activity_anomalies(cfg: InjectionConfig, activities: int | None = Non
     if n_acts < 0:
         raise ValueError("activities must be non-negative")
     rng = np.random.default_rng(cfg.seed)
-    anomalous = np.sort(rng.choice(cfg.n_groups, size=cfg.n_anomalous, replace=False))
-    params = injection_params(cfg, anomalous)
-
-    group = _even_grouping(cfg.n_nodes, cfg.n_groups)
-    pi = np.zeros((cfg.n_nodes, cfg.n_groups))
-    pi[np.arange(cfg.n_nodes), group] = 1.0
-
+    anomalous, params, group, pi = _planted(cfg, rng, cfg.n_anomalous)
     links = _sample_links(rng, params.block, group[:, None], group)
     roles, tokens = [], []
     for p in range(cfg.n_nodes):
@@ -428,12 +420,7 @@ def inject_dynamic_change(
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     m, k = cfg.n_groups, cfg.n_roles
     n_changed = max(1, math.ceil(changed_fraction * m))
-    changed = np.sort(rng.choice(m, size=n_changed, replace=False))
-    params = injection_params(cfg, changed)
-
-    group = _even_grouping(cfg.n_nodes, m)
-    pi = np.zeros((cfg.n_nodes, m))
-    pi[np.arange(cfg.n_nodes), group] = 1.0
+    changed, params, group, pi = _planted(cfg, rng, n_changed)
 
     log_normal = np.log(np.maximum(np.asarray(cfg.normal_rate, dtype=float), 1e-12))
     log_anomal = np.log(np.maximum(np.asarray(cfg.anomalous_rate, dtype=float), 1e-12))
@@ -448,11 +435,10 @@ def inject_dynamic_change(
         # snapshot s is emitted from theta_path[s + 1]
         if t == change_time + 1:
             theta_path[t, changed] = log_anomal
-        rates = softmax(theta_path[t])
-        links = _sample_links(rng, params.block, group[:, None], group)
-        role = _categorical_rows(rng, rates[group])
-        features = rng.multinomial(trials, params.beta.T[role])
-        snapshots.append(Dataset(features=features, links=links))
+        snapshot, role = _snapshot(
+            rng, params.block, softmax(theta_path[t]), params.beta, group, trials
+        )
+        snapshots.append(snapshot)
         groups.append(group.copy())
         roles.append(role)
 

@@ -76,19 +76,15 @@ class FitConfig:
     """Knobs of the variational EM loop.
 
     ``tol`` is relative ELBO change between iterations; ``tol=inf`` stops
-    after exactly one iteration.  ``links_only`` drops every term that
-    involves activities (features, roles, their entropies) and freezes
-    theta/beta, which turns the fitter into a plain mixed-membership
-    blockmodel; the baseline module relies on this.  ``alpha0`` is the
-    Dirichlet prior, which the fit keeps fixed.  The E-step is always the
-    Gauss-Seidel sweep that carries the ascent guarantee.
+    after exactly one iteration.  ``alpha0`` is the Dirichlet prior, which
+    the fit keeps fixed.  The E-step is always the Gauss-Seidel sweep that
+    carries the ascent guarantee.  Every field is a ``glad fit`` flag.
     """
 
     max_iters: int = 200
     tol: float = 1e-6
     seed: int = 0
     alpha0: float = 0.1
-    links_only: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -154,17 +150,14 @@ def _linked_mass(data: Dataset, lam: np.ndarray) -> np.ndarray:
 
 def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
     """Unnormalized log lambda_p: ``elogpi_p`` = E[log pi_p], plus
-    sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` unless
-    None.  ``nbrs`` are p's neighbours (self excluded); ``col`` is the column
-    sum of ``lam``, row p included."""
+    sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` =
+    sum_k mu_pk log theta_mk.  ``nbrs`` are p's neighbours (self excluded);
+    ``col`` is the column sum of ``lam``, row p included."""
     # the row sum as a product with ones: much faster than .sum(axis=0) on
     # a short gather
     linked = np.ones(nbrs.size) @ lam.take(nbrs, axis=0)
     notlinked = col - lam[p] - linked
-    logits = elogpi_p + log_b @ linked + log_1mb @ notlinked
-    if role_logits is not None:
-        logits = logits + role_logits
-    return logits
+    return elogpi_p + log_b @ linked + log_1mb @ notlinked + role_logits
 
 
 def _mu_logits(lam, log_theta, log_beta):
@@ -199,7 +192,6 @@ def m_step(
     state: GladVariational,
     alpha: np.ndarray,
     *,
-    links_only: bool = False,
     prev: ModelParams | None = None,
 ) -> ModelParams:
     """Closed-form parameter re-estimation from the current responsibilities.
@@ -209,20 +201,16 @@ def m_step(
     frequency between group pairs over all ordered non-self pairs
     (symmetrized to kill round-off skew, then clamped to the Bernoulli band).
     Degenerate denominators fall back to uniform entries with a warning.  The
-    prior ``alpha`` passes through unchanged; with ``links_only`` so do the
-    previous theta/beta.
+    prior ``alpha`` passes through unchanged.  ``prev`` is accepted and
+    ignored: every parameter is re-estimated from ``state``, but the
+    benchmark's traced pass still passes the previous parameters.
     """
     lam, mu = state.lam, state.mu
     if lam.shape[0] != data.n_nodes:
         raise ValueError("state and data disagree on the number of people")
 
-    if links_only:
-        if prev is None:
-            raise ValueError("links_only m_step needs the previous parameters")
-        theta, beta = prev.theta, prev.beta
-    else:
-        theta = normalize_or_uniform(lam.T @ mu, 1, "theta row")
-        beta = normalize_or_uniform(data.features.T @ mu, 0, "beta column")
+    theta = normalize_or_uniform(lam.T @ mu, 1, "theta row")
+    beta = normalize_or_uniform(data.features.T @ mu, 0, "beta column")
 
     once = _linked_mass(data, lam)
     col = lam.sum(axis=0)
@@ -244,32 +232,27 @@ def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) ->
     return log_p - float(log_q.sum())
 
 
-def row_terms(lam, elogpi, mu=None, log_theta=None, feature_loglik=None) -> float:
+def row_terms(lam, elogpi, mu, log_theta, feature_loglik) -> float:
     """The per-row part of the bound, one row per person here and per
     activity in glad0: E[log p(G | pi)] + E[log p(R | G)] + E[log p(x | R)]
     plus the entropies of q(G) and q(R).  ``elogpi`` is E[log pi] of each
     row's owner and ``feature_loglik`` each row's feature log-likelihood per
-    role; with ``mu`` None (links only) the role and feature terms drop."""
+    role."""
     total = float((lam * elogpi).sum()) - float((lam * floored_log(lam)).sum())
-    if mu is not None:
-        total += float(np.einsum("ag,gk,ak->", lam, log_theta, mu))
-        total += float((mu * feature_loglik).sum()) - float((mu * floored_log(mu)).sum())
+    total += float(np.einsum("ag,gk,ak->", lam, log_theta, mu))
+    total += float((mu * feature_loglik).sum()) - float((mu * floored_log(mu)).sum())
     return total
 
 
-def compute_elbo(
-    data: Dataset,
-    params: ModelParams,
-    state: GladVariational,
-    links_only: bool = False,
-) -> float:
+def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> float:
     """Evidence lower bound at the given parameters and variational state.
 
     Terms: expected feature likelihood (multinomial, coefficient included),
     expected role-given-group and group-given-membership likelihoods, the
     link likelihood over unordered non-self pairs, the Dirichlet prior, minus
-    the Dirichlet, group and role entropies of q.  ``links_only`` keeps only
-    the terms that survive when activities are ignored.
+    the Dirichlet, group and role entropies of q.  With one role and one
+    feature shown once per person every role and feature term is exactly 0,
+    which leaves the bound of a mixed-membership blockmodel.
     """
     lam = state.lam
     elogpi = _expected_log_pi(state.gamma)
@@ -285,8 +268,6 @@ def compute_elbo(
     pair_term = float((linked * log_b + (total - linked) * log_1mb).sum())
 
     bound = pair_term + dirichlet_terms(params.alpha, state.gamma, elogpi)
-    if links_only:
-        return bound + row_terms(lam, elogpi)
     x = data.features
     coef = float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
     return bound + coef + row_terms(
@@ -298,7 +279,7 @@ def compute_elbo(
 # sweeps and the fit loop
 # ---------------------------------------------------------------------------
 
-def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
+def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta):
     """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p.
 
     gamma_p and p's role logits read only p's own pre-sweep state, and no one
@@ -312,17 +293,16 @@ def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, links_only):
     indptr, indices = data.neighbours
     np.add(params.alpha, lam, out=gamma)
     elogpi = _expected_log_pi(gamma)
-    role_logits = None if links_only else mu @ log_theta.T
+    role_logits = mu @ log_theta.T
     col = lam.sum(axis=0)
     for p in range(lam.shape[0]):
         new_lam = softmax(_lambda_logits(
             p, elogpi[p], indices[indptr[p]:indptr[p + 1]], lam, col, log_b, log_1mb,
-            None if links_only else role_logits[p],
+            role_logits[p],
         ))
         col += new_lam - lam[p]
         lam[p] = new_lam
-    if not links_only:
-        mu[:] = softmax(_mu_logits(lam, log_theta, xlogbeta))
+    mu[:] = softmax(_mu_logits(lam, log_theta, xlogbeta))
 
 
 def infer_state(
@@ -350,10 +330,8 @@ def infer_state(
     trace = []
     for _ in range(config.max_iters):
         before = (gamma.copy(), lam.copy(), mu.copy())
-        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
-        trace.append(
-            compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)
-        )
+        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
+        trace.append(compute_elbo(data, params, GladVariational(gamma, lam, mu)))
         delta = max(
             np.max(np.abs(gamma - before[0])),
             np.max(np.abs(lam - before[1])),
@@ -478,14 +456,13 @@ def fit(
 
     def step():
         nonlocal params, xlogbeta
-        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, config.links_only)
+        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
         state = GladVariational(gamma, lam, mu)
-        params = m_step(data, state, params.alpha, links_only=config.links_only, prev=params)
-        if not config.links_only:
-            xlogbeta = data.features @ floored_log(params.beta)
-        return compute_elbo(data, params, state, config.links_only)
+        params = m_step(data, state, params.alpha)
+        xlogbeta = data.features @ floored_log(params.beta)
+        return compute_elbo(data, params, state)
 
-    first = compute_elbo(data, params, GladVariational(gamma, lam, mu), config.links_only)
+    first = compute_elbo(data, params, GladVariational(gamma, lam, mu))
     trace, converged = run_em(first, step, config.max_iters, config.tol)
     return FitResult(
         params=params, state=GladVariational(gamma, lam, mu), trace=trace, converged=converged

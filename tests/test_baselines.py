@@ -56,10 +56,38 @@ def test_mmsb_trace_monotone():
 
 
 def test_mmsb_passes_fit_warnings_to_the_caller():
-    # the links-only fit warns only on a real fallback, and the caller sees it
+    # the MMSB fit warns only on a real fallback, and the caller sees it
     y = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     with pytest.warns(UserWarning, match="more groups than people"):
         fit_mmsb(y, 4, FitConfig(max_iters=3, seed=0))
+
+
+def test_mmsb_pinned_grouping_block_and_trace():
+    # one seed's stage-one fit.  Every role and feature term of the joint
+    # fit on a constant feature is exactly 0, so a change that lets them
+    # reach the sweep moves the grouping or the block; theta and beta are
+    # not pinned
+    data, _ = inject_anomalies(
+        InjectionConfig(n_nodes=30, n_groups=3, block_in=0.4, block_out=0.1, seed=3)
+    )
+    res = fit_mmsb(data.links, 3, FitConfig(max_iters=30, seed=1))
+    want_grouping = [1] * 10 + [2, 1, 2, 2, 0, 2, 2, 2, 2, 0, 0, 0, 2, 0] + [2] * 6
+    want_block = [
+        [0.3999824898570835, 0.12726970793208858, 0.2428578598071726],
+        [0.12726970793208858, 0.38182344667118284, 0.03246571022918641],
+        [0.2428578598071726, 0.03246571022918641, 0.30768947182533235],
+    ]
+    want_trace = [
+        -304.9576539165094, -280.98994522209284, -274.40283546732957,
+        -251.22219027790786, -228.29936919391977, -219.67254528691547,
+        -216.8394984650184, -216.0213044863294, -215.78045614135672,
+        -215.47520527869784, -214.8198873735171, -214.33208049823995,
+        -214.25504720105434, -214.2533049559307, -214.2533039595134,
+    ]
+    np.testing.assert_array_equal(res.grouping, want_grouping)
+    np.testing.assert_array_equal(res.block, want_block)
+    np.testing.assert_allclose(res.fit.trace, want_trace, rtol=1e-12, atol=0)
+    assert res.fit.converged
 
 
 # ---------------------------------------------------------------------------

@@ -825,6 +825,14 @@ def test_run_sampler_validates_inputs():
         run_sampler(data, 3, 2, DGladConfig(sweeps=1), params=make_params(m=2))
 
 
+def test_run_sampler_passes_anchor_fit_warnings_to_the_caller():
+    # two features, three roles: the anchor fit's fallback warning reaches
+    # the caller instead of being silenced
+    data, _ = small_dynamic_instance(seed=4)
+    with pytest.warns(UserWarning, match="more roles than features"):
+        run_sampler(data, 2, 3, DGladConfig(sweeps=1, burn_in=0, n_particles=8))
+
+
 def test_run_sampler_trace_invariants_and_history():
     data, _ = small_dynamic_instance(seed=5)
     cfg = DGladConfig(sweeps=5, burn_in=2, n_particles=10, sigma=0.3, seed=1)

@@ -529,7 +529,7 @@ def test_fit0_restarts_never_lose_bound():
 
 def test_fit0_without_activities_reduces_to_pair_mmsb():
     # two disconnected cliques, nobody has activities: the fit must still
-    # separate the cliques, matching the node-level links-only fit
+    # separate the cliques, matching the node-level MMSB fit
     n = 16
     y = np.zeros((n, n), dtype=int)
     y[: n // 2, : n // 2] = 1

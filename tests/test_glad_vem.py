@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,7 +198,7 @@ def test_update_gamma_is_alpha_plus_lambda():
     data, params, state = random_instance(0)
     gamma, lam, mu = (np.array(a) for a in (state.gamma, state.lam, state.mu))
     xlogbeta = data.features @ floored_log(params.beta)
-    _sequential_sweep(data, params, gamma, lam, mu, xlogbeta, False)
+    _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
     np.testing.assert_array_equal(gamma, params.alpha + state.lam)
 
 
@@ -513,42 +514,31 @@ def test_fit_recovers_planted_partition():
     assert agreement >= 0.95, agreement
 
 
-def test_fit_links_only_freezes_activity_parameters():
-    data, _ = _planted(seed=7, n=60)
-    res = fit(data, 3, 2, FitConfig(max_iters=25, seed=4, links_only=True))
-    assert np.all(np.diff(res.trace) >= -1e-8)
-    # theta/beta still exactly the seeded initial draws: untouched by m-step
-    from glad.glad_vem import _init_fit
-
-    params0, _, _, _ = _init_fit(data, 3, 2, FitConfig(seed=4, links_only=True))
-    np.testing.assert_array_equal(res.params.theta, params0.theta)
-    np.testing.assert_array_equal(res.params.beta, params0.beta)
-
-
 def test_fit_warns_more_groups_than_people():
     data = Dataset(features=np.array([[2, 1], [1, 2]]), links=np.array([[0, 1], [1, 0]]))
     with pytest.warns(UserWarning):
         fit(data, 3, 2, FitConfig(max_iters=2, seed=0))
 
 
-@pytest.mark.parametrize("links_only", [False, True])
+@pytest.mark.parametrize("constant_feature", [False, True])
 @pytest.mark.parametrize("seed", range(4))
-def test_infer_state_sweep_is_the_public_updates_in_place(seed, links_only):
+def test_infer_state_sweep_is_the_public_updates_in_place(seed, constant_feature):
     # one E-sweep = the oracle updates gamma_p -> lambda_p -> mu_p for each
     # person in index order, each result written back before the next
-    # person.  Links-only drops the role term, which an all-ones theta (log
-    # zero) reproduces in the oracle, and leaves mu untouched.
+    # person.  On the MMSB baseline's data (one role, one feature that every
+    # person shows once, theta = beta = 1) the oracle's role term is zero.
     data, params, _ = random_instance(seed, n=6, m=3, k=2, v=3)
-    state, _ = infer_state(data, params, FitConfig(max_iters=1, links_only=links_only))
+    if constant_feature:
+        data = Dataset(features=np.ones((data.n_nodes, 1), dtype=np.int64), links=data.links)
+        params = replace(params, theta=np.ones((params.n_groups, 1)), beta=np.ones((1, 1)))
+    state, _ = infer_state(data, params, FitConfig(max_iters=1))
     start = init_state(data.n_nodes, params.n_groups, params.n_roles)
     gamma, lam, mu = (np.array(a) for a in (start.gamma, start.lam, start.mu))
-    theta = np.ones_like(params.theta) if links_only else params.theta
     for p in range(data.n_nodes):
         gamma[p] = params.alpha + lam[p]
         lam[p] = oracle_lambda(p, data.features, data.links, params.alpha, params.block,
-                               theta, params.beta, gamma, lam, mu)
-        if not links_only:
-            mu[p] = oracle_mu(p, data.features, params.theta, params.beta, lam)
+                               params.theta, params.beta, gamma, lam, mu)
+        mu[p] = oracle_mu(p, data.features, params.theta, params.beta, lam)
     np.testing.assert_allclose(state.gamma, gamma, atol=1e-10, rtol=0)
     np.testing.assert_allclose(state.lam, lam, atol=1e-10, rtol=0)
     np.testing.assert_allclose(state.mu, mu, atol=1e-10, rtol=0)
