@@ -3,32 +3,51 @@
 Each ordered pair (p, q) carries two latent group draws — the sender side
 from person p's membership distribution and the receiver side from q's —
 and every single activity carries its own (group, role) pair.  The
-variational family gives every one of those latents a private simplex:
+variational family gives each linked ordered pair and each activity a
+private simplex, and ties the pair sides of the pairs that are not linked
+(a mean-field family of the mixed-membership blockmodel kind: Airoldi,
+Blei, Fienberg & Xing, JMLR 2008):
 
-    gamma    (N, M)     Dirichlet posteriors over memberships
-    phi_out  (M, N, N)  posterior of the sender-side group of pair (p, q)
-    phi_in   (M, N, N)  posterior of the receiver-side group of pair (p, q)
-    lam_act  ragged     per-activity group posterior, (A_p, M) per person
-    mu_act   ragged     per-activity role posterior, (A_p, K) per person
+    gamma       (N, M)   Dirichlet posteriors over memberships
+    phi_out     (M, 2E)  sender-side group posterior of each linked pair
+    phi_in      (M, 2E)  receiver-side group posterior of each linked pair
+    nolink_out  (M, N)   sender side a_p, shared by every non-linked (p, q)
+    nolink_in   (M, N)   receiver side b_q, shared by every non-linked (p, q)
+    lam_act     ragged   per-activity group posterior, (A_p, M) per person
+    mu_act      ragged   per-activity role posterior, (A_p, K) per person
 
-The pair arrays are group-major, ``phi_out[g, p, q]``: with M small, each
-per-pair softmax reduces over the leading axis, and the link evidence of a
-whole side is one (M, M) @ (M, N*N) product.  ``Glad0Variational`` holds the
-arrays that ``fit0`` sweeps, and the M-step and the bound read them in that
-layout.  Diagonal (p, p) entries of the pair arrays are placeholders kept
-uniform; no update ever reads them and every sum over counterparts excludes
-them.
+The 2E linked ordered pairs are in the CSR order of ``data.neighbours``:
+column e is the pair (p, indices[e]) for indptr[p] <= e < indptr[p + 1].
+The pair arrays are group-major: with M small, each softmax reduces over
+the leading axis, and the link evidence of a whole side is one (M, M)
+product.  Tying the non-linked pairs gives a sub-family of the one with a
+private posterior per pair, so the bound is still a lower bound on the same
+evidence; nothing is subsampled (compare Gopalan, Mimno, Gerrish, Freedman
+& Blei, NIPS 2012).  Every sweep, M-step and bound costs O(E*M + N*M^2)
+plus the activity terms, and no array has N^2 entries.
 
-The lower bound (``compute_elbo0``) is assembled for the model exactly as
-generated: receiver sides draw from the *receiver's* membership.  Every
-update is its exact coordinate maximizer.  The membership update credits
-person p with the pair sides drawn from p's membership, the sender row
-``phi_out[:, p, :]`` plus the receiver column ``phi_in[:, :, p]``, as in
-MMSB; the published form pools p's sender and receiver rows, which does not
-maximize this bound.  Each update is written once, as a block kernel over
-whole arrays that ``fit0`` sweeps: ``_phi_logits`` for one pair side,
-``_gamma_block``, and ``_lambda_logits`` and ``_mu_logits`` over the stacked
-activities.
+With n0_p = N - 1 - deg_p non-linked partners of p and
+S_p = sum_q b_q - b_p - sum_{q in nbr(p)} b_q their receiver mass, the
+non-link part of the bound is sum_p n0_p (a_p . E[log pi_p] + H(a_p)) +
+sum_p a_p' log(1 - B) S_p plus the mirror term for b.  One block sweep
+updates, in order, each block at its exact coordinate maximizer:
+
+    linked senders    phi_out_e  ~ exp(E[log pi_p] + log B phi_in_e)
+    linked receivers  phi_in_e   ~ exp(E[log pi_q] + log B' phi_out_e)
+    a given b         a_p        ~ exp(E[log pi_p] + log(1 - B) S_p / n0_p)
+    b given a         b_q        ~ exp(E[log pi_q] + log(1 - B)' T_q / n0_q)
+    gamma_p = alpha + p's linked sender and receiver sides
+              + n0_p (a_p + b_p) + p's activity rows
+    the activity group rows (``_lambda_logits``), then the role rows
+    (``_mu_logits``)
+
+where T_q is the sender mass of q's non-linked partners, built from a as
+S is from b.  The bound (``compute_elbo0``) is that of the model exactly
+as generated: receiver sides draw from the *receiver's* membership, so
+gamma credits person p with the sides drawn from p's membership, as in
+MMSB.  The M-step's block ratio divides the linked mass phi_out phi_in' by
+that plus sum_p a_p S_p'.  Every per-person sum over neighbours or
+activities is a segment sum over CSR-ordered entries (``np.add.reduceat``).
 
 The mean-field core shared with the static model comes from ``glad_vem``:
 E[log pi] (``_expected_log_pi``), the role logits (``_mu_logits``), the
@@ -41,6 +60,7 @@ the M-step kernels (``normalize_or_uniform``, ``block_ratio``), the start
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,31 +123,38 @@ class Fit0Config:
 
 @dataclass(frozen=True)
 class Glad0Variational:
-    """Pair-level and activity-level posteriors; see the module docstring."""
+    """Linked-pair, non-link and activity-level posteriors; see the module
+    docstring."""
 
     gamma: np.ndarray
     phi_out: np.ndarray
     phi_in: np.ndarray
+    nolink_out: np.ndarray
+    nolink_in: np.ndarray
     lam_act: tuple
     mu_act: tuple
 
     def __post_init__(self):
         n, m = self.gamma.shape
-        if self.phi_out.shape != (m, n, n) or self.phi_in.shape != (m, n, n):
-            raise ValueError("pair posteriors must be (M, N, N)")
+        if self.phi_out.ndim != 2 or self.phi_out.shape[0] != m \
+                or self.phi_in.shape != self.phi_out.shape:
+            raise ValueError("linked pair posteriors must both be (M, 2E)")
+        if self.nolink_out.shape != (m, n) or self.nolink_in.shape != (m, n):
+            raise ValueError("non-link posteriors must be (M, N)")
         if np.any(~(self.gamma > 0)):
             raise ValueError("gamma must stay strictly positive")
-        for name, arr in (("phi_out", self.phi_out), ("phi_in", self.phi_in)):
-            if np.any(np.abs(arr.sum(axis=0) - 1.0) > SIMPLEX_ATOL):
+        for name in ("phi_out", "phi_in", "nolink_out", "nolink_in"):
+            if np.any(np.abs(getattr(self, name).sum(axis=0) - 1.0) > SIMPLEX_ATOL):
                 raise ValueError(f"{name} pair posteriors must be simplices")
         if len(self.lam_act) != n or len(self.mu_act) != n:
             raise ValueError("need one activity posterior list per person")
         for lam, mu in zip(self.lam_act, self.mu_act):
             if lam.shape[0] != mu.shape[0] or lam.shape[1] != m:
                 raise ValueError("activity posteriors misshaped")
-            for arr in (lam, mu):
-                if arr.size and np.any(np.abs(arr.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
-                    raise ValueError("activity posterior rows must be simplices")
+        for rows in (self.lam_act, self.mu_act):
+            stacked = np.concatenate(rows) if n else np.zeros((0, 1))
+            if np.any(np.abs(stacked.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
+                raise ValueError("activity posterior rows must be simplices")
 
     @property
     def n_nodes(self) -> int:
@@ -149,27 +176,54 @@ class Glad0Variational:
         return out
 
 
+class _Pairs(NamedTuple):
+    """Index arrays of the linked ordered pairs, in ``data.neighbours`` order."""
+
+    indptr: np.ndarray  # p's pairs are columns indptr[p]:indptr[p + 1]
+    indices: np.ndarray  # receiver of each pair
+    sender: np.ndarray  # sender of each pair
+    reverse: np.ndarray  # column of the reversed pair (q, p)
+    n0: np.ndarray  # non-linked partners per person, N - 1 - deg
+
+
+def _pairs(data: ActivityDataset) -> _Pairs:
+    indptr, indices = data.neighbours
+    deg = np.diff(indptr)
+    # pairs ordered by (receiver, sender) list the reversed pairs in CSR order
+    return _Pairs(
+        indptr=indptr,
+        indices=indices,
+        sender=np.repeat(np.arange(deg.size), deg),
+        reverse=np.argsort(indices, kind="stable"),
+        n0=data.n_nodes - 1 - deg,
+    )
+
+
 # ---------------------------------------------------------------------------
 # update kernels: each update written once, over whole arrays
 # ---------------------------------------------------------------------------
 
-def _phi_logits(y, block, other, elogpi, side, work=None):
-    # group-major (M, N, N) logits of one pair side.  Side "out": the sender's
-    # expected log-membership plus the link evidence against the receiver
-    # side, whose group indexes the block's second axis; side "in" transposes
-    # the block and keys the membership by the receiver.  ``work`` is a
-    # (2, M, N, N) scratch buffer; the logits are written into ``work[1]``.
-    log_b = np.log(block) if side == "out" else np.log(block).T
-    log_1mb = np.log1p(-block) if side == "out" else np.log1p(-block).T
-    if work is None:
-        work = np.empty((2,) + other.shape)
-    linked, field = work
-    flat = other.reshape(other.shape[0], -1)
-    np.matmul(log_b, flat, out=linked.reshape(flat.shape))
-    np.matmul(log_1mb, flat, out=field.reshape(flat.shape))
-    np.copyto(field, linked, where=y > 0)
-    field += elogpi.T[:, :, None] if side == "out" else elogpi.T[:, None, :]
-    return field
+def _segment_sums(cols, indptr):
+    # sums of the column segments cols[:, indptr[p]:indptr[p + 1]], zero
+    # where empty; (M, P) for P = indptr.size - 1
+    out = np.zeros((cols.shape[0], indptr.size - 1))
+    full = indptr[:-1] < indptr[1:]
+    if full.any():
+        out[:, full] = np.add.reduceat(cols, indptr[:-1][full], axis=1)
+    return out
+
+
+def _nolink_mass(side, pairs):
+    # column p: the sum of side[:, q] over p's non-linked partners q
+    total = side.sum(axis=1, keepdims=True)
+    return total - side - _segment_sums(side[:, pairs.indices], pairs.indptr)
+
+
+def _side_logits(elogpi, counterpart, log_f):
+    # one pair side, group-major: the owner's expected log-membership plus
+    # the link evidence against the (mean) counterpart side; log_f[g, h] is
+    # the log-likelihood for own group g and counterpart group h
+    return elogpi + log_f @ counterpart
 
 
 def _group_softmax(logits):
@@ -180,26 +234,41 @@ def _group_softmax(logits):
     return logits
 
 
-def _activity_sums(flat_lam, person, n):
-    # per-person sums of the stacked activity group posteriors
-    act = np.zeros((n, flat_lam.shape[1]))
-    np.add.at(act, person, flat_lam)
-    return act
-
-
-def _gamma_block(alpha, phi_out, phi_in, act):
-    # prior plus the pair sides drawn from each person's membership (sender
-    # row plus receiver column of the group-major arrays, self pair
-    # subtracted) plus activity sums
-    rows = phi_out.sum(axis=2) - np.diagonal(phi_out, axis1=1, axis2=2)
-    cols = phi_in.sum(axis=1) - np.diagonal(phi_in, axis1=1, axis2=2)
-    return alpha[None, :] + (rows + cols).T + act
+def _gamma_block(alpha, pairs, phi_out, phi_in, nolink_out, nolink_in, act):
+    # prior plus the pair sides drawn from each person's membership: the
+    # sender sides of p's linked pairs, the receiver sides of the reversed
+    # pairs (q, p), n0_p copies of each non-link side; plus activity sums
+    sides = _segment_sums(phi_out, pairs.indptr)
+    sides += _segment_sums(phi_in[:, pairs.reverse], pairs.indptr)
+    sides += pairs.n0 * (nolink_out + nolink_in)
+    return alpha[None, :] + sides.T + act
 
 
 def _lambda_logits(dig, mu, log_theta):
     # digamma of the membership pseudo-counts plus the role posterior's
     # expected log-rate per group
     return dig + mu @ log_theta.T
+
+
+def _activity_sums(flat_lam, act_indptr):
+    # per-person sums of the stacked activity group posteriors, (N, M)
+    return _segment_sums(flat_lam.T, act_indptr).T
+
+
+def _activity_indptr(counts):
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _stacked(state: Glad0Variational, data: ActivityDataset):
+    # stacked activity rows (people ascending) and each row's feature id
+    n, m = state.gamma.shape
+    k = state.mu_act[0].shape[1] if state.mu_act else 1
+    flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
+    flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, k))
+    ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
+    return flat_lam, flat_mu, ids
 
 
 # ---------------------------------------------------------------------------
@@ -213,20 +282,15 @@ def m_step0(
 ) -> ModelParams:
     """Closed-form parameter maximizers from pair and activity posteriors;
     the prior ``alpha`` passes through unchanged."""
-    n, m = state.gamma.shape
-    off = ~np.eye(n, dtype=bool)
-    y = data.links.astype(float) * off
-    phi_o, phi_i = state.phi_out, state.phi_in
-    num = np.einsum("pq,gpq,hpq->gh", y, phi_o, phi_i)
-    den = np.einsum("pq,gpq,hpq->gh", off.astype(float), phi_o, phi_i)
-    block = np.clip(block_ratio(num, den), PROB_EPS, 1.0 - PROB_EPS)
+    linked = state.phi_out @ state.phi_in.T
+    nolink = state.nolink_out @ _nolink_mass(state.nolink_in, _pairs(data)).T
+    block = np.clip(block_ratio(linked, linked + nolink), PROB_EPS, 1.0 - PROB_EPS)
 
-    k = state.mu_act[0].shape[1] if state.mu_act else 1
-    flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
-    flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, k))
-    ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
-    beta = np.zeros((data.n_features, k))
-    np.add.at(beta, ids, flat_mu)
+    flat_lam, flat_mu, ids = _stacked(state, data)
+    beta = np.stack(
+        [np.bincount(ids, weights=col, minlength=data.n_features) for col in flat_mu.T],
+        axis=1,
+    )
     return ModelParams(
         alpha=alpha,
         block=block,
@@ -239,40 +303,39 @@ def m_step0(
 # lower bound
 # ---------------------------------------------------------------------------
 
+def _side_terms(phi, elogpi):
+    # per pair side: its expected log-membership plus its entropy
+    return (phi * (elogpi - floored_log(phi))).sum(axis=0)
+
+
 def compute_elbo0(
     data: ActivityDataset, params: ModelParams, state: Glad0Variational
 ) -> float:
     """Variational lower bound for the pair-level model.
 
     Every ordered pair contributes its own sender/receiver draws and its
-    own Bernoulli term, matching the latent bookkeeping of the updates.
+    own Bernoulli term; the non-linked pairs of one person share their
+    sides, so they are summed as n0_p copies and one bilinear term.
     """
-    gamma, phi_o, phi_i = state.gamma, state.phi_out, state.phi_in
-    n, m = gamma.shape
-    off = (~np.eye(n, dtype=bool)).astype(float)
+    pairs = _pairs(data)
+    gamma = state.gamma
     elogpi = _expected_log_pi(gamma)
     total = dirichlet_terms(params.alpha, gamma, elogpi)
 
-    phi_o_masked = phi_o * off
-    phi_i_masked = phi_i * off
-    total += float(np.einsum("gpq,pg->", phi_o_masked, elogpi))
-    total += float(np.einsum("hpq,qh->", phi_i_masked, elogpi))
-
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)
-    linked = np.einsum("gpq,gh,hpq->pq", phi_o, log_b, phi_i)
-    unlinked = np.einsum("gpq,gh,hpq->pq", phi_o, log_1mb, phi_i)
-    y = data.links.astype(float)
-    total += float((off * (y * linked + (1.0 - y) * unlinked)).sum())
+    elogpi_t = elogpi.T
+    phi_out, phi_in = state.phi_out, state.phi_in
+    total += float(_side_terms(phi_out, elogpi_t[:, pairs.sender]).sum())
+    total += float(_side_terms(phi_in, elogpi_t[:, pairs.indices]).sum())
+    total += float(((log_b.T @ phi_out) * phi_in).sum())
 
-    total -= float((phi_o_masked * floored_log(phi_o)).sum())
-    total -= float((phi_i_masked * floored_log(phi_i)).sum())
+    a, b = state.nolink_out, state.nolink_in
+    total += float(pairs.n0 @ (_side_terms(a, elogpi_t) + _side_terms(b, elogpi_t)))
+    total += float(((log_1mb.T @ a) * _nolink_mass(b, pairs)).sum())
 
-    counts = np.array([lam.shape[0] for lam in state.lam_act])
-    person = np.repeat(np.arange(n), counts)
-    flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
-    flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, 1))
-    ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
+    flat_lam, flat_mu, ids = _stacked(state, data)
+    person = np.repeat(np.arange(data.n_nodes), data.activity_counts)
     return total + row_terms(
         flat_lam, elogpi[person], flat_mu, floored_log(params.theta),
         floored_log(params.beta)[ids],
@@ -283,46 +346,71 @@ def compute_elbo0(
 # block sweep for the fit loop
 # ---------------------------------------------------------------------------
 
-def _uniform_diagonal(phi):
-    m, n, _ = phi.shape
-    phi[:, np.arange(n), np.arange(n)] = 1.0 / m
-    return phi
-
-
-def _sweep0(data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids):
-    """One block-coordinate pass over group-major (M, N, N) pair arrays;
-    returns the largest posterior change.
-
-    Pair posteriors of one side are mutually independent given the other
-    side, so each whole-array update is an exact block maximizer; the
-    same holds for the stacked activity arrays given gamma and each other.
-    """
-    n = gamma.shape[0]
-    elogpi = _expected_log_pi(gamma)
-    y = data.links
-    # one scratch buffer for both pair sides, freed before the M-step and
-    # the bound, so it adds nothing to the fit's peak memory
-    work = np.empty((2,) + phi_out.shape)
-
-    pair_deltas = []
-    for phi, side, other in ((phi_out, "out", phi_in), (phi_in, "in", phi_out)):
-        logits = _phi_logits(y, params.block, other, elogpi, side, work)
-        new = _uniform_diagonal(_group_softmax(logits))
-        change = np.subtract(new, phi, out=work[0])
-        pair_deltas.append(float(np.abs(change, out=change).max()))
-        phi[:] = new
-    delta = max(pair_deltas)
-
-    gamma[:] = _gamma_block(params.alpha, phi_out, phi_in, _activity_sums(flat_lam, person, n))
-    if flat_lam.shape[0]:
-        log_theta = floored_log(params.theta)
-        new_lam = softmax(_lambda_logits(digamma(gamma)[person], flat_mu, log_theta))
-        delta = max(delta, float(np.abs(new_lam - flat_lam).max()))
-        flat_lam[:] = new_lam
-        new_mu = softmax(_mu_logits(flat_lam, log_theta, floored_log(params.beta)[ids]))
-        delta = max(delta, float(np.abs(new_mu - flat_mu).max()))
-        flat_mu[:] = new_mu
+def _update(arr, new):
+    # write ``new`` into ``arr``; returns the largest entry change
+    delta = float(np.abs(new - arr).max()) if arr.size else 0.0
+    arr[:] = new
     return delta
+
+
+def _sweep0(params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in,
+            flat_lam, flat_mu, act_indptr, ids):
+    """One block-coordinate pass in the module docstring's order; returns
+    the largest posterior change.
+
+    The linked sides of one direction are mutually independent given the
+    other direction, and so are the non-link sides a given b and b given a;
+    the same holds for the stacked activity arrays given gamma and each
+    other.  So each whole-array update is an exact block maximizer.
+    """
+    elogpi = _expected_log_pi(gamma).T
+    log_b = np.log(params.block)
+    log_1mb = np.log1p(-params.block)
+    # a person linked to everyone has no non-link mass, and its shared sides
+    # enter no term: any finite divisor will do
+    n0 = np.maximum(pairs.n0, 1)
+
+    delta = _update(phi_out, _group_softmax(
+        _side_logits(elogpi[:, pairs.sender], phi_in, log_b)))
+    delta = max(delta, _update(phi_in, _group_softmax(
+        _side_logits(elogpi[:, pairs.indices], phi_out, log_b.T))))
+    delta = max(delta, _update(nolink_out, _group_softmax(
+        _side_logits(elogpi, _nolink_mass(nolink_in, pairs) / n0, log_1mb))))
+    delta = max(delta, _update(nolink_in, _group_softmax(
+        _side_logits(elogpi, _nolink_mass(nolink_out, pairs) / n0, log_1mb.T))))
+
+    gamma[:] = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
+                            _activity_sums(flat_lam, act_indptr))
+    if flat_lam.shape[0]:
+        dig = np.repeat(digamma(gamma), np.diff(act_indptr), axis=0)
+        log_theta = floored_log(params.theta)
+        delta = max(delta, _update(
+            flat_lam, softmax(_lambda_logits(dig, flat_mu, log_theta))))
+        delta = max(delta, _update(
+            flat_mu, softmax(_mu_logits(flat_lam, log_theta, floored_log(params.beta)[ids]))))
+    return delta
+
+
+def _init0(data, n_groups, n_roles, config):
+    """Seeded parameters and the noise-broken uniform starting posteriors:
+    ``(params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in,
+    flat_lam, flat_mu)``.  The jitter is drawn in that order, pair sides
+    pair by pair, as (2E, M) and (N, M)."""
+    rng = np.random.default_rng(config.seed)
+    n = data.n_nodes
+    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
+    pairs = _pairs(data)
+    acts = int(data.activity_counts.sum())
+    shapes = ((pairs.indices.size, n_groups), (pairs.indices.size, n_groups),
+              (n, n_groups), (n, n_groups), (acts, n_groups), (acts, n_roles))
+    rows = [np.full(shape, 1.0 / shape[1]) for shape in shapes]
+    for arr in rows:
+        jitter_rows(arr, rng)
+    phi_out, phi_in, nolink_out, nolink_in = (np.ascontiguousarray(a.T) for a in rows[:4])
+    flat_lam, flat_mu = rows[4:]
+    gamma = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
+                         _activity_sums(flat_lam, _activity_indptr(data.activity_counts)))
+    return params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in, flat_lam, flat_mu
 
 
 def fit0(
@@ -350,33 +438,20 @@ def fit0(
             config.seed,
             config.restarts,
         )
-    rng = np.random.default_rng(config.seed)
-    n = data.n_nodes
-    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
-
+    params, pairs, *arrays = _init0(data, n_groups, n_roles, config)
+    gamma, phi_out, phi_in, nolink_out, nolink_in, flat_lam, flat_mu = arrays
     counts = data.activity_counts
-    total_acts = int(counts.sum())
-    person = np.repeat(np.arange(n), counts)
-    ids = np.concatenate(data.feature_ids) if total_acts else np.zeros(0, dtype=np.int64)
-    phi_out = np.full((n_groups, n, n), 1.0 / n_groups)
-    phi_in = np.full((n_groups, n, n), 1.0 / n_groups)
-    flat_lam = np.full((total_acts, n_groups), 1.0 / n_groups)
-    flat_mu = np.full((total_acts, n_roles), 1.0 / n_roles)
-
-    for phi in (phi_out, phi_in):
-        jitter_rows(np.moveaxis(phi, 0, 2), rng)  # draws in (N, N, M) order
-        _uniform_diagonal(phi)
-    jitter_rows(flat_lam, rng)
-    jitter_rows(flat_mu, rng)
-    gamma = _gamma_block(params.alpha, phi_out, phi_in, _activity_sums(flat_lam, person, n))
-
-    cuts = np.cumsum(counts)[:-1]
+    act_indptr = _activity_indptr(counts)
+    ids = np.concatenate(data.feature_ids) if counts.sum() else np.zeros(0, dtype=np.int64)
+    cuts = act_indptr[1:-1]
 
     def snapshot():
         return Glad0Variational(
             gamma=gamma,
             phi_out=phi_out,
             phi_in=phi_in,
+            nolink_out=nolink_out,
+            nolink_in=nolink_in,
             lam_act=tuple(np.array(a) for a in np.split(flat_lam, cuts)),
             mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
         )
@@ -384,9 +459,7 @@ def fit0(
     def step():
         nonlocal params
         for _ in range(config.inner_max):
-            delta = _sweep0(
-                data, params, gamma, phi_out, phi_in, flat_lam, flat_mu, person, ids
-            )
+            delta = _sweep0(params, pairs, *arrays, act_indptr, ids)
             if delta <= config.inner_tol:
                 break
         state = snapshot()

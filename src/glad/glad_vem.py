@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .model import (
     ActivityDataset,
@@ -222,6 +221,8 @@ def m_step(
 def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) -> float:
     """The membership part of the bound: E[log p(pi | alpha)] - E[log q(pi | gamma)],
     summed over people, with ``elogpi`` = E[log pi] under q."""
+    from scipy.special import gammaln  # deferred, as in model.digamma
+
     norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
     log_p = elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
     log_q = (
@@ -254,6 +255,8 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
     feature shown once per person every role and feature term is exactly 0,
     which leaves the bound of a mixed-membership blockmodel.
     """
+    from scipy.special import gammaln  # deferred, as in model.digamma
+
     lam = state.lam
     elogpi = _expected_log_pi(state.gamma)
 

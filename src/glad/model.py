@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 # Bernoulli block probabilities are clamped to this band after every M-step.
 PROB_EPS = 1e-6
@@ -87,6 +86,10 @@ def digamma(x):
     Non-positive arguments raise ``ValueError`` instead of returning the
     poles and reflections scipy would give; a scalar in gives a float out.
     """
+    # imported here, not at module level: scipy.special costs about 0.2 s per
+    # process, and `glad generate` and `glad score` never call it
+    from scipy import special
+
     arr = np.asarray(x, dtype=float)
     if arr.size and not np.all(arr > 0.0):
         raise ValueError("digamma requires strictly positive arguments")

@@ -29,16 +29,7 @@ from glad.generator import (
     inject_anomalies,
     inject_dynamic_change,
 )
-from glad.glad0_vem import (
-    Fit0Config,
-    _activity_sums,
-    _gamma_block,
-    _group_softmax,
-    _phi_logits,
-    fit0,
-    m_step0,
-)
-from glad.glad0_vem import _lambda_logits as _lambda0_logits
+from glad.glad0_vem import Fit0Config, compute_elbo0, fit0, m_step0
 from glad.glad_vem import (
     FitConfig,
     _expected_log_pi,
@@ -49,7 +40,7 @@ from glad.glad_vem import (
     infer_state,
     m_step,
 )
-from glad.model import ModelParams, digamma, floored_log, softmax
+from glad.model import ModelParams, floored_log, softmax
 from glad.scoring import (
     dynamic_change_score,
     evaluate_dynamic,
@@ -162,45 +153,20 @@ def test_update_kernels_match_straightline_oracles():
         data, params, state = tg0.random_instance0(
             seed, n=n, m=m, k=k, v=v, max_acts=2 + seed % 3
         )
-        phi_out, phi_in = tg0.pair_major(state)
-        counts = data.activity_counts
-        person = np.repeat(np.arange(n), counts)
-        flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
-        elogpi = _expected_log_pi(state.gamma)
-        gamma = _gamma_block(params.alpha, state.phi_out, state.phi_in,
-                             _activity_sums(flat_lam, person, n))
-        new_out, new_in = (
-            _group_softmax(_phi_logits(data.links, params.block, other, elogpi, side))
-            for side, other in (("out", state.phi_in), ("in", state.phi_out))
+        for got, want in zip(tg0.kernel_updates(data, params, state),
+                             tg0.oracle_updates(data, params, state)):
+            if want is not None and want.size:  # no links, or no activity rows
+                worst_abs = max(worst_abs, float(np.abs(got - want).max()))
+        got_bound = compute_elbo0(data, params, state)
+        want_bound = tg0.oracle_elbo0(data, params, state.gamma, *tg0.expand_state(data, state),
+                                      state.lam_act, state.mu_act)
+        worst_rel = max(
+            worst_rel, abs(got_bound - want_bound) / max(1.0, abs(want_bound))
         )
-        if person.size:  # a softmax needs at least one activity row
-            log_theta = floored_log(params.theta)
-            lam = softmax(_lambda0_logits(digamma(state.gamma)[person], flat_mu, log_theta))
-            log_beta = floored_log(params.beta)[np.concatenate(data.feature_ids)]
-            mu = softmax(_mu_logits(flat_lam, log_theta, log_beta))
-        row = 0
-        for p in range(n):
-            want = tg0.oracle_gamma0(p, params.alpha, phi_out, phi_in, state.lam_act)
-            worst_abs = max(worst_abs, float(np.abs(gamma[p] - want).max()))
-            for q in range(n):
-                if q == p:
-                    continue
-                want = tg0.oracle_phi_out(p, q, data.links, params.block, state.gamma, phi_in)
-                worst_abs = max(worst_abs, float(np.abs(new_out[:, p, q] - want).max()))
-                want = tg0.oracle_phi_in(p, q, data.links, params.block, state.gamma, phi_out)
-                worst_abs = max(worst_abs, float(np.abs(new_in[:, p, q] - want).max()))
-            for a in range(counts[p]):
-                want = tg0.oracle_lambda0(p, a, state.gamma, params.theta, state.mu_act)
-                worst_abs = max(worst_abs, float(np.abs(lam[row] - want).max()))
-                want = tg0.oracle_mu0(
-                    p, a, data.feature_ids, params.theta, params.beta, state.lam_act
-                )
-                worst_abs = max(worst_abs, float(np.abs(mu[row] - want).max()))
-                row += 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fitted = m_step0(data, state, params.alpha)
-        want_block = tg0.oracle_m_step0_block(data.links, phi_out, phi_in)
+        want_block = tg0.oracle_m_step0_block(data.links, *tg0.expand_state(data, state))
         worst_abs = max(worst_abs, float(np.abs(fitted.block - want_block).max()))
         if sum(data.activity_counts) > 0:
             theta = np.zeros((m, k))

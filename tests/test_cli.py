@@ -67,6 +67,26 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_generate_and_score_leave_scipy_special_unloaded(static_run, tmp_path):
+    # only the fits call digamma and log-gamma; the other stages should not
+    # pay scipy.special's start-up time
+    _, _, fit_dir = static_run
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("kind=activity\nn_nodes=30\nn_groups=3\ntrials_per_person=4\nseed=0\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    for argv in (
+        ["generate", "--config", str(cfg), "--out", str(tmp_path / "data")],
+        ["score", "--fit", str(fit_dir), "--out", str(tmp_path / "report")],
+    ):
+        code = ("import sys; from glad.cli import main; "
+                f"print(main({argv!r}), 'scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"], (argv[0], out.stdout, out.stderr)
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
@@ -364,6 +384,26 @@ def test_non_finite_threshold_exits_1(dynamic_run, tmp_path, capsys, command, va
     assert rc == 1
     assert "threshold must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+@pytest.mark.parametrize("equals", [False, True])
+def test_negative_non_finite_flag_values_reach_the_checks(static_run, tmp_path, capsys,
+                                                          value, equals):
+    # argparse takes a bare "-inf" for an option; it must be read as a value
+    _, data_dir, fit_dir = static_run
+    out = tmp_path / "out"
+    fit = ["fit", "--data", data_dir, "--out", out, "--groups", 2, "--model"]
+    cases = [
+        (["score", "--fit", fit_dir, "--out", out], "--threshold", "threshold must be finite"),
+        (fit + ["glad"], "--alpha0", "alpha0 must be positive and finite"),
+        (fit + ["dglad"], "--sigma", "sigma must be non-negative and finite"),
+    ]
+    for argv, flag, message in cases:
+        tail = [f"{flag}={value}"] if equals else [flag, value]
+        assert run(*argv, *tail) == 1, flag
+        assert message in capsys.readouterr().err, flag
+        assert not out.exists()
 
 
 def test_score_on_missing_fit_dir_exits_1(tmp_path, capsys):
