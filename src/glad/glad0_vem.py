@@ -65,6 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .glad_vem import (
+    EDGE_CHUNK,
     FitResult,
     _expected_log_pi,
     _mu_logits,
@@ -325,14 +326,23 @@ def compute_elbo0(
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)
     elogpi_t = elogpi.T
-    phi_out, phi_in = state.phi_out, state.phi_in
-    total += float(_side_terms(phi_out, elogpi_t[:, pairs.sender]).sum())
-    total += float(_side_terms(phi_in, elogpi_t[:, pairs.indices]).sum())
-    total += float(((log_b.T @ phi_out) * phi_in).sum())
-
     a, b = state.nolink_out, state.nolink_in
     total += float(pairs.n0 @ (_side_terms(a, elogpi_t) + _side_terms(b, elogpi_t)))
-    total += float(((log_1mb.T @ a) * _nolink_mass(b, pairs)).sum())
+    # a_p' log(1 - B) S_p: the receiver mass of everyone but p here, less
+    # that of p's linked partners pair by pair below
+    nolink_f = log_1mb.T @ a
+    total += float((nolink_f * (b.sum(axis=1, keepdims=True) - b)).sum())
+
+    # the linked pairs in chunks of EDGE_CHUNK columns, so that no (M, 2E)
+    # temporary is ever held
+    for start in range(0, pairs.indices.size, EDGE_CHUNK):
+        cols = slice(start, start + EDGE_CHUNK)
+        sender, receiver = pairs.sender[cols], pairs.indices[cols]
+        phi_out, phi_in = state.phi_out[:, cols], state.phi_in[:, cols]
+        total += float(_side_terms(phi_out, elogpi_t[:, sender]).sum())
+        total += float(_side_terms(phi_in, elogpi_t[:, receiver]).sum())
+        total += float(((log_b.T @ phi_out) * phi_in).sum())
+        total -= float((nolink_f[:, sender] * b[:, receiver]).sum())
 
     flat_lam, flat_mu, ids = _stacked(state, data)
     person = np.repeat(np.arange(data.n_nodes), data.activity_counts)

@@ -63,10 +63,10 @@ __all__ = [
 
 # Multiplicative symmetry-breaking noise on the uniform starting state.
 INIT_NOISE = 0.01
-# Edges per block in the linked-mass sum.  The two gathered (EDGE_CHUNK, M)
-# blocks stay in cache, and no (E, M) copy is ever held: at 2e5 edges this
-# is about 3x faster than one gather of every edge and keeps 15 MB off the
-# peak memory of a fit.
+# Edges per block in the linked-mass sum, and pair columns per block in
+# glad0's bound.  The two gathered (EDGE_CHUNK, M) blocks stay in cache, and
+# no (E, M) copy is ever held: at 2e5 edges this is about 3x faster than one
+# gather of every edge and keeps 15 MB off the peak memory of a fit.
 EDGE_CHUNK = 8192
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo backend: conditional draws, particle filter, full sampler."""
 
+import copy
 import itertools
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glad.dglad_mc import (
+    SCAN_WINDOW,
     DGladConfig,
     DGladParams,
     DGladTrace,
@@ -779,6 +781,102 @@ def test_blocked_scan_leaves_the_joint_posterior_invariant():
         role_hits += trace.R
     assert np.abs(group_hits / draws - p_group).max() < 0.025
     assert np.abs(role_hits / draws - p_role).max() < 0.025
+
+
+
+def reference_scan(trace, rng, feat_scores, links, logb, log1mb):
+    # the one-person Gibbs scan, straight-line: every role in one draw, then
+    # person by person their groups in every snapshot from rng.random(T),
+    # each move written into the neighbour and group counts before the next
+    # person is scored
+    horizon, n = trace.G.shape
+    steps = np.arange(horizon)
+    ls_theta = log_softmax(trace.theta_hat)
+    role_logits = ls_theta[steps[:, None], trace.G] + feat_scores
+    trace.R[:] = _draw_rows(role_logits, rng.random((horizon, n)))
+    ls_role = ls_theta[steps[:, None], :, trace.R]
+    member = (trace.G[:, :, None] == np.arange(trace.n_groups)).astype(float)
+    counts = np.stack([links[t] @ member[t] for t in range(horizon)])
+    totals = member.sum(axis=1)
+    logpi = floored_log(trace.pi)
+    for p in range(n):
+        g_p = trace.G[:, p]
+        total = totals.copy()
+        total[steps, g_p] -= 1
+        logits = logpi[p] + ls_role[:, p] + counts[:, p] @ logb.T
+        logits += (total - counts[:, p]) @ log1mb.T
+        g_new = _draw_rows(logits, rng.random(horizon))
+        for t in np.flatnonzero(g_new != g_p):
+            counts[t, :, g_p[t]] -= links[t, p]
+            counts[t, :, g_new[t]] += links[t, p]
+            totals[t, g_p[t]] -= 1
+            totals[t, g_new[t]] += 1
+            g_p[t] = g_new[t]
+
+
+def scan_case(name):
+    # (data, params, trace) of each case of the equivalence test
+    if name in ("settled", "high-move"):
+        # settled: a planted instance after four sweeps; high-move: a weak
+        # block and few features, from a random start
+        strong = name == "settled"
+        m = 3 if strong else 4
+        cfg = InjectionConfig(
+            n_nodes=60, n_groups=m, n_roles=2, seed=6,
+            block_in=0.6 if strong else 0.06, block_out=0.05,
+            trials_per_person=25 if strong else 3,
+        )
+        data, _ = inject_dynamic_change(cfg, horizon=4, change_time=3, seed=6)
+        res = run_sampler(data, m, 2, DGladConfig(
+            sweeps=4 if strong else 0, burn_in=0, n_particles=8, seed=6, init_fit_iters=4))
+        trace = res.trace
+        if not strong:
+            trace.G = np.random.default_rng(6).integers(0, m, size=trace.G.shape)
+        return data, res.params, trace
+    horizon, n, m = {
+        "narrower-than-window": (3, SCAN_WINDOW - 1, 3),
+        "ragged-last-window": (2, 6 * SCAN_WINDOW + 1, 3),
+        "one-snapshot": (1, 11, 3),
+        "one-group": (3, 11, 1),
+    }[name]
+    params = make_params(m=m, k=2, v=3, seed=n)
+    return (make_data(params, horizon=horizon, n=n, seed=n), params,
+            make_trace(params, horizon=horizon, n=n, seed=n))
+
+
+@pytest.mark.parametrize("name", [
+    "settled", "high-move", "narrower-than-window", "ragged-last-window",
+    "one-snapshot", "one-group",
+])
+def test_speculative_scan_replays_the_one_person_scan(name):
+    # four scans on one seeded stream give the one-person scan's G and R
+    # after each, and leave the stream at the same place
+    data, params, trace = scan_case(name)
+    inputs = (
+        np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta),
+        np.stack([s.links for s in data.snapshots]),
+        np.log(params.block),
+        np.log1p(-params.block),
+    )
+    ref = copy.deepcopy(trace)
+    ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    movers = []
+    for _ in range(4):
+        before = ref.G.copy()
+        reference_scan(ref, ref_rng, *inputs)
+        _scan_assignments(trace, rng, *inputs)
+        np.testing.assert_array_equal(trace.R, ref.R)
+        np.testing.assert_array_equal(trace.G, ref.G)
+        movers.append((ref.G != before).any(axis=0).mean())
+    assert rng.random() == ref_rng.random()
+    if name == "settled":
+        assert max(movers) <= 0.05, movers
+    elif name == "high-move":
+        assert min(movers) >= 0.5, movers
+    elif name == "one-group":
+        assert max(movers) == 0
+    else:
+        assert max(movers) > 0, movers
 
 
 def test_run_sampler_deterministic():

@@ -868,3 +868,23 @@ def test_fit0_at_2000_people_holds_no_quadratic_array():
     assert max(a.size for a in arrays) < n * n
     assert max(peaks) < n * n, peaks
     assert fit_peak < 150e6, fit_peak
+
+    # At the default density (about 200 links per person, 2E ~ 4e5) the
+    # bound walks the linked pairs in column chunks and adds less than one
+    # (M, 2E) float array to the traced peak; holding whole (M, 2E)
+    # temporaries, it added three to four of them (54 MB at this size).
+    dense, _ = inject_activity_anomalies(InjectionConfig(n_nodes=n, n_groups=5, seed=0),
+                                         activities=5)
+    dense.neighbours, dense.edges
+    params, pairs, gamma, *sides, flat_lam, flat_mu = _init0(dense, 5, 2, Fit0Config())
+    cuts = _activity_indptr(dense.activity_counts)[1:-1]
+    state = Glad0Variational(gamma, *sides, lam_act=tuple(np.split(flat_lam, cuts)),
+                             mu_act=tuple(np.split(flat_mu, cuts)))
+    tracemalloc.start()
+    try:
+        compute_elbo0(dense, params, state)
+        elbo_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.indices.size > 300_000
+    assert elbo_peak < 5 * pairs.indices.size * 8, elbo_peak
