@@ -609,8 +609,8 @@ def cmd_benchmark(args) -> int:
     else:
         # every cell's fit loads scipy.special; loading it once here, before
         # the pool forks its workers, keeps their peak memory down (largest
-        # worker at the study-grid workload: 70.8 MB, against 78.3 MB when
-        # each worker loads it itself)
+        # process at the study-grid workload: 54.3 MB, against 54.8-55.1 MB
+        # when each worker loads it itself)
         import scipy.special  # noqa: F401
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -188,15 +188,14 @@ class _Pairs(NamedTuple):
 
 
 def _pairs(data: ActivityDataset) -> _Pairs:
+    # the index arrays are cached on the dataset, so a fit builds them once
     indptr, indices = data.neighbours
-    deg = np.diff(indptr)
-    # pairs ordered by (receiver, sender) list the reversed pairs in CSR order
     return _Pairs(
         indptr=indptr,
         indices=indices,
-        sender=np.repeat(np.arange(deg.size), deg),
-        reverse=np.argsort(indices, kind="stable"),
-        n0=data.n_nodes - 1 - deg,
+        sender=data.senders,
+        reverse=data.reverse,
+        n0=data.n_nodes - 1 - np.diff(indptr),
     )
 
 

@@ -134,7 +134,7 @@ def floored_log(x: np.ndarray) -> np.ndarray:
 class _EdgeIndex:
     """Sparse views of a symmetric 0/1 ``links`` matrix, derived once on first use.
 
-    Both are read-only index arrays in row-major order; the diagonal is left out.
+    All are read-only index arrays in row-major order; the diagonal is left out.
     """
 
     @cached_property
@@ -146,6 +146,19 @@ class _EdgeIndex:
         indptr = np.zeros(self.links.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[keep], minlength=self.links.shape[0]), out=indptr[1:])
         return _readonly(indptr), _readonly(cols[keep])
+
+    @cached_property
+    def senders(self) -> np.ndarray:
+        """Owner of each ``neighbours`` entry: the linked ordered pair j runs
+        from ``senders[j]`` to ``indices[j]``."""
+        indptr = self.neighbours[0]
+        return _readonly(np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))
+
+    @cached_property
+    def reverse(self) -> np.ndarray:
+        """Position in ``neighbours`` of each linked ordered pair's reversal."""
+        # pairs ordered by (receiver, sender) list the reversed pairs in CSR order
+        return _readonly(np.argsort(self.neighbours[1], kind="stable"))
 
     @cached_property
     def edges(self) -> tuple:
@@ -204,7 +217,8 @@ class ActivityDataset(_EdgeIndex):
     ``feature_ids[p]`` is an integer array with one entry per activity of
     person p, each the index of the single feature that activity produced
     (the one-hot encoding stored compactly).  ``links``, ``edges`` and
-    ``neighbours`` are as in :class:`Dataset`.
+    ``neighbours`` are as in :class:`Dataset`; glad0's pair kernels also read
+    ``senders`` and ``reverse``.
     """
 
     feature_ids: tuple

@@ -8,7 +8,11 @@ rates and is unchanged by how the fit labels roles.  Dynamic scoring tracks
 jumps of the rate path in unconstrained space.  Evaluation compares flagged
 sets and alarm sets against generator ground truth; group labels from a fit
 are aligned to true labels by maximum-overlap assignment before any set
-comparison.
+comparison.  That assignment is Crouse's shortest augmenting path with dual
+potentials (D. F. Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 52(4), 2016), square case, with the tie rules of
+scipy's ``linear_sum_assignment``, so it returns scipy's mapping while the
+module needs only numpy.
 """
 
 from __future__ import annotations
@@ -90,26 +94,77 @@ def top_fraction(scores: np.ndarray, fraction: float) -> np.ndarray:
     return np.sort(rank_groups(scores)[:n_top])
 
 
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a least-total-cost assignment of the square ``cost``.
+
+    Crouse's shortest augmenting path with dual potentials, one row at a
+    time, with scipy's tie rules: the remaining columns are scanned in
+    scipy's order (descending at first), on an equal path cost an unassigned
+    column wins, and a reached column is swap-removed from the remaining
+    list.  So each result is the one scipy's ``linear_sum_assignment``
+    returns.
+    """
+    c = cost.tolist()
+    n = len(c)
+    u, v = [0.0] * n, [0.0] * n
+    row4col, col4row, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        # Dijkstra over reduced costs from row cur to the nearest free column
+        remaining = list(range(n - 1, -1, -1))
+        short = [math.inf] * n
+        rows, cols = [], []
+        min_val, i = 0.0, cur
+        while True:
+            rows.append(i)
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + c[i][j] - u[i] - v[j]
+                if r < short[j]:
+                    path[j], short[j] = i, r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] == -1):
+                    index, lowest = it, short[j]
+            min_val = lowest
+            j = remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+        # dual update, then flip the path from row cur to the free column j
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - short[col4row[i]]
+        for k in cols:
+            v[k] -= min_val - short[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.array(col4row, dtype=np.int64)
+
+
 def match_groups(inferred: np.ndarray, true_grouping: np.ndarray, n_groups: int) -> np.ndarray:
     """Map fitted group labels onto true labels by maximum overlap.
 
     Returns an array ``mapping`` with ``mapping[fitted_label] = true_label``
-    from the optimal assignment on the label co-occurrence matrix.
+    from the optimal assignment on the label co-occurrence matrix, solved by
+    ``_assign`` (Crouse's algorithm with scipy's tie rules, so the mapping is
+    the one scipy's ``linear_sum_assignment`` gives).  Both groupings must
+    hold labels in ``[0, n_groups)``; any other label raises ValueError.
     """
-    # imported here, not at module level: scipy.optimize costs about 0.3 s
-    # and 20 MB per process, and `glad generate` and `glad fit` never match
-    from scipy.optimize import linear_sum_assignment
-
     inferred = np.asarray(inferred, dtype=np.int64)
     true_grouping = np.asarray(true_grouping, dtype=np.int64)
     if inferred.shape != true_grouping.shape:
         raise ValueError("groupings must cover the same people")
-    overlap = np.zeros((n_groups, n_groups))
-    np.add.at(overlap, (inferred, true_grouping), 1.0)
-    rows, cols = linear_sum_assignment(-overlap)
-    mapping = np.empty(n_groups, dtype=np.int64)
-    mapping[rows] = cols
-    return mapping
+    for name, labels in (("fitted", inferred), ("true", true_grouping)):
+        bad = labels[(labels < 0) | (labels >= n_groups)]
+        if bad.size:
+            raise ValueError(f"{name} grouping holds label {bad[0]}, outside 0..{n_groups - 1}")
+    overlap = np.bincount(inferred * n_groups + true_grouping, minlength=n_groups * n_groups)
+    return _assign(-overlap.reshape(n_groups, n_groups))
 
 
 def evaluate_static(flagged, anomalous, n_groups: int) -> dict:
@@ -203,20 +258,6 @@ class AnomalyReport:
             "metrics": self.metrics,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnomalyReport":
-        raw = json.loads(text)
-        return cls(
-            group_scores=np.asarray(raw["group_scores"], dtype=float),
-            ranking=np.asarray(raw["ranking"], dtype=np.int64),
-            flagged=np.asarray(raw["flagged"], dtype=np.int64),
-            change_scores=None
-            if raw["change_scores"] is None
-            else np.asarray(raw["change_scores"], dtype=float),
-            alarms=tuple((int(g), int(t)) for g, t in raw["alarms"]),
-            metrics={k: float(v) for k, v in raw["metrics"].items()},
-        )
 
 
 def make_report(

@@ -11,7 +11,7 @@ import pytest
 
 from glad import io
 from glad.cli import main
-from glad.scoring import AnomalyReport, evaluate_static, top_fraction
+from glad.scoring import evaluate_static, top_fraction
 
 
 def run(*argv) -> int:
@@ -55,34 +55,49 @@ def dynamic_run(tmp_path_factory):
     return root, data_dir, fit_dir
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only group matching needs scipy.optimize; `generate` and `fit` should
-    # not pay its start-up time and memory
+def _src_env() -> dict:
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, glad.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return env
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(static_run, dynamic_run, tmp_path):
+    # group matching solves its assignment in numpy: no stage, not even the
+    # ones that match labels, pays scipy.optimize's start-up time and memory
+    _, static_data, static_fit = static_run
+    _, dynamic_data, dynamic_fit = dynamic_run
+    runs = [
+        ["evaluate", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
+         "--out", str(tmp_path / "eval_static")],
+        ["evaluate", "--fit", str(dynamic_fit), "--truth", str(dynamic_data / "truth.json"),
+         "--out", str(tmp_path / "eval_dynamic"), "--threshold", "1.0"],
+        ["score", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
+         "--out", str(tmp_path / "score")],
+    ]
+    code = ("import sys, glad.cli; "
+            f"print(*[glad.cli.main(argv) for argv in {runs!r}], "
+            "'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split()[-4:] == ["0", "0", "0", "False"], (out.stdout, out.stderr)
 
 
 def test_generate_and_score_leave_scipy_special_unloaded(static_run, tmp_path):
     # only the fits call digamma and log-gamma; the other stages should not
     # pay scipy.special's start-up time
-    _, _, fit_dir = static_run
+    _, data_dir, fit_dir = static_run
     cfg = tmp_path / "gen.cfg"
     cfg.write_text("kind=activity\nn_nodes=30\nn_groups=3\ntrials_per_person=4\nseed=0\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     for argv in (
         ["generate", "--config", str(cfg), "--out", str(tmp_path / "data")],
         ["score", "--fit", str(fit_dir), "--out", str(tmp_path / "report")],
+        ["evaluate", "--fit", str(fit_dir), "--truth", str(data_dir / "truth.json"),
+         "--out", str(tmp_path / "eval")],
     ):
         code = ("import sys; from glad.cli import main; "
                 f"print(main({argv!r}), 'scipy.special' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                              capture_output=True, text=True, timeout=120)
         assert out.stdout.split()[-2:] == ["0", "False"], (argv[0], out.stdout, out.stderr)
 
@@ -357,19 +372,23 @@ def test_score_report_round_trips(static_run, tmp_path):
     out = tmp_path / "score"
     assert run("score", "--fit", fit_dir, "--out", out,
                "--truth", data_dir / "truth.json") == 0
-    text = (out / "report.json").read_text()
-    report = AnomalyReport.from_json(text)
-    assert report.to_json() + "\n" == text  # parse(emit(r)) == r
+    report = json.loads((out / "report.json").read_text())
+    truth = io.read_truth(data_dir / "truth.json")
+    assert sorted(report["ranking"]) == [0, 1, 2] and report["change_scores"] is None
+    assert report["flagged"] == top_fraction(np.array(report["group_scores"]), 0.2).tolist()
+    assert report["metrics"] == evaluate_static(report["flagged"], truth["anomalous_groups"], 3)
+    assert report["alarms"] == []
     header, scores = io.read_matrix_csv(out / "scores.csv")
     assert header == ["group", "score"] and scores.shape == (3, 2)
+    assert scores[:, 1].tolist() == report["group_scores"]
 
 
 def test_score_without_truth_has_no_metrics(static_run, tmp_path):
     _, _, fit_dir = static_run
     out = tmp_path / "score"
     assert run("score", "--fit", fit_dir, "--out", out) == 0
-    report = AnomalyReport.from_json((out / "report.json").read_text())
-    assert report.metrics == {}
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"] == {}
 
 
 @pytest.mark.parametrize("command", ["score", "evaluate"])
@@ -431,6 +450,25 @@ def test_evaluate_requires_truth(static_run, tmp_path):
     assert run("evaluate", "--fit", fit_dir, "--out", tmp_path / "o") == 1
 
 
+@pytest.mark.parametrize("label", [-1, 3])
+def test_evaluate_out_of_range_group_label_exits_1(static_run, tmp_path, capsys, label):
+    # a label of -1 would wrap onto the last group; one of n_groups has no row
+    _, data_dir, fit_dir = static_run
+    fake = tmp_path / "fit"
+    fake.mkdir()
+    for f in fit_dir.iterdir():
+        (fake / f.name).write_bytes(f.read_bytes())
+    header, table = io.read_matrix_csv(fake / "grouping.csv")
+    table[0, 1] = label
+    io.write_matrix_csv(fake / "grouping.csv", table.astype(np.int64), header)
+    out = tmp_path / "out"
+    rc = run("evaluate", "--fit", fake, "--out", out, "--truth", data_dir / "truth.json")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and f"label {label}," in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_evaluate_threshold_grid_row_count(static_run, tmp_path):
     _, data_dir, fit_dir = static_run
     out = tmp_path / "eval"
@@ -475,9 +513,9 @@ def test_evaluate_dynamic_emits_change_artifacts(dynamic_run, tmp_path):
     header, change = io.read_matrix_csv(out / "change_scores.csv")
     assert header[0] == "transition" and change.shape == (4, 4)
     np.testing.assert_array_equal(change[:, 0], [1, 2, 3, 4])
-    report = AnomalyReport.from_json((out / "report.json").read_text())
-    assert "change_recall" in report.metrics and "change_fpr" in report.metrics
-    for g, t in report.alarms:
+    report = json.loads((out / "report.json").read_text())
+    assert "change_recall" in report["metrics"] and "change_fpr" in report["metrics"]
+    for g, t in report["alarms"]:
         assert 0 <= g < 3 and 1 <= t <= 4
 
 

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from glad.generator import InjectionConfig, inject_anomalies
 from glad.glad_vem import FitConfig, fit
 from glad.scoring import (
     AnomalyReport,
+    _assign,
     dynamic_change_score,
     evaluate_dynamic,
     evaluate_static,
@@ -117,6 +119,43 @@ def test_match_groups_tolerates_noise():
     np.testing.assert_array_equal(mapping, [1, 2, 0])
 
 
+def _oracle_cases(rng, n):
+    # tie-heavy small integers, sparse co-occurrence counts (the overlap
+    # tables match_groups negates), and continuous entries
+    yield rng.integers(0, 3, size=(n, n)).astype(float)
+    counts = np.bincount(rng.integers(0, n * n, size=rng.integers(0, 3 * n + 1)),
+                         minlength=n * n)
+    yield -counts.reshape(n, n).astype(float)
+    yield rng.random((n, n))
+
+
+def test_assign_matches_scipy_assignment_on_every_matrix():
+    # the same columns, not just the same cost: group labels depend on how
+    # ties are broken
+    rng = np.random.default_rng(16)
+    cases = [c for _ in range(3400) for c in _oracle_cases(rng, int(rng.integers(1, 9)))]
+    cases += [c for _ in range(2) for c in _oracle_cases(rng, 40)]
+    assert len(cases) >= 10_000
+    for cost in cases:
+        rows, cols = linear_sum_assignment(cost)
+        np.testing.assert_array_equal(rows, np.arange(cost.shape[0]))
+        np.testing.assert_array_equal(_assign(cost), cols, err_msg=repr(cost))
+
+
+def test_match_groups_constant_overlap_is_the_identity():
+    # every assignment ties; scipy's scan order gives the identity
+    np.testing.assert_array_equal(match_groups(np.zeros(0), np.zeros(0), 4), np.arange(4))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+@pytest.mark.parametrize("label", [-1, 3])
+def test_match_groups_rejects_labels_outside_the_groups(which, label):
+    groupings = [np.array([0, 1, 2, 2]), np.array([2, 0, 1, 1])]
+    groupings[which][1] = label
+    with pytest.raises(ValueError, match=f"label {label},"):
+        match_groups(*groupings, 3)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -185,16 +224,15 @@ def test_report_json_round_trip():
         anomalous={0},
         change_times={1: 1},
     )
-    back = AnomalyReport.from_json(rep.to_json())
-    np.testing.assert_array_equal(back.group_scores, rep.group_scores)
-    np.testing.assert_array_equal(back.ranking, rep.ranking)
-    np.testing.assert_array_equal(back.flagged, rep.flagged)
-    np.testing.assert_array_equal(back.change_scores, rep.change_scores)
-    assert back.alarms == rep.alarms == ((1, 1),)
-    assert back.metrics == rep.metrics
-    assert back.metrics["accuracy"] == 1.0
-    assert back.metrics["change_recall"] == 1.0
-    assert json.loads(rep.to_json())["ranking"] == [0, 2, 1]
+    back = json.loads(rep.to_json())
+    assert back["group_scores"] == rep.group_scores.tolist() == [3.0, 1.0, 2.0]
+    assert back["ranking"] == rep.ranking.tolist() == [0, 2, 1]
+    assert back["flagged"] == rep.flagged.tolist() == [0, 2]
+    assert back["change_scores"] == rep.change_scores.tolist()
+    assert back["alarms"] == [[1, 1]] and rep.alarms == ((1, 1),)
+    assert back["metrics"] == rep.metrics
+    assert back["metrics"]["accuracy"] == 1.0
+    assert back["metrics"]["change_recall"] == 1.0
 
 
 def test_report_invariants_enforced():
