@@ -46,7 +46,6 @@ from .scoring import (
     match_groups,
     rate_distance_score,
     rate_reference,
-    top_fraction,
 )
 
 __all__ = ["main"]
@@ -110,14 +109,21 @@ def _generate_schema(kind: str) -> dict:
     return dict(_GENERATE_BASE)
 
 
-def _injection_config(cfg: dict, **overrides) -> InjectionConfig:
-    """The planted-benchmark settings found in ``cfg``, then ``overrides``;
-    any other field keeps its default."""
+def _inject(kind: str, cfg: dict, **overrides):
+    """``(dataset, truth)`` of a planted benchmark of ``kind``, from the
+    generator settings found in ``cfg``, then ``overrides``; any other
+    setting keeps its default."""
     fields = {f.name: cfg[f.name] for f in dataclasses.fields(InjectionConfig) if f.name in cfg}
     fields.update(overrides)
-    return InjectionConfig(
+    inj = InjectionConfig(
         **{key: tuple(v) if isinstance(v, list) else v for key, v in fields.items()}
     )
+    if kind == "static":
+        return inject_anomalies(inj)
+    if kind == "activity":
+        # trials_per_person doubles as the per-person activity count here
+        return inject_activity_anomalies(inj)
+    return inject_dynamic_change(inj, **{key: cfg[key] for key in _GENERATE_DYNAMIC})
 
 
 def cmd_generate(args) -> int:
@@ -128,20 +134,7 @@ def cmd_generate(args) -> int:
     cfg = gio.coerce_config(raw, _generate_schema(kind))
     if args.seed is not None:
         cfg["seed"] = args.seed
-    inj = _injection_config(cfg)
-    if kind == "static":
-        data, truth = inject_anomalies(inj)
-    elif kind == "activity":
-        # trials_per_person doubles as the per-person activity count here
-        data, truth = inject_activity_anomalies(inj)
-    else:
-        data, truth = inject_dynamic_change(
-            inj,
-            horizon=cfg["horizon"],
-            change_time=cfg["change_time"],
-            changed_fraction=cfg["changed_fraction"],
-            drift_sigma=cfg["drift_sigma"],
-        )
+    data, truth = _inject(kind, cfg)
     out = Path(args.out)
     gio.write_dataset(out, data, truth)
     (out / "config.txt").write_text(gio.format_config(cfg))
@@ -178,8 +171,18 @@ def _model_flags(args) -> dict:
         if args.model not in models:
             name = "--" + flag.replace("_", "-")
             raise UsageError(f"{name} does not apply to model {args.model}")
-        flags[_FLAG_FIELDS.get(flag, flag)] = value
-    return flags
+        flags[flag] = value
+    return _flag_fields(args.model, flags)
+
+
+def _flag_fields(model: str, values: dict) -> dict:
+    """The config fields of ``model`` that the hyper-flag values among
+    ``values`` set; every other entry is left out."""
+    return {
+        _FLAG_FIELDS.get(flag, flag): value
+        for flag, value in values.items()
+        if model in _FLAG_MODELS.get(flag, ())
+    }
 
 
 def _group_cols(m):
@@ -209,6 +212,19 @@ def _write_params(out: Path, params) -> None:
 def _write_grouping(out: Path, grouping: np.ndarray) -> None:
     table = np.column_stack([np.arange(grouping.size), grouping]).astype(np.int64)
     gio.write_matrix_csv(out / "grouping.csv", table, ["node_id", "group"])
+
+
+def _read_grouping(path: Path) -> np.ndarray:
+    """The labels of a grouping.csv laid out as ``_write_grouping`` writes it."""
+    header, table = gio.read_matrix_csv(path)
+    if header != ["node_id", "group"]:
+        raise ValueError(f"{path}: line 1: expected the header node_id,group")
+    node, label = table.T
+    bad = (node != np.arange(node.size)) | ~np.isfinite(label) | (label != np.round(label))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"{path}: line {i + 2}: expected node_id {i} and a whole-number group")
+    return label.astype(np.int64)
 
 
 def _write_em_fit(out: Path, result, config) -> dict:
@@ -293,21 +309,34 @@ def cmd_fit(args) -> int:
 # score / evaluate
 # ---------------------------------------------------------------------------
 
-def _static_scores(theta) -> np.ndarray:
-    """Each group's rate distance from the median rate profile."""
-    return rate_distance_score(theta, rate_reference(theta))
+def _static_scores(theta) -> tuple:
+    """Each group's rate distance from the median rate profile; no change scores."""
+    return rate_distance_score(theta, rate_reference(theta)), None
+
+
+def _dynamic_scores(theta_mean) -> tuple:
+    """Each group's largest change score, and the (T-1, M) change scores."""
+    change = dynamic_change_score(theta_mean)
+    return change.max(axis=0), change
+
+
+def _em_scores(result) -> tuple:
+    return result.state.grouping(), *_static_scores(result.params.theta)
+
+
+def _sampler_scores(result) -> tuple:
+    return result.trace.grouping(), *_dynamic_scores(result.theta_mean)
 
 
 def _load_static_scores(root: Path, manifest: dict) -> tuple:
     _, theta = gio.read_matrix_csv(root / "theta.csv")
-    return _static_scores(theta), None
+    return _static_scores(theta)
 
 
 def _load_dynamic_scores(root: Path, manifest: dict) -> tuple:
     m, k = int(manifest["n_groups"]), int(manifest["n_roles"])
     _, flat = gio.read_matrix_csv(root / "theta_mean.csv")
-    change = dynamic_change_score(flat[:, 2:].reshape(int(manifest["horizon"]), m, k))
-    return change.max(axis=0), change
+    return _dynamic_scores(flat[:, 2:].reshape(int(manifest["horizon"]), m, k))
 
 
 def _load_fit(fit_dir) -> tuple:
@@ -324,9 +353,8 @@ def _load_fit(fit_dir) -> tuple:
             f"{fit_dir}: fit.json names unknown model {manifest['model']!r} "
             f"(known: {', '.join(_MODELS)})"
         )
-    _, grouping_table = gio.read_matrix_csv(root / "grouping.csv")
     scores, change = model.load_scores(root, manifest)
-    return manifest, grouping_table[:, 1].astype(np.int64), scores, change
+    return manifest, _read_grouping(root / "grouping.csv"), scores, change
 
 
 def _align_to_truth(scores, change, grouping, true_grouping, n_groups):
@@ -439,12 +467,16 @@ class _Model(NamedTuple):
     fit: Callable  # (data, n_groups, n_roles, config) -> result
     write: Callable  # (out dir, result, config) -> manifest entries
     load_scores: Callable  # (fit dir, manifest) -> (group scores, change scores or None)
+    scores: Callable  # fit result -> (grouping, group scores, change scores or None)
 
 
 _MODELS = {
-    "glad": _Model("static", FitConfig, fit, _write_glad_fit, _load_static_scores),
-    "glad0": _Model("activity", Fit0Config, fit0, _write_em_fit, _load_static_scores),
-    "dglad": _Model("dynamic", DGladConfig, run_sampler, _write_dglad_fit, _load_dynamic_scores),
+    "glad": _Model("static", FitConfig, fit, _write_glad_fit, _load_static_scores, _em_scores),
+    "glad0": _Model("activity", Fit0Config, fit0, _write_em_fit, _load_static_scores, _em_scores),
+    "dglad": _Model(
+        "dynamic", DGladConfig, run_sampler, _write_dglad_fit, _load_dynamic_scores,
+        _sampler_scores,
+    ),
 }
 # flags whose config field has another name
 _FLAG_FIELDS = {"particles": "n_particles"}
@@ -471,6 +503,8 @@ _FLAG_MODELS = _flag_models()
 # benchmark
 # ---------------------------------------------------------------------------
 
+# a key named like a `glad fit` hyper flag (max_iters, sweeps, burn_in,
+# particles, sigma) sets that config field in the cells of every model taking it
 _BENCHMARK_SCHEMA = {
     "group_counts": ("int_list", [5]),
     "n_seeds": ("int", 3),
@@ -499,68 +533,44 @@ _BENCHMARK_SCHEMA = {
     "grid_max": ("float", 4.0),
 }
 
+# the grid's static methods: the joint fit and the two-stage baseline on its config
 _METHODS = ("glad", "mmsb-lda")
 
 
-def _static_cell(cfg: dict, group_count: int, method: str, seed: int) -> dict:
-    """One benchmark cell: generate, fit, score, match labels, evaluate."""
-    data, truth = inject_anomalies(_injection_config(cfg, n_groups=group_count, seed=seed))
-    fit_config = FitConfig(max_iters=cfg["max_iters"], seed=seed)
-    if method == "glad":
-        result = fit(data, group_count, cfg["n_roles"], fit_config)
-        grouping = result.state.grouping()
-        scores = _static_scores(result.params.theta)
-    else:
-        stage1 = fit_mmsb(data.links, group_count, fit_config)
+def _cell(cfg: dict, method: str, n_groups: int, seed: int) -> dict:
+    """One benchmark cell: the accuracy (static methods) or the fpr and
+    recall on the threshold grid (dglad) that `glad generate`, `glad fit`
+    and `glad evaluate --truth` give at the cell's sizes and seed."""
+    name = "glad" if method == "mmsb-lda" else method
+    model = _MODELS[name]
+    n_nodes = cfg["dyn_nodes"] if model.kind == "dynamic" else cfg["n_nodes"]
+    data, truth = _inject(model.kind, cfg, n_nodes=n_nodes, n_groups=n_groups, seed=seed)
+    config = model.config(seed=seed, **_flag_fields(name, cfg))
+    if method == "mmsb-lda":
+        grouping = fit_mmsb(data.links, n_groups, config).grouping
         stage2 = fit_group_lda(
-            data.features,
-            stage1.grouping,
-            cfg["n_roles"],
-            MixtureConfig(seed=seed),
-            n_groups=group_count,
+            data.features, grouping, cfg["n_roles"], MixtureConfig(seed=seed), n_groups=n_groups
         )
-        grouping = stage1.grouping
-        scores = stage2.scores
-    flagged = top_fraction(scores, cfg["fraction"])
-    mapping = match_groups(grouping, truth.group, group_count)
-    flagged_true = np.sort(mapping[flagged])
-    metrics = evaluate_static(flagged_true, truth.anomalous_groups, group_count)
-    return {"accuracy": metrics["accuracy"]}
-
-
-def _dynamic_cell(cfg: dict, seed: int) -> dict:
-    """One d-GLAD sweep cell: FPR/recall on a fixed threshold grid."""
-    inj = _injection_config(cfg, n_nodes=cfg["dyn_nodes"], n_groups=cfg["dyn_groups"], seed=seed)
-    data, truth = inject_dynamic_change(
-        inj,
-        horizon=cfg["horizon"],
-        change_time=cfg["change_time"],
-        changed_fraction=cfg["changed_fraction"],
-        drift_sigma=cfg["drift_sigma"],
+        scores, change = stage2.scores, None
+    else:
+        grouping, scores, change = model.scores(model.fit(data, n_groups, cfg["n_roles"], config))
+    # a dynamic truth repeats each person's constant group once per snapshot
+    scores, change = _align_to_truth(
+        scores, change, grouping, np.atleast_2d(truth.group)[0], n_groups
     )
-    sampler_config = DGladConfig(
-        sweeps=cfg["sweeps"],
-        burn_in=cfg["burn_in"],
-        n_particles=cfg["particles"],
-        sigma=cfg["sigma"],
-        seed=seed,
-    )
-    result = run_sampler(data, cfg["dyn_groups"], cfg["n_roles"], sampler_config)
-    change = dynamic_change_score(result.theta_mean)
-    _, aligned = _align_to_truth(
-        change.max(axis=0), change, result.trace.grouping(), np.asarray(truth.group)[0],
-        cfg["dyn_groups"],
-    )
+    if change is None:
+        report = make_report(scores, cfg["fraction"], anomalous=truth.anomalous_groups)
+        return {"accuracy": report.metrics["accuracy"]}
     grid = np.linspace(0.0, cfg["grid_max"], cfg["thresholds"])
-    curve = evaluate_dynamic(aligned, truth.change_times, grid)
+    curve = evaluate_dynamic(change, truth.change_times, grid)
     return {"fpr": curve["fpr"].tolist(), "recall": curve["recall"].tolist()}
 
 
 def _run_cell_to_file(job) -> str:
     """Worker entry: run one cell, record its outcome as a JSON file."""
-    kind, cfg, key, path = job
+    cfg, key, path = job
     try:
-        payload = _static_cell(cfg, *key) if kind == "static" else _dynamic_cell(cfg, key)
+        payload = _cell(cfg, *key)
         payload["status"] = "ok"
     except Exception as exc:  # per-cell failures recorded, suite continues
         payload = {"status": f"error: {type(exc).__name__}: {exc}"}
@@ -589,43 +599,35 @@ def cmd_benchmark(args) -> int:
     cells_dir.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(gio.format_config(cfg))
 
-    jobs = []
-    for gc in cfg["group_counts"]:
-        for method in _METHODS:
-            for s in range(cfg["n_seeds"]):
-                seed = cfg["seed"] + s
-                path = cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json"
-                jobs.append(("static", cfg, (gc, method, seed), str(path)))
+    jobs = [
+        (cfg, (method, gc, seed), str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json"))
+        for gc in cfg["group_counts"]
+        for method in _METHODS
+        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"])
+    ]
     if cfg["dynamic"]:
-        for s in range(cfg["dyn_seeds"]):
-            seed = cfg["seed"] + s
-            path = cells_dir / f"dynamic_s{seed:03d}.json"
-            jobs.append(("dynamic", cfg, seed, str(path)))
+        jobs += [
+            (cfg, ("dglad", cfg["dyn_groups"], seed), str(cells_dir / f"dynamic_s{seed:03d}.json"))
+            for seed in range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"])
+        ]
 
     workers = _n_workers(len(jobs))
     if workers == 1:
         for job in jobs:
             _run_cell_to_file(job)
     else:
-        # every cell's fit loads scipy.special; loading it once here, before
-        # the pool forks its workers, keeps their peak memory down (largest
-        # process at the study-grid workload: 54.3 MB, against 54.8-55.1 MB
-        # when each worker loads it itself)
-        import scipy.special  # noqa: F401
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             list(pool.map(_run_cell_to_file, jobs))
 
     # merge single-threaded, in deterministic order
     cell_rows, curves, dyn_rows = [], [], []
-    for kind, _, key, path in sorted(jobs, key=lambda j: j[3]):
+    for _, (method, gc, seed), path in sorted(jobs, key=lambda j: j[2]):
         payload = json.loads(Path(path).read_text())
-        if kind == "static":
-            gc, method, seed = key
+        if method in _METHODS:
             acc = payload.get("accuracy", float("nan"))
             cell_rows.append((gc, method, seed, acc, payload["status"]))
         else:
-            dyn_rows.append((key, payload["status"]))
+            dyn_rows.append((seed, payload["status"]))
             if payload["status"] == "ok":
                 curves.append((np.asarray(payload["fpr"]), np.asarray(payload["recall"])))
 
@@ -689,9 +691,7 @@ def cmd_benchmark(args) -> int:
                 ylabel="rate",
             )
 
-    n_failed = sum(1 for r in cell_rows if r[4] != "ok") + sum(
-        1 for r in dyn_rows if r[1] != "ok"
-    )
+    n_failed = sum(row[-1] != "ok" for row in cell_rows + dyn_rows)
     gio.write_json(
         out / "benchmark.json",
         {"n_cells": len(jobs), "n_failed": n_failed, "seed": cfg["seed"]},

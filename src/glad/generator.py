@@ -394,7 +394,6 @@ def inject_dynamic_change(
     horizon: int,
     change_time: int,
     changed_fraction: float = 0.5,
-    seed: int | None = None,
     drift_sigma: float = 0.05,
 ):
     """Dynamic benchmark: some groups switch mixture rate at ``change_time``.
@@ -417,7 +416,7 @@ def inject_dynamic_change(
         raise ValueError("change_time must fall inside [1, horizon)")
     if not 0.0 < changed_fraction <= 1.0:
         raise ValueError("changed_fraction must lie in (0, 1]")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(cfg.seed)
     m, k = cfg.n_groups, cfg.n_roles
     n_changed = max(1, math.ceil(changed_fraction * m))
     changed, params, group, pi = _planted(cfg, rng, n_changed)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glad import io
+from glad import cli, io
 from glad.cli import main
-from glad.scoring import evaluate_static, top_fraction
+from glad.dglad_mc import DGladConfig
+from glad.glad_vem import FitConfig
+from glad.scoring import evaluate_dynamic, evaluate_static, top_fraction
 
 
 def run(*argv) -> int:
@@ -469,6 +472,27 @@ def test_evaluate_out_of_range_group_label_exits_1(static_run, tmp_path, capsys,
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("line, text", [
+    (2, "0,1.5"),  # was truncated to group 1
+    (2, "0,nan"),  # reached the group matching as the smallest int64
+    (2, "7,0"),  # the node_id column was never read
+    (1, "node,group"),
+])
+def test_evaluate_rejects_malformed_grouping_csv(static_run, tmp_path, capsys, line, text):
+    _, data_dir, fit_dir = static_run
+    fake = tmp_path / "fit"
+    shutil.copytree(fit_dir, fake)
+    lines = (fake / "grouping.csv").read_text().splitlines()
+    lines[line - 1] = text
+    (fake / "grouping.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = run("evaluate", "--fit", fake, "--out", out, "--truth", data_dir / "truth.json")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"grouping.csv: line {line}:" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_evaluate_threshold_grid_row_count(static_run, tmp_path):
     _, data_dir, fit_dir = static_run
     out = tmp_path / "eval"
@@ -636,3 +660,83 @@ def test_benchmark_seed_flag_changes_cells(tmp_path, monkeypatch):
     assert run("benchmark", "--config", cfg, "--out", b, "--seed", 5) == 0
     assert (a / "cells.csv").read_text() != (b / "cells.csv").read_text()
     assert "seed=5" in (b / "config.txt").read_text()
+
+
+def test_benchmark_cells_take_their_configs_from_the_registry(tmp_path, monkeypatch):
+    # each cell's config equals the one the grid used to build by hand: the
+    # grid's max_iters for glad and the baseline, its sampler keys for dglad
+    monkeypatch.setenv("GLAD_THREADS", "1")
+    seen = []
+
+    def recorder(method, real):
+        def call(*args):
+            seen.append((method, args[-1]))
+            return real(*args)
+        return call
+
+    for name in ("glad", "dglad"):
+        model = cli._MODELS[name]
+        monkeypatch.setitem(cli._MODELS, name, model._replace(fit=recorder(name, model.fit)))
+    monkeypatch.setattr(cli, "fit_mmsb", recorder("mmsb-lda", cli.fit_mmsb))
+    cfg = tmp_path / "suite.cfg"
+    _suite_config(
+        cfg, group_counts="3", n_seeds=2, n_nodes=60, max_iters=7, seed=3,
+        dynamic="true", dyn_nodes=40, dyn_groups=3, dyn_seeds=2,
+        sweeps=3, burn_in=1, particles=20, sigma=0.3,
+    )
+    out = tmp_path / "bench"
+    assert run("benchmark", "--config", cfg, "--out", out) == 0
+    assert json.loads((out / "benchmark.json").read_text())["n_failed"] == 0
+    expect = [
+        (method, FitConfig(max_iters=7, seed=seed))
+        for method in ("glad", "mmsb-lda") for seed in (3, 4)
+    ] + [
+        ("dglad", DGladConfig(sweeps=3, burn_in=1, n_particles=20, sigma=0.3, seed=seed))
+        for seed in (3, 4)
+    ]
+    assert sorted(seen, key=repr) == sorted(expect, key=repr)
+
+
+def test_benchmark_cells_match_the_cli_pipeline(tmp_path, monkeypatch):
+    # a static glad cell scores as `glad generate`, `glad fit` and `glad
+    # evaluate` do at its sizes and seed; a dynamic cell's curve is
+    # evaluate_dynamic on the change scores of `glad score --truth`
+    monkeypatch.setenv("GLAD_THREADS", "1")
+    seed, grid = 2, np.linspace(0.0, 3.0, 9)
+    people = "n_roles=2\ntrials_per_person=30\nanomaly_fraction=0.2\nblock_in=0.3\nblock_out=0.05\n"
+    dynamic = "horizon=4\nchange_time=3\nchanged_fraction=0.5\ndrift_sigma=0.05\n"
+    suite = tmp_path / "suite.cfg"
+    suite.write_text(
+        f"group_counts=3\nn_seeds=1\nn_nodes=60\nmax_iters=25\nfraction=0.2\nseed={seed}\n"
+        f"dynamic=true\ndyn_nodes=50\ndyn_groups=3\ndyn_seeds=1\nsweeps=5\nburn_in=2\n"
+        f"particles=30\nsigma=0.4\nthresholds=9\ngrid_max=3.0\n{people}{dynamic}"
+    )
+    bench = tmp_path / "bench"
+    assert run("benchmark", "--config", suite, "--out", bench) == 0
+
+    gen = tmp_path / "static.cfg"
+    gen.write_text(f"kind=static\nn_nodes=60\nn_groups=3\nseed={seed}\n{people}")
+    data, fit_dir, ev = tmp_path / "static", tmp_path / "static_fit", tmp_path / "static_eval"
+    assert run("generate", "--config", gen, "--out", data) == 0
+    assert run("fit", "--model", "glad", "--data", data, "--out", fit_dir, "--groups", 3,
+               "--max-iters", 25, "--seed", seed) in (0, 2)
+    assert run("evaluate", "--fit", fit_dir, "--out", ev, "--truth", data / "truth.json",
+               "--fraction", 0.2) == 0
+    rows = dict(line.split(",") for line in (ev / "accuracy.csv").read_text().splitlines()[1:])
+    cell = json.loads((bench / "cells" / f"static_g003_glad_s{seed:03d}.json").read_text())
+    assert cell["accuracy"] == float(rows["accuracy"])
+
+    gen = tmp_path / "dynamic.cfg"
+    gen.write_text(f"kind=dynamic\nn_nodes=50\nn_groups=3\nseed={seed}\n{people}{dynamic}")
+    data, fit_dir, sc = tmp_path / "dynamic", tmp_path / "dynamic_fit", tmp_path / "dynamic_score"
+    assert run("generate", "--config", gen, "--out", data) == 0
+    assert run("fit", "--model", "dglad", "--data", data, "--out", fit_dir, "--groups", 3,
+               "--sweeps", 5, "--burn-in", 2, "--particles", 30, "--sigma", 0.4,
+               "--seed", seed) == 0
+    assert run("score", "--fit", fit_dir, "--out", sc, "--truth", data / "truth.json") == 0
+    _, change = io.read_matrix_csv(sc / "change_scores.csv")
+    change_times = io.read_truth(data / "truth.json")["change_times"]
+    curve = evaluate_dynamic(change[:, 1:], change_times, grid)
+    cell = json.loads((bench / "cells" / f"dynamic_s{seed:03d}.json").read_text())
+    assert cell["fpr"] == curve["fpr"].tolist()
+    assert cell["recall"] == curve["recall"].tolist()

@@ -652,7 +652,6 @@ def small_dynamic_instance(seed=0, n=24, horizon=3):
     )
     return inject_dynamic_change(
         cfg, horizon=horizon, change_time=horizon - 1, changed_fraction=0.5,
-        seed=seed,
     )
 
 
@@ -826,7 +825,7 @@ def scan_case(name):
             block_in=0.6 if strong else 0.06, block_out=0.05,
             trials_per_person=25 if strong else 3,
         )
-        data, _ = inject_dynamic_change(cfg, horizon=4, change_time=3, seed=6)
+        data, _ = inject_dynamic_change(cfg, horizon=4, change_time=3)
         res = run_sampler(data, m, 2, DGladConfig(
             sweeps=4 if strong else 0, burn_in=0, n_particles=8, seed=6, init_fit_iters=4))
         trace = res.trace
@@ -899,7 +898,7 @@ def test_run_sampler_pinned_theta_mean_and_grouping():
         n_nodes=16, n_groups=2, n_roles=2, trials_per_person=25,
         block_in=0.6, block_out=0.05, seed=4,
     )
-    data, _ = inject_dynamic_change(cfg, horizon=3, change_time=2, changed_fraction=0.5, seed=4)
+    data, _ = inject_dynamic_change(cfg, horizon=3, change_time=2, changed_fraction=0.5)
     res = run_sampler(data, 2, 2, DGladConfig(
         sweeps=3, burn_in=1, n_particles=8, sigma=0.3, seed=5, init_fit_iters=6,
     ))
@@ -988,7 +987,7 @@ def test_change_detection_orders_changed_groups_first():
             n_nodes=120, n_groups=4, n_roles=2, trials_per_person=50, seed=0
         )
         data, truth = inject_dynamic_change(
-            cfg, horizon=5, change_time=4, changed_fraction=0.5, seed=seed
+            replace(cfg, seed=seed), horizon=5, change_time=4, changed_fraction=0.5
         )
         res = run_sampler(
             data, 4, 2,

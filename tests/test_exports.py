@@ -115,3 +115,16 @@ def test_every_config_field_is_set_outside_tests(config):
         reached |= _keywords_passed_outside_tests("replace")
     unset = [f.name for f in dataclasses.fields(config) if f.name not in reached]
     assert not unset, f"{config.__name__} fields no program run sets: {unset}"
+
+
+def test_cli_builds_model_configs_only_through_the_registry():
+    # `glad fit` and every `glad benchmark` cell take their config from
+    # `_MODELS[...].config`, so each flag reaches its field in one place
+    tree = ast.parse((ROOT / "src" / "glad" / "cli.py").read_text())
+    names = {config.__name__ for config in (FitConfig, Fit0Config, DGladConfig)}
+    direct = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
+    ]
+    assert not direct, f"cli.py builds a model config directly on lines {direct}"

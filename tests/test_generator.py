@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -417,7 +419,7 @@ def test_inject_dynamic_change_jump_dominates_across_seeds():
     cfg = InjectionConfig(n_nodes=8, n_groups=4, seed=0)
     for seed in range(20):
         _, truth = inject_dynamic_change(
-            cfg, horizon=5, change_time=4, changed_fraction=0.5, seed=seed
+            replace(cfg, seed=seed), horizon=5, change_time=4, changed_fraction=0.5
         )
         path = truth.theta_path
         diffs = np.linalg.norm(path[5] - path[4], axis=1)
