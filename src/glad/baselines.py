@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import glad_vem
-from .model import Dataset, floored_log
+from .model import Dataset, floored_log, gammaln, logsumexp
 
 __all__ = ["MixtureConfig", "MmsbResult", "GroupMixtureResult", "fit_mmsb", "fit_group_lda"]
 
@@ -78,8 +78,6 @@ def fit_mmsb(
 
 def _mixture_loglik_rows(features: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # (N, K) per-component multinomial log-likelihoods, coefficient included
-    from scipy.special import gammaln  # deferred, as in model.digamma
-
     coef = gammaln(features.sum(axis=1) + 1.0) - gammaln(features + 1.0).sum(axis=1)
     return coef[:, None] + features @ floored_log(beta)
 
@@ -101,8 +99,6 @@ def fit_group_lda(
     rate — groups whose role composition deviates from the population
     score high.
     """
-    from scipy.special import logsumexp  # deferred, as in model.digamma
-
     config = config or MixtureConfig()
     features = np.asarray(features, dtype=np.int64)
     grouping = np.asarray(grouping, dtype=np.int64)

@@ -475,6 +475,15 @@ def _anchor_params(anchor) -> DGladParams:
     )
 
 
+def _neighbour_counts(links: np.ndarray, groups: np.ndarray, m: int):
+    """``(counts, totals)``: the (T, N, M) neighbours of each person in each
+    group and the (T, M) people in each group, as integer-valued floats, for
+    the stacked (T, N, N) ``links`` and the (T, N) ``groups``."""
+    member = (groups[:, :, None] == np.arange(m)).astype(float)
+    counts = np.stack([links[t] @ member[t] for t in range(groups.shape[0])])
+    return counts, member.sum(axis=1)
+
+
 def _scan_assignments(
     trace: DGladTrace,
     rng: np.random.Generator,
@@ -482,11 +491,17 @@ def _scan_assignments(
     links: np.ndarray,
     logb: np.ndarray,
     log1mb: np.ndarray,
-) -> None:
+    neighbours: tuple | None = None,
+) -> tuple:
     """One blocked Gibbs scan, in place: every role of every snapshot in one
     draw, then each person's groups across all snapshots in one draw, people
     ascending.  ``feat_scores`` is the (T, N, K) feature log likelihood per
     role and ``links`` the stacked (T, N, N) adjacency.
+
+    ``neighbours`` is ``_neighbour_counts`` of ``links`` and the current
+    groups, built here when not given.  The scan keeps it up to date as people
+    move and returns it, so a caller that changes no group between two scans
+    passes it on instead of paying T (N, N) products per scan.
 
     The group half is a speculative scan with the draws of the one-person
     scan.  Person p's draw uses row p of ``rng.random((N, T))``, the same
@@ -505,11 +520,10 @@ def _scan_assignments(
     trace.R[:] = _draw_rows(role_logits, rng.random((horizon, n)))
     ls_role = ls_theta[steps[:, None], :, trace.R]  # (T, N, M)
 
-    # neighbours of each person per group, and everyone per group; kept up
-    # to date as people move, one snapshot's link row at a time
-    member = (trace.G[:, :, None] == np.arange(trace.n_groups)).astype(float)
-    counts = np.stack([links[t] @ member[t] for t in range(horizon)])
-    totals = member.sum(axis=1)
+    # kept up to date as people move, one snapshot's link row at a time
+    if neighbours is None:
+        neighbours = _neighbour_counts(links, trace.G, trace.n_groups)
+    counts, totals = neighbours
     logpi = floored_log(trace.pi)
     u = rng.random((n, horizon))
     start, width = 0, SCAN_WINDOW
@@ -541,6 +555,7 @@ def _scan_assignments(
         totals[moved, new] += 1
         g_p[moved] = new
         start, width = p + 1, SCAN_WINDOW
+    return neighbours
 
 
 def run_sampler(
@@ -596,8 +611,12 @@ def run_sampler(
     logb = np.log(params.block)
     log1mb = np.log1p(-params.block)
     history = np.empty((config.sweeps, horizon, n_groups, n_roles))
+    # only the scans move groups, so each scan's counts carry to the next
+    neighbours = None
     for s in range(config.sweeps):
-        _scan_assignments(trace, rng, feat_scores, links, logb, log1mb)
+        neighbours = _scan_assignments(
+            trace, rng, feat_scores, links, logb, log1mb, neighbours
+        )
         trace.pi = _draw_memberships(params.alpha, trace.G, rng)
         theta_hat, particles, weights = particle_filter_theta(
             data, params, trace, config.sigma, config.n_particles, rng

@@ -46,6 +46,7 @@ from .model import (
     PROB_EPS,
     digamma,
     floored_log,
+    gammaln,
     softmax,
     validate_params,
 )
@@ -133,7 +134,10 @@ def init_state(n_nodes: int, n_groups: int, n_roles: int) -> GladVariational:
 
 def _expected_log_pi(gamma: np.ndarray) -> np.ndarray:
     """E[log pi] under Dirichlet(gamma), along the last axis."""
-    return digamma(gamma) - digamma(gamma.sum(axis=-1, keepdims=True))
+    # one digamma call for the entries and their sums: the sweeps make many
+    # calls on small arrays, where the call itself is most of the cost
+    dig = digamma(np.concatenate([gamma, gamma.sum(axis=-1, keepdims=True)], axis=-1))
+    return dig[..., :-1] - dig[..., -1:]
 
 
 def _linked_mass(data: Dataset, lam: np.ndarray) -> np.ndarray:
@@ -221,8 +225,6 @@ def m_step(
 def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) -> float:
     """The membership part of the bound: E[log p(pi | alpha)] - E[log q(pi | gamma)],
     summed over people, with ``elogpi`` = E[log pi] under q."""
-    from scipy.special import gammaln  # deferred, as in model.digamma
-
     norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
     log_p = elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
     log_q = (
@@ -255,8 +257,6 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
     feature shown once per person every role and feature term is exactly 0,
     which leaves the bound of a mixed-membership blockmodel.
     """
-    from scipy.special import gammaln  # deferred, as in model.digamma
-
     lam = state.lam
     elogpi = _expected_log_pi(state.gamma)
 

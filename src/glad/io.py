@@ -490,12 +490,24 @@ def write_matrix_csv(path, matrix, header) -> None:
 
 
 def read_matrix_csv(path):
-    """Read a CSV table back as ``(header, float64 array)``."""
+    """Read a CSV table back as ``(header, float64 array)``.
+
+    A row whose cell count differs from the header's, or a cell that is not
+    a number, raises ``ValueError`` naming the file and the line.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty table")
     header = lines[0].split(",")
-    rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+    rows = []
+    for i, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {i}: expected {len(header)} cells, got {len(cells)}")
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError:
+            raise ValueError(f"{path} line {i}: cells must be numbers") from None
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     return header, data
 

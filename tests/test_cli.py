@@ -65,44 +65,47 @@ def _src_env() -> dict:
     return env
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded(static_run, dynamic_run, tmp_path):
-    # group matching solves its assignment in numpy: no stage, not even the
-    # ones that match labels, pays scipy.optimize's start-up time and memory
+def test_every_stage_leaves_scipy_unloaded(static_run, dynamic_run, tmp_path):
+    # the special functions and the label matching are numpy code, so no
+    # stage pays scipy's start-up time and memory: run every stage in one
+    # process, the benchmark's cells in-process too, and look after each
     _, static_data, static_fit = static_run
     _, dynamic_data, dynamic_fit = dynamic_run
+    gen = tmp_path / "gen.cfg"
+    gen.write_text("kind=activity\nn_nodes=30\nn_groups=3\ntrials_per_person=4\nseed=0\n")
+    suite = tmp_path / "suite.cfg"
+    _suite_config(suite, group_counts="3", n_seeds=1, n_nodes=40, max_iters=5,
+                  dynamic="true", dyn_nodes=30, dyn_groups=3, dyn_seeds=1,
+                  sweeps=2, burn_in=1, particles=10)
     runs = [
+        ["generate", "--config", str(gen), "--out", str(tmp_path / "activity")],
+        ["fit", "--model", "glad", "--data", str(static_data), "--out", str(tmp_path / "glad"),
+         "--groups", "3", "--max-iters", "5"],
+        ["fit", "--model", "glad0", "--data", str(tmp_path / "activity"),
+         "--out", str(tmp_path / "glad0"), "--groups", "3", "--max-iters", "2"],
+        ["fit", "--model", "dglad", "--data", str(dynamic_data), "--out", str(tmp_path / "dglad"),
+         "--groups", "3", "--sweeps", "2", "--burn-in", "1", "--particles", "10"],
+        ["score", "--fit", str(static_fit), "--out", str(tmp_path / "report")],
+        ["score", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
+         "--out", str(tmp_path / "score")],
         ["evaluate", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
          "--out", str(tmp_path / "eval_static")],
         ["evaluate", "--fit", str(dynamic_fit), "--truth", str(dynamic_data / "truth.json"),
          "--out", str(tmp_path / "eval_dynamic"), "--threshold", "1.0"],
-        ["score", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
-         "--out", str(tmp_path / "score")],
+        ["benchmark", "--config", str(suite), "--out", str(tmp_path / "bench")],
     ]
-    code = ("import sys, glad.cli; "
-            f"print(*[glad.cli.main(argv) for argv in {runs!r}], "
-            "'scipy.optimize' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.split()[-4:] == ["0", "0", "0", "False"], (out.stdout, out.stderr)
-
-
-def test_generate_and_score_leave_scipy_special_unloaded(static_run, tmp_path):
-    # only the fits call digamma and log-gamma; the other stages should not
-    # pay scipy.special's start-up time
-    _, data_dir, fit_dir = static_run
-    cfg = tmp_path / "gen.cfg"
-    cfg.write_text("kind=activity\nn_nodes=30\nn_groups=3\ntrials_per_person=4\nseed=0\n")
-    for argv in (
-        ["generate", "--config", str(cfg), "--out", str(tmp_path / "data")],
-        ["score", "--fit", str(fit_dir), "--out", str(tmp_path / "report")],
-        ["evaluate", "--fit", str(fit_dir), "--truth", str(data_dir / "truth.json"),
-         "--out", str(tmp_path / "eval")],
-    ):
-        code = ("import sys; from glad.cli import main; "
-                f"print(main({argv!r}), 'scipy.special' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
-                             capture_output=True, text=True, timeout=120)
-        assert out.stdout.split()[-2:] == ["0", "False"], (argv[0], out.stdout, out.stderr)
+    code = ("import sys; from glad.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    print(argv[0], main(argv), sorted(m for m in sys.modules\n"
+            "                                       if m.split('.')[0] == 'scipy'))\n")
+    env = dict(_src_env(), GLAD_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=300)
+    # the short EM fits may stop unconverged, which exits 2
+    lines = [line.split(" ", 2) for line in out.stdout.splitlines() if line.endswith("]")]
+    assert [name for name, _, _ in lines] == [argv[0] for argv in runs], (out.stdout, out.stderr)
+    assert all(code in ("0", "2") for _, code, _ in lines), out.stdout
+    assert all(loaded == "[]" for _, _, loaded in lines), out.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +493,28 @@ def test_evaluate_rejects_malformed_grouping_csv(static_run, tmp_path, capsys, l
     err = capsys.readouterr().err
     assert rc == 1
     assert f"grouping.csv: line {line}:" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+@pytest.mark.parametrize("bad", ["ragged", "word"])
+def test_malformed_theta_csv_exits_1_naming_file_and_line(
+    static_run, tmp_path, capsys, command, bad
+):
+    # a fit table that does not parse names its file and line, as a
+    # malformed grouping.csv does, instead of numpy's or float()'s message
+    _, data_dir, fit_dir = static_run
+    fake = tmp_path / "fit"
+    shutil.copytree(fit_dir, fake)
+    lines = (fake / "theta.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:-1] if bad == "ragged" else ["x"] + cells[1:])
+    (fake / "theta.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = run(command, "--fit", fake, "--out", out, "--truth", data_dir / "truth.json")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "theta.csv line 3:" in err, err
     assert "Traceback" not in err and not out.exists()
 
 

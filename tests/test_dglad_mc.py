@@ -17,6 +17,7 @@ from glad.dglad_mc import (
     _draw_memberships,
     _draw_rows,
     _group_kernel,
+    _neighbour_counts,
     _role_kernel,
     _scan_assignments,
     bootstrap_filter,
@@ -876,6 +877,31 @@ def test_speculative_scan_replays_the_one_person_scan(name):
         assert max(movers) == 0
     else:
         assert max(movers) > 0, movers
+
+
+@pytest.mark.parametrize("name", ["settled", "high-move"])
+def test_scan_counts_carried_across_scans_match_a_rebuild(name):
+    # run_sampler passes each scan's neighbour counts to the next: the
+    # carried counts equal fresh ones after every scan, and the draws equal
+    # those of scans that rebuild them
+    data, params, trace = scan_case(name)
+    inputs = (
+        np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta),
+        np.stack([s.links for s in data.snapshots]),
+        np.log(params.block),
+        np.log1p(-params.block),
+    )
+    rebuilt = copy.deepcopy(trace)
+    rng, rebuilt_rng = np.random.default_rng(8), np.random.default_rng(8)
+    carried = None
+    for _ in range(4):
+        carried = _scan_assignments(trace, rng, *inputs, carried)
+        _scan_assignments(rebuilt, rebuilt_rng, *inputs)
+        np.testing.assert_array_equal(trace.G, rebuilt.G)
+        np.testing.assert_array_equal(trace.R, rebuilt.R)
+        counts, totals = _neighbour_counts(inputs[1], trace.G, trace.n_groups)
+        np.testing.assert_array_equal(carried[0], counts)
+        np.testing.assert_array_equal(carried[1], totals)
 
 
 def test_run_sampler_deterministic():

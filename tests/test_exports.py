@@ -128,3 +128,21 @@ def test_cli_builds_model_configs_only_through_the_registry():
         and (getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) in names)
     ]
     assert not direct, f"cli.py builds a model config directly on lines {direct}"
+
+
+def test_program_imports_no_scipy():
+    # scipy is a test oracle only: the special functions and the label
+    # matching are numpy transcriptions, checked against scipy in the tests
+    imports = []
+    for path in sorted((ROOT / "src" / "glad").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [
+                f"{path.name}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"
+            ]
+    assert not imports, f"src/glad imports scipy at {imports}"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from glad.model import (
     ModelParams,
     digamma,
     floored_log,
+    gammaln,
     log_softmax,
+    logsumexp,
     softmax,
     validate_params,
 )
@@ -94,6 +97,46 @@ def test_digamma_rejects_nonpositive():
         digamma(np.array([1.0, -1.0]))
 
 
+# where scipy's digamma and gammaln turn infinite (1/x or lnGamma overflows),
+# and their neighbours
+_SPECIAL_EDGES = [
+    5e-324, 1e-320, 1e-310, 1.0 / np.finfo(float).max, 5.6e-309,
+    np.finfo(float).tiny / 2, np.finfo(float).tiny,
+    1e300, 2.556348e305, 2.5563481e305, 1e306, np.finfo(float).max, np.inf,
+]
+
+
+def _special_grid():
+    # seeded: log-uniform from the smallest subnormal to the largest double,
+    # the integers + 1 that the count coefficients see, a dense stretch
+    # where the recurrences cancel most, and the edges
+    rng = np.random.default_rng(19)
+    return np.concatenate([
+        10.0 ** rng.uniform(-323.5, 308.2, 20000),
+        np.arange(1.0, 301.0) + 1.0,
+        np.linspace(1e-3, 20.0, 40001),
+        _SPECIAL_EDGES,
+    ])
+
+
+@pytest.mark.parametrize("ours, theirs", [
+    (digamma, scipy.special.digamma),
+    (gammaln, scipy.special.gammaln),
+])
+def test_special_functions_match_scipy(ours, theirs):
+    # to 1e-14, with scipy's infinities where 1/x or the result overflows,
+    # and no floating-point warning on any positive input
+    x = _special_grid()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ours(x)
+        scalars = [ours(v) for v in _SPECIAL_EDGES]
+    want = theirs(x)
+    assert np.isinf(want).sum() >= 4
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(scalars, theirs(_SPECIAL_EDGES), rtol=1e-14, atol=1e-14)
+
+
 def test_digamma_matches_scipy_oracle():
     # independent implementation route: compare against scipy over a wide grid
     x = np.concatenate([
@@ -101,7 +144,31 @@ def test_digamma_matches_scipy_oracle():
         np.linspace(1.0, 20.0, 200),
         np.linspace(20.0, 500.0, 100),
     ])
-    np.testing.assert_allclose(digamma(x), scipy.special.digamma(x), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(digamma(x), scipy.special.digamma(x), atol=1e-14, rtol=1e-14)
+
+
+def test_gammaln_rejects_nonpositive_and_keeps_scalars():
+    for bad in (0.0, -2.5, np.array([1.0, -1.0]), np.nan):
+        with pytest.raises(ValueError):
+            gammaln(bad)
+    assert isinstance(gammaln(3.5), float)
+    assert gammaln(np.ones((2, 3))).shape == (2, 3)
+
+
+@pytest.mark.parametrize("axis, keepdims", [(-1, False), (0, False), (1, True)])
+def test_logsumexp_matches_scipy(axis, keepdims):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6, 5)) * 300
+    a[0, 1] = -np.inf  # one -inf entry
+    a[1] = -np.inf  # a row of them
+    a[:, 2] = -np.inf  # and a column
+    a[2, 3] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logsumexp(a, axis=axis, keepdims=keepdims)
+    want = scipy.special.logsumexp(a, axis=axis, keepdims=keepdims)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
 
 @settings(max_examples=300)
