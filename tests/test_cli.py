@@ -65,6 +65,46 @@ def _src_env() -> dict:
     return env
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded(static_run, dynamic_run, tmp_path):
+    # group matching solves its assignment in numpy: no stage, not even the
+    # ones that match labels, pays scipy.optimize's start-up time and memory
+    _, static_data, static_fit = static_run
+    _, dynamic_data, dynamic_fit = dynamic_run
+    runs = [
+        ["evaluate", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
+         "--out", str(tmp_path / "eval_static")],
+        ["evaluate", "--fit", str(dynamic_fit), "--truth", str(dynamic_data / "truth.json"),
+         "--out", str(tmp_path / "eval_dynamic"), "--threshold", "1.0"],
+        ["score", "--fit", str(static_fit), "--truth", str(static_data / "truth.json"),
+         "--out", str(tmp_path / "score")],
+    ]
+    code = ("import sys, glad.cli; "
+            f"print(*[glad.cli.main(argv) for argv in {runs!r}], "
+            "'scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.split()[-4:] == ["0", "0", "0", "False"], (out.stdout, out.stderr)
+
+
+def test_generate_and_score_leave_scipy_special_unloaded(static_run, tmp_path):
+    # only the fits call digamma and log-gamma; the other stages should not
+    # pay scipy.special's start-up time
+    _, data_dir, fit_dir = static_run
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("kind=activity\nn_nodes=30\nn_groups=3\ntrials_per_person=4\nseed=0\n")
+    for argv in (
+        ["generate", "--config", str(cfg), "--out", str(tmp_path / "data")],
+        ["score", "--fit", str(fit_dir), "--out", str(tmp_path / "report")],
+        ["evaluate", "--fit", str(fit_dir), "--truth", str(data_dir / "truth.json"),
+         "--out", str(tmp_path / "eval")],
+    ):
+        code = ("import sys; from glad.cli import main; "
+                f"print(main({argv!r}), 'scipy.special' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.split()[-2:] == ["0", "False"], (argv[0], out.stdout, out.stderr)
+
+
 def test_every_stage_leaves_scipy_unloaded(static_run, dynamic_run, tmp_path):
     # the special functions and the label matching are numpy code, so no
     # stage pays scipy's start-up time and memory: run every stage in one
