@@ -20,10 +20,14 @@ The 2E linked ordered pairs are in the CSR order of ``data.neighbours``:
 column e is the pair (p, indices[e]) for indptr[p] <= e < indptr[p + 1].
 The pair arrays are group-major: with M small, each softmax reduces over
 the leading axis, and the link evidence of a whole side is one (M, M)
-product.  Tying the non-linked pairs gives a sub-family of the one with a
-private posterior per pair, so the bound is still a lower bound on the same
-evidence; nothing is subsampled (compare Gopalan, Mimno, Gerrish, Freedman
-& Blei, NIPS 2012).  Every sweep, M-step and bound costs O(E*M + N*M^2)
+product.  The fit keeps gamma and the A activities group-major too, as
+(M, N), (M, A) and (K, A) arrays with the activities stacked people
+ascending, and hands out the per-person rows above only in its results
+(``_variational``): numpy reduces a short trailing axis several times
+more slowly than a leading one.  Tying the non-linked pairs gives a
+sub-family of the one with a private posterior per pair, so the bound is
+still a lower bound on the same evidence; nothing is subsampled (compare
+Gopalan, Mimno, Gerrish, Freedman & Blei, NIPS 2012).  Every sweep, M-step and bound costs O(E*M + N*M^2)
 plus the activity terms, and no array has N^2 entries.
 
 With n0_p = N - 1 - deg_p non-linked partners of p and
@@ -39,7 +43,7 @@ updates, in order, each block at its exact coordinate maximizer:
     gamma_p = alpha + p's linked sender and receiver sides
               + n0_p (a_p + b_p) + p's activity rows
     the activity group rows (``_lambda_logits``), then the role rows
-    (``_mu_logits``)
+    (``_role_logits``)
 
 where T_q is the sender mass of q's non-linked partners, built from a as
 S is from b.  The bound (``compute_elbo0``) is that of the model exactly
@@ -49,10 +53,23 @@ MMSB.  The M-step's block ratio divides the linked mass phi_out phi_in' by
 that plus sum_p a_p S_p'.  Every per-person sum over neighbours or
 activities is a segment sum over CSR-ordered entries (``np.add.reduceat``).
 
+The sweep does only the work that changes between sweeps.  What it reads
+of the parameters (log B, log(1 - B), the floored log theta and each
+activity's log beta row) is built once per M-step (``_terms``), and
+digamma(gamma) is carried from the end of one sweep, where the activity
+update needs it, to the start of the next, where the pair sides do.  They
+need no digamma of the row sums: E[log pi_p] enters every update as the
+owner's term of a softmax over groups, which cancels any per-person
+constant.  Each owner's term is shifted to a column maximum of 0 instead,
+so the softmaxes need no max pass over the (M, 2E) and (M, A) arrays
+(``_group_softmax``).  Owners' terms reach the pair and activity columns
+by ``np.repeat`` where the columns are sorted by owner, and by ``np.take``
+otherwise.
+
 The mean-field core shared with the static model comes from ``glad_vem``:
-E[log pi] (``_expected_log_pi``), the role logits (``_mu_logits``), the
-Dirichlet and per-activity bound terms (``dirichlet_terms``, ``row_terms``),
-the M-step kernels (``normalize_or_uniform``, ``block_ratio``), the start
+E[log pi] for the bound (``_expected_log_pi``), the Dirichlet and
+per-activity bound terms (``dirichlet_terms``, ``row_terms``), the M-step
+kernels (``normalize_or_uniform``, ``block_ratio``), the start
 (``seed_params``, ``jitter_rows``), the EM loop (``run_em``),
 ``best_of_restarts`` and the result type ``FitResult``.
 """
@@ -68,7 +85,6 @@ from .glad_vem import (
     EDGE_CHUNK,
     FitResult,
     _expected_log_pi,
-    _mu_logits,
     best_of_restarts,
     block_ratio,
     dirichlet_terms,
@@ -85,7 +101,6 @@ from .model import (
     SIMPLEX_ATOL,
     digamma,
     floored_log,
-    softmax,
 )
 
 __all__ = [
@@ -184,51 +199,100 @@ class _Pairs(NamedTuple):
     indices: np.ndarray  # receiver of each pair
     sender: np.ndarray  # sender of each pair
     reverse: np.ndarray  # column of the reversed pair (q, p)
+    degree: np.ndarray  # linked partners per person
     n0: np.ndarray  # non-linked partners per person, N - 1 - deg
+    # a person linked to everyone has no non-link mass, and its shared sides
+    # enter no term: any finite divisor will do
+    n0_div: np.ndarray  # max(n0, 1)
 
 
 def _pairs(data: ActivityDataset) -> _Pairs:
     # the index arrays are cached on the dataset, so a fit builds them once
     indptr, indices = data.neighbours
-    return _Pairs(
-        indptr=indptr,
-        indices=indices,
-        sender=data.senders,
-        reverse=data.reverse,
-        n0=data.n_nodes - 1 - np.diff(indptr),
+    degree = np.diff(indptr)
+    n0 = data.n_nodes - 1 - degree
+    return _Pairs(indptr=indptr, indices=indices, sender=data.senders, reverse=data.reverse,
+                  degree=degree, n0=n0, n0_div=np.maximum(n0, 1))
+
+
+def _row_blocks(indptr):
+    # (p0, p1) runs of people whose pairs span at most EDGE_CHUNK columns
+    # (a single person with more pairs is a run of its own)
+    p0, n = 0, indptr.size - 1
+    while p0 < n:
+        p1 = int(np.searchsorted(indptr, indptr[p0] + EDGE_CHUNK, side="right")) - 1
+        p1 = max(p1, p0 + 1)
+        yield p0, p1
+        p0 = p1
+
+
+class _Terms(NamedTuple):
+    """What the sweep reads of the parameters, built once per M-step."""
+
+    alpha: np.ndarray
+    log_b: np.ndarray  # (M, M) log B; the receiver sides read its transpose
+    log_1mb: np.ndarray  # (M, M) log(1 - B)
+    log_theta: np.ndarray  # (M, K)
+    # (K, A) feature log-likelihood of each activity per role, less its
+    # largest (which the role softmax cancels)
+    log_beta: np.ndarray
+
+
+def _terms(params: ModelParams, ids: np.ndarray) -> _Terms:
+    log_beta = floored_log(params.beta)
+    return _Terms(
+        alpha=params.alpha,
+        log_b=np.log(params.block),
+        log_1mb=np.log1p(-params.block),
+        log_theta=floored_log(params.theta),
+        log_beta=np.take((log_beta - log_beta.max(axis=1, keepdims=True)).T, ids, axis=1),
     )
 
 
 # ---------------------------------------------------------------------------
-# update kernels: each update written once, over whole arrays
+# update kernels: each update written once, over whole group-major arrays
 # ---------------------------------------------------------------------------
 
 def _segment_sums(cols, indptr):
     # sums of the column segments cols[:, indptr[p]:indptr[p + 1]], zero
     # where empty; (M, P) for P = indptr.size - 1
-    out = np.zeros((cols.shape[0], indptr.size - 1))
     full = indptr[:-1] < indptr[1:]
+    if full.all() and full.size:  # the usual case, without the masked copy
+        return np.add.reduceat(cols, indptr[:-1], axis=1)
+    out = np.zeros((cols.shape[0], indptr.size - 1))
     if full.any():
         out[:, full] = np.add.reduceat(cols, indptr[:-1][full], axis=1)
     return out
 
 
 def _nolink_mass(side, pairs):
-    # column p: the sum of side[:, q] over p's non-linked partners q
-    total = side.sum(axis=1, keepdims=True)
-    return total - side - _segment_sums(side[:, pairs.indices], pairs.indptr)
+    # column p: the sum of side[:, q] over p's non-linked partners q; the
+    # linked partners are gathered in runs of rows of at most EDGE_CHUNK
+    # pairs, so no (M, 2E) copy is held
+    out = side.sum(axis=1, keepdims=True) - side
+    for p0, p1 in _row_blocks(pairs.indptr):
+        lo, hi = pairs.indptr[p0], pairs.indptr[p1]
+        linked = np.take(side, pairs.indices[lo:hi], axis=1)
+        out[:, p0:p1] -= _segment_sums(linked, pairs.indptr[p0:p1 + 1] - lo)
+    return out
 
 
-def _side_logits(elogpi, counterpart, log_f):
-    # one pair side, group-major: the owner's expected log-membership plus
-    # the link evidence against the (mean) counterpart side; log_f[g, h] is
-    # the log-likelihood for own group g and counterpart group h
-    return elogpi + log_f @ counterpart
+def _side_logits(own, counterpart, log_f):
+    # one pair side, group-major: the owner's expected log-membership (up
+    # to a per-owner constant) plus the link evidence against the (mean)
+    # counterpart side; log_f[g, h] is the log-likelihood for own group g
+    # and counterpart group h
+    logits = log_f @ counterpart
+    logits += own
+    return logits
 
 
 def _group_softmax(logits):
-    # softmax over the leading group axis, in place
-    logits -= logits.max(axis=0)
+    # softmax over the leading group axis, in place, without a max pass:
+    # every caller shifts the term it owns to a column maximum of 0 (see
+    # ``_own``), and what it adds lies in [log SIMPLEX_FLOOR, 0], so each
+    # column's largest entry is within 28 of 0 and exp cannot overflow, nor
+    # underflow the column sum
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=0)
     return logits
@@ -237,22 +301,35 @@ def _group_softmax(logits):
 def _gamma_block(alpha, pairs, phi_out, phi_in, nolink_out, nolink_in, act):
     # prior plus the pair sides drawn from each person's membership: the
     # sender sides of p's linked pairs, the receiver sides of the reversed
-    # pairs (q, p), n0_p copies of each non-link side; plus activity sums
-    sides = _segment_sums(phi_out, pairs.indptr)
-    sides += _segment_sums(phi_in[:, pairs.reverse], pairs.indptr)
+    # pairs (q, p), n0_p copies of each non-link side; plus activity sums;
+    # (M, N)
+    sides = _segment_sums(phi_out + np.take(phi_in, pairs.reverse, axis=1), pairs.indptr)
     sides += pairs.n0 * (nolink_out + nolink_in)
-    return alpha[None, :] + sides.T + act
+    return alpha[:, None] + sides + act
+
+
+def _own(dig):
+    # E[log pi] = digamma(gamma) - digamma(sum gamma) up to the per-person
+    # constant, which every softmax of the sweep cancels: digamma(gamma)
+    # shifted to a column maximum of 0
+    return dig - dig.max(axis=0)
 
 
 def _lambda_logits(dig, mu, log_theta):
-    # digamma of the membership pseudo-counts plus the role posterior's
-    # expected log-rate per group
-    return dig + mu @ log_theta.T
+    # digamma of the owner's membership pseudo-counts plus the role
+    # posterior's expected log-rate per group; (M, A)
+    logits = log_theta @ mu
+    logits += dig
+    return logits
 
 
-def _activity_sums(flat_lam, act_indptr):
-    # per-person sums of the stacked activity group posteriors, (N, M)
-    return _segment_sums(flat_lam.T, act_indptr).T
+def _role_logits(lam, log_theta, log_beta):
+    # the group-major twin of glad_vem._mu_logits: the expected log-rate
+    # under the group posterior plus each activity's feature log-likelihood;
+    # (K, A)
+    logits = log_theta.T @ lam
+    logits += log_beta
+    return logits
 
 
 def _activity_indptr(counts):
@@ -269,6 +346,27 @@ def _stacked(state: Glad0Variational, data: ActivityDataset):
     flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, k))
     ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
     return flat_lam, flat_mu, ids
+
+
+def _person_rows(cols, act_indptr):
+    # per-person C-ordered (A_p, M) rows of a group-major activity array
+    rows = np.ascontiguousarray(cols.T)
+    bounds = act_indptr.tolist()
+    return tuple(rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+
+
+def _variational(gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu, act_indptr):
+    # the public state of the sweep's arrays: gamma and the activity
+    # posteriors as C-ordered per-person rows, the pair sides as they are
+    return Glad0Variational(
+        gamma=np.ascontiguousarray(gamma.T),
+        phi_out=phi_out,
+        phi_in=phi_in,
+        nolink_out=nolink_out,
+        nolink_in=nolink_in,
+        lam_act=_person_rows(lam, act_indptr),
+        mu_act=_person_rows(mu, act_indptr),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -355,71 +453,66 @@ def compute_elbo0(
 # block sweep for the fit loop
 # ---------------------------------------------------------------------------
 
-def _update(arr, new):
-    # write ``new`` into ``arr``; returns the largest entry change
-    delta = float(np.abs(new - arr).max()) if arr.size else 0.0
+def _update(arr, new, tol, moved):
+    # write ``new`` into ``arr``; whether ``moved`` already, or some entry
+    # changed by more than ``tol`` (NaN counts as a change)
+    moved = moved or not (arr.size == 0 or np.abs(new - arr).max() <= tol)
     arr[:] = new
-    return delta
+    return moved
 
 
-def _sweep0(params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in,
-            flat_lam, flat_mu, act_indptr, ids):
+def _sweep0(terms, pairs, act_counts, tol, gamma, dig, phi_out, phi_in, nolink_out,
+            nolink_in, lam, mu):
     """One block-coordinate pass in the module docstring's order; returns
-    the largest posterior change.
+    whether some posterior entry changed by more than ``tol``.  Once one
+    has, the later blocks skip the comparison.
 
-    The linked sides of one direction are mutually independent given the
-    other direction, and so are the non-link sides a given b and b given a;
-    the same holds for the stacked activity arrays given gamma and each
+    ``dig`` is ``digamma(gamma)`` on entry and is brought up to date with
+    gamma.  The linked sides of one direction are mutually independent
+    given the other direction, and so are the non-link sides a given b and
+    b given a; the same holds for the activity arrays given gamma and each
     other.  So each whole-array update is an exact block maximizer.
     """
-    elogpi = _expected_log_pi(gamma).T
-    log_b = np.log(params.block)
-    log_1mb = np.log1p(-params.block)
-    # a person linked to everyone has no non-link mass, and its shared sides
-    # enter no term: any finite divisor will do
-    n0 = np.maximum(pairs.n0, 1)
+    own = _own(dig)
+    moved = _update(phi_out, _group_softmax(_side_logits(
+        np.repeat(own, pairs.degree, axis=1), phi_in, terms.log_b)), tol, False)
+    moved = _update(phi_in, _group_softmax(_side_logits(
+        np.take(own, pairs.indices, axis=1), phi_out, terms.log_b.T)), tol, moved)
+    moved = _update(nolink_out, _group_softmax(_side_logits(
+        own, _nolink_mass(nolink_in, pairs) / pairs.n0_div, terms.log_1mb)), tol, moved)
+    moved = _update(nolink_in, _group_softmax(_side_logits(
+        own, _nolink_mass(nolink_out, pairs) / pairs.n0_div, terms.log_1mb.T)), tol, moved)
 
-    delta = _update(phi_out, _group_softmax(
-        _side_logits(elogpi[:, pairs.sender], phi_in, log_b)))
-    delta = max(delta, _update(phi_in, _group_softmax(
-        _side_logits(elogpi[:, pairs.indices], phi_out, log_b.T))))
-    delta = max(delta, _update(nolink_out, _group_softmax(
-        _side_logits(elogpi, _nolink_mass(nolink_in, pairs) / n0, log_1mb))))
-    delta = max(delta, _update(nolink_in, _group_softmax(
-        _side_logits(elogpi, _nolink_mass(nolink_out, pairs) / n0, log_1mb.T))))
-
-    gamma[:] = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
-                            _activity_sums(flat_lam, act_indptr))
-    if flat_lam.shape[0]:
-        dig = np.repeat(digamma(gamma), np.diff(act_indptr), axis=0)
-        log_theta = floored_log(params.theta)
-        delta = max(delta, _update(
-            flat_lam, softmax(_lambda_logits(dig, flat_mu, log_theta))))
-        delta = max(delta, _update(
-            flat_mu, softmax(_mu_logits(flat_lam, log_theta, floored_log(params.beta)[ids]))))
-    return delta
+    gamma[:] = _gamma_block(terms.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
+                            _segment_sums(lam, _activity_indptr(act_counts)))
+    dig[:] = digamma(gamma)
+    moved = _update(lam, _group_softmax(_lambda_logits(
+        np.repeat(_own(dig), act_counts, axis=1), mu, terms.log_theta)), tol, moved)
+    return _update(mu, _group_softmax(
+        _role_logits(lam, terms.log_theta, terms.log_beta)), tol, moved)
 
 
 def _init0(data, n_groups, n_roles, config):
-    """Seeded parameters and the noise-broken uniform starting posteriors:
-    ``(params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in,
-    flat_lam, flat_mu)``.  The jitter is drawn in that order, pair sides
-    pair by pair, as (2E, M) and (N, M)."""
+    """Seeded parameters and the noise-broken uniform starting posteriors,
+    group-major: ``(params, pairs, gamma, phi_out, phi_in, nolink_out,
+    nolink_in, lam, mu)``.  The jitter is drawn in that order (gamma
+    aside), pair sides pair by pair, as (2E, M), (N, M), (A, M) and
+    (A, K) rows."""
     rng = np.random.default_rng(config.seed)
     n = data.n_nodes
     params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
     pairs = _pairs(data)
-    acts = int(data.activity_counts.sum())
+    counts = data.activity_counts
+    acts = int(counts.sum())
     shapes = ((pairs.indices.size, n_groups), (pairs.indices.size, n_groups),
               (n, n_groups), (n, n_groups), (acts, n_groups), (acts, n_roles))
     rows = [np.full(shape, 1.0 / shape[1]) for shape in shapes]
     for arr in rows:
         jitter_rows(arr, rng)
-    phi_out, phi_in, nolink_out, nolink_in = (np.ascontiguousarray(a.T) for a in rows[:4])
-    flat_lam, flat_mu = rows[4:]
+    phi_out, phi_in, nolink_out, nolink_in, lam, mu = (np.ascontiguousarray(a.T) for a in rows)
     gamma = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
-                         _activity_sums(flat_lam, _activity_indptr(data.activity_counts)))
-    return params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in, flat_lam, flat_mu
+                         _segment_sums(lam, _activity_indptr(counts)))
+    return params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu
 
 
 def fit0(
@@ -448,31 +541,24 @@ def fit0(
             config.restarts,
         )
     params, pairs, *arrays = _init0(data, n_groups, n_roles, config)
-    gamma, phi_out, phi_in, nolink_out, nolink_in, flat_lam, flat_mu = arrays
     counts = data.activity_counts
     act_indptr = _activity_indptr(counts)
     ids = np.concatenate(data.feature_ids) if counts.sum() else np.zeros(0, dtype=np.int64)
-    cuts = act_indptr[1:-1]
+    terms = _terms(params, ids)
+    gamma = arrays[0]
+    dig = digamma(gamma)
 
     def snapshot():
-        return Glad0Variational(
-            gamma=gamma,
-            phi_out=phi_out,
-            phi_in=phi_in,
-            nolink_out=nolink_out,
-            nolink_in=nolink_in,
-            lam_act=tuple(np.array(a) for a in np.split(flat_lam, cuts)),
-            mu_act=tuple(np.array(a) for a in np.split(flat_mu, cuts)),
-        )
+        return _variational(*arrays, act_indptr)
 
     def step():
-        nonlocal params
+        nonlocal params, terms
         for _ in range(config.inner_max):
-            delta = _sweep0(params, pairs, *arrays, act_indptr, ids)
-            if delta <= config.inner_tol:
+            if not _sweep0(terms, pairs, counts, config.inner_tol, gamma, dig, *arrays[1:]):
                 break
         state = snapshot()
         params = m_step0(data, state, params.alpha)
+        terms = _terms(params, ids)
         return compute_elbo0(data, params, state)
 
     first = compute_elbo0(data, params, snapshot())

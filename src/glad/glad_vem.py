@@ -69,6 +69,9 @@ INIT_NOISE = 0.01
 # no (E, M) copy is ever held: at 2e5 edges this is about 3x faster than one
 # gather of every edge and keeps 15 MB off the peak memory of a fit.
 EDGE_CHUNK = 8192
+# Relative margin by which a restart's final bound must beat an earlier
+# one's to replace it (``best_of_restarts``).
+RESTART_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -166,7 +169,7 @@ def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
 def _mu_logits(lam, log_theta, log_beta):
     """Unnormalized log role posterior: the expected log-rate under the
     group posterior ``lam`` plus the feature log-likelihood of each role,
-    ``log_beta``; one row per person here and per activity in glad0."""
+    ``log_beta``; one row per person."""
     return lam @ log_theta + log_beta
 
 
@@ -272,8 +275,7 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
 
     bound = pair_term + dirichlet_terms(params.alpha, state.gamma, elogpi)
     x = data.features
-    coef = float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
-    return bound + coef + row_terms(
+    return bound + data.log_multinomial_coef + row_terms(
         lam, elogpi, state.mu, floored_log(params.theta), x @ floored_log(params.beta)
     )
 
@@ -423,12 +425,18 @@ def run_em(first: float, step, max_iters: int, tol: float) -> tuple:
 
 def best_of_restarts(run, seed: int, n: int):
     """Best-bound result of ``run(child_seed)`` over ``n`` child seeds
-    spawned from ``seed``; ties keep the earlier run.  Mean-field starts
-    occasionally merge groups, and the merged basin scores visibly worse."""
+    spawned from ``seed``.  Mean-field starts occasionally merge groups,
+    and the merged basin scores visibly worse.  Ties keep the earlier run:
+    a later one wins only with a final bound higher by more than
+    ``RESTART_TIE`` of the earlier's magnitude, so two label-permuted
+    copies of one optimum, whose bounds differ by rounding, do not let the
+    last bits of the kernels pick the winner."""
     best = None
     for child in np.random.SeedSequence(seed).spawn(n):
         attempt = run(int(child.generate_state(1)[0]))
-        if best is None or attempt.trace[-1] > best.trace[-1]:
+        if best is None or (
+            attempt.trace[-1] - best.trace[-1] > RESTART_TIE * abs(best.trace[-1])
+        ):
             best = attempt
     return best
 

@@ -288,6 +288,13 @@ class Dataset(_EdgeIndex):
         """Per-person total activity count (row sums of ``features``)."""
         return self.features.sum(axis=1)
 
+    @cached_property
+    def log_multinomial_coef(self) -> float:
+        """log of the multinomial coefficients of the feature counts, summed
+        over people: the bound's only data-only term, derived once."""
+        x = self.features
+        return float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
+
 
 @dataclass(frozen=True)
 class ActivityDataset(_EdgeIndex):

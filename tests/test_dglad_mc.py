@@ -817,7 +817,7 @@ def reference_scan(trace, rng, feat_scores, links, logb, log1mb):
 def scan_case(name):
     # (data, params, trace) of each case of the equivalence test
     if name in ("settled", "high-move"):
-        # settled: a planted instance after four sweeps; high-move: a weak
+        # settled: a planted instance after three sweeps; high-move: a weak
         # block and few features, from a random start
         strong = name == "settled"
         m = 3 if strong else 4
@@ -828,7 +828,7 @@ def scan_case(name):
         )
         data, _ = inject_dynamic_change(cfg, horizon=4, change_time=3)
         res = run_sampler(data, m, 2, DGladConfig(
-            sweeps=4 if strong else 0, burn_in=0, n_particles=8, seed=6, init_fit_iters=4))
+            sweeps=3 if strong else 0, burn_in=0, n_particles=8, seed=6, init_fit_iters=4))
         trace = res.trace
         if not strong:
             trace.G = np.random.default_rng(6).integers(0, m, size=trace.G.shape)

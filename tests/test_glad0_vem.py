@@ -9,24 +9,29 @@ import scipy.special
 
 from glad.baselines import fit_mmsb
 from glad.generator import InjectionConfig, generate_glad0, inject_activity_anomalies
+from glad import glad0_vem
 from glad.glad0_vem import (
     Fit0Config,
     Glad0Variational,
     _activity_indptr,
-    _activity_sums,
     _gamma_block,
     _group_softmax,
     _init0,
     _lambda_logits,
     _nolink_mass,
+    _own,
     _pairs,
+    _role_logits,
+    _segment_sums,
     _side_logits,
     _sweep0,
+    _terms,
+    _variational,
     compute_elbo0,
     fit0,
     m_step0,
 )
-from glad.glad_vem import FitConfig, _expected_log_pi, _mu_logits
+from glad.glad_vem import FitConfig
 from glad.model import (
     ActivityDataset,
     Dataset,
@@ -34,8 +39,6 @@ from glad.model import (
     ModelParams,
     PROB_EPS,
     digamma,
-    floored_log,
-    softmax,
 )
 
 
@@ -314,32 +317,40 @@ def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
     return data, params, state
 
 
+def activity_columns(state):
+    """The stacked activity posteriors, group-major as the sweep holds them:
+    ``(lam, mu)`` of shapes (M, A) and (K, A)."""
+    return tuple(np.ascontiguousarray(np.concatenate(rows).T)
+                 for rows in (state.lam_act, state.mu_act))
+
+
 def kernel_updates(data, params, state):
     """Each block's update from the kernels, all at the same given state:
-    ``(phi_out, phi_in, nolink_out, nolink_in, gamma, flat_lam, flat_mu)``;
+    ``(phi_out, phi_in, nolink_out, nolink_in, gamma, flat_lam, flat_mu)``,
+    with gamma and the activity rows per person as the oracles give them;
     the activity rows are None when nobody has an activity."""
     pairs = _pairs(data)
-    elogpi = _expected_log_pi(state.gamma).T
-    log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
-    n0 = np.maximum(pairs.n0, 1)
-    new_out = _group_softmax(_side_logits(elogpi[:, pairs.sender], state.phi_in, log_b))
-    new_in = _group_softmax(_side_logits(elogpi[:, pairs.indices], state.phi_out, log_b.T))
+    counts = data.activity_counts
+    terms = _terms(params, np.concatenate(data.feature_ids))
+    own = _own(digamma(state.gamma).T)
+    new_out = _group_softmax(_side_logits(np.repeat(own, pairs.degree, axis=1), state.phi_in,
+                                          terms.log_b))
+    new_in = _group_softmax(_side_logits(np.take(own, pairs.indices, axis=1), state.phi_out,
+                                         terms.log_b.T))
     new_a = _group_softmax(
-        _side_logits(elogpi, _nolink_mass(state.nolink_in, pairs) / n0, log_1mb))
+        _side_logits(own, _nolink_mass(state.nolink_in, pairs) / pairs.n0_div, terms.log_1mb))
     new_b = _group_softmax(
-        _side_logits(elogpi, _nolink_mass(state.nolink_out, pairs) / n0, log_1mb.T))
-    flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
-    act = _activity_sums(flat_lam, _activity_indptr(data.activity_counts))
+        _side_logits(own, _nolink_mass(state.nolink_out, pairs) / pairs.n0_div, terms.log_1mb.T))
+    lam_cols, mu_cols = activity_columns(state)
+    act = _segment_sums(lam_cols, _activity_indptr(counts))
     gamma = _gamma_block(params.alpha, pairs, state.phi_out, state.phi_in,
                          state.nolink_out, state.nolink_in, act)
     lam = mu = None
-    if flat_lam.shape[0]:  # a softmax needs at least one activity row
-        person = np.repeat(np.arange(data.n_nodes), data.activity_counts)
-        log_theta = floored_log(params.theta)
-        lam = softmax(_lambda_logits(digamma(state.gamma)[person], flat_mu, log_theta))
-        log_beta = floored_log(params.beta)[np.concatenate(data.feature_ids)]
-        mu = softmax(_mu_logits(flat_lam, log_theta, log_beta))
-    return new_out, new_in, new_a, new_b, gamma, lam, mu
+    if lam_cols.shape[1]:
+        lam = _group_softmax(_lambda_logits(np.repeat(own, counts, axis=1), mu_cols,
+                                            terms.log_theta)).T
+        mu = _group_softmax(_role_logits(lam_cols, terms.log_theta, terms.log_beta)).T
+    return new_out, new_in, new_a, new_b, gamma.T, lam, mu
 
 
 def oracle_updates(data, params, state):
@@ -397,12 +408,7 @@ def test_update_activity_posteriors_match_oracle(seed):
     # one row per activity, people ascending, as fit0 stacks them
     data, params, state = random_instance0(seed)
     counts = data.activity_counts
-    person = np.repeat(np.arange(data.n_nodes), counts)
-    log_theta = floored_log(params.theta)
-    log_beta = floored_log(params.beta)[np.concatenate(data.feature_ids)]
-    lam = softmax(_lambda_logits(digamma(state.gamma)[person], np.concatenate(state.mu_act),
-                                 log_theta))
-    mu = softmax(_mu_logits(np.concatenate(state.lam_act), log_theta, log_beta))
+    *_, lam, mu = kernel_updates(data, params, state)
     acts = [(p, a) for p in range(data.n_nodes) for a in range(counts[p])]
     for row, (p, a) in enumerate(acts):
         np.testing.assert_allclose(
@@ -440,12 +446,10 @@ def test_compute_elbo0_matches_dense_oracle_at_initialization(seed):
     data, _ = inject_activity_anomalies(
         InjectionConfig(n_nodes=12 + 7 * seed, n_groups=3, seed=seed), activities=3)
     config = Fit0Config(max_iters=1, seed=seed)
-    params, pairs, gamma, *sides, flat_lam, flat_mu = _init0(data, 3, 2, config)
-    cuts = _activity_indptr(data.activity_counts)[1:-1]
-    state = Glad0Variational(gamma, *sides, lam_act=tuple(np.split(flat_lam, cuts)),
-                             mu_act=tuple(np.split(flat_mu, cuts)))
+    params, _, *arrays = _init0(data, 3, 2, config)
+    state = _variational(*arrays, _activity_indptr(data.activity_counts))
     got = compute_elbo0(data, params, state)
-    want = oracle_elbo0(data, params, gamma, *expand_state(data, state),
+    want = oracle_elbo0(data, params, state.gamma, *expand_state(data, state),
                         state.lam_act, state.mu_act)
     assert abs(got - want) <= 1e-10 * abs(want), (got, want)
     assert fit0(data, 3, 2, config).trace[0] == got
@@ -459,22 +463,66 @@ def test_sweep0_is_the_public_updates_in_block_order(seed):
     # next block
     data, params, state = random_instance0(seed, n=5, m=3)
     pairs = _pairs(data)
-    gamma = np.array(state.gamma)
+    gamma = np.ascontiguousarray(state.gamma.T)
+    dig = digamma(gamma)
     sides = [np.array(a) for a in (state.phi_out, state.phi_in, state.nolink_out,
                                    state.nolink_in)]
-    flat_lam, flat_mu = np.concatenate(state.lam_act), np.concatenate(state.mu_act)
-    assert flat_lam.shape[0] and pairs.indices.size
-    _sweep0(params, pairs, gamma, *sides, flat_lam, flat_mu,
-            _activity_indptr(data.activity_counts), np.concatenate(data.feature_ids))
+    lam, mu = activity_columns(state)
+    assert lam.shape[1] and pairs.indices.size
+    assert _sweep0(_terms(params, np.concatenate(data.feature_ids)), pairs,
+                   data.activity_counts, 0.0, gamma, dig, *sides, lam, mu)
+    np.testing.assert_array_equal(dig, digamma(gamma))
 
     want = as_arrays(state)
     for name in BLOCKS:
         want = oracle_block_update(name, data, params, want)
-    for name, got in zip(BLOCKS, [*sides, gamma]):
+    for name, got in zip(BLOCKS, [*sides, gamma.T]):
         np.testing.assert_allclose(got, want[name],
                                    atol=1e-10, rtol=0, err_msg=name)
-    np.testing.assert_allclose(flat_lam, np.concatenate(want["lam"]), atol=1e-10, rtol=0)
-    np.testing.assert_allclose(flat_mu, np.concatenate(want["mu"]), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(lam.T, np.concatenate(want["lam"]), atol=1e-10, rtol=0)
+    np.testing.assert_allclose(mu.T, np.concatenate(want["mu"]), atol=1e-10, rtol=0)
+
+
+def test_fit0_carries_digamma_and_builds_terms_once_per_m_step(monkeypatch):
+    # fit0 carries digamma(gamma) from one sweep to the next, and builds the
+    # parameter terms once per M-step: before and after every sweep the
+    # carried digamma equals a fresh one bit for bit, and the terms equal a
+    # fresh build from the parameters of the last M-step (or the start)
+    data, _ = inject_activity_anomalies(InjectionConfig(n_nodes=24, n_groups=3, seed=2),
+                                        activities=3)
+    ids = np.concatenate(data.feature_ids)
+    real_init, real_m_step, real_sweep = _init0, m_step0, _sweep0
+    current, sweeps = {}, []
+
+    def init(*args):
+        out = real_init(*args)
+        current["params"] = out[0]
+        return out
+
+    def m_step(*args):
+        current["params"] = real_m_step(*args)
+        return current["params"]
+
+    def check(terms, gamma, dig):
+        np.testing.assert_array_equal(dig, digamma(gamma))
+        for got, want in zip(terms, _terms(current["params"], ids)):
+            np.testing.assert_array_equal(got, want)
+
+    def sweep(terms, pairs, counts, tol, gamma, dig, *rest):
+        check(terms, gamma, dig)
+        moved = real_sweep(terms, pairs, counts, tol, gamma, dig, *rest)
+        check(terms, gamma, dig)
+        sweeps.append(moved)
+        return moved
+
+    monkeypatch.setattr(glad0_vem, "_init0", init)
+    monkeypatch.setattr(glad0_vem, "m_step0", m_step)
+    monkeypatch.setattr(glad0_vem, "_sweep0", sweep)
+    config = Fit0Config(max_iters=3, tol=0.0, inner_max=4, inner_tol=0.0, seed=1)
+    res = fit0(data, 3, 2, config)
+    assert len(sweeps) == 12 and all(sweeps)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(res.trace, fit0(data, 3, 2, config).trace)
 
 
 def _perturbed(name, rows, rng):
@@ -550,10 +598,10 @@ def _no_activities(n):
 def test_gamma0_single_node_one_activity():
     data = ActivityDataset(feature_ids=(np.array([0]),), links=[[0]], n_features=2)
     half = np.full((2, 1), 0.5)
-    act = _activity_sums(np.array([[1.0, 0.0]]), _activity_indptr(data.activity_counts))
+    act = _segment_sums(np.array([[1.0], [0.0]]), _activity_indptr(data.activity_counts))
     got = _gamma_block(np.array([1.0, 1.0]), _pairs(data), np.zeros((2, 0)), np.zeros((2, 0)),
                        half, half, act)
-    np.testing.assert_allclose(got, [[2.0, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(got, [[2.0], [1.0]], atol=1e-12)
 
 
 def test_gamma0_uniform_pairs_count_directions():
@@ -563,8 +611,8 @@ def test_gamma0_uniform_pairs_count_directions():
     linked = np.full((2, 2), 0.5)
     nolink = np.full((2, 3), 0.5)
     got = _gamma_block(np.zeros(2), _pairs(data), linked, linked, nolink, nolink,
-                       np.zeros((3, 2)))
-    np.testing.assert_allclose(got, np.full((3, 2), 2.0), atol=1e-12)
+                       np.zeros((2, 3)))
+    np.testing.assert_allclose(got, np.full((2, 3), 2.0), atol=1e-12)
 
 
 def test_phi_out_constant_block_reduces_to_digamma():
@@ -610,7 +658,8 @@ def test_lambda0_identical_rate_rows_uses_gamma_only():
     if data.activity_counts[p] == 0:
         pytest.skip("instance drew no activities for person 0")
     same = np.array([[0.3, 0.7], [0.3, 0.7]])
-    got = softmax(_lambda_logits(digamma(state.gamma[p]), state.mu_act[p][0], np.log(same)))
+    own = _own(digamma(state.gamma[p])[:, None])
+    got = _group_softmax(_lambda_logits(own, state.mu_act[p][:1].T, np.log(same)))[:, 0]
     g = np.exp(scipy.special.psi(state.gamma[p]))
     np.testing.assert_allclose(got, g / g.sum(), atol=1e-12)
 
@@ -618,9 +667,9 @@ def test_lambda0_identical_rate_rows_uses_gamma_only():
 def test_mu0_identical_emissions_uses_rates_only():
     data, params, state = random_instance0(6)
     p = next(p for p in range(4) if data.activity_counts[p] > 0)
-    same_beta = np.full((3, 2), 1.0 / 3)
-    log_beta = np.log(same_beta)[data.feature_ids[p][0]]
-    got = softmax(_mu_logits(state.lam_act[p][0], floored_log(params.theta), log_beta))
+    terms = _terms(replace(params, beta=np.full((3, 2), 1.0 / 3)), data.feature_ids[p][:1])
+    got = _group_softmax(_role_logits(state.lam_act[p][:1].T, terms.log_theta,
+                                      terms.log_beta))[:, 0]
     s = state.lam_act[p][0] @ np.log(params.theta)
     want = np.exp(s - s.max())
     np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
@@ -628,9 +677,10 @@ def test_mu0_identical_emissions_uses_rates_only():
 
 def test_mu0_one_hot_emissions_pin_the_role():
     # one activity with feature 1; role 0 emits feature 0, role 1 feature 1
-    beta = np.array([[1.0, 0.0], [0.0, 1.0]])
-    theta = np.array([[0.5, 0.5]])
-    got = softmax(_mu_logits(np.array([1.0]), floored_log(theta), floored_log(beta)[1]))
+    params = ModelParams(alpha=np.ones(1), block=np.full((1, 1), 0.5),
+                         theta=np.array([[0.5, 0.5]]), beta=np.array([[1.0, 0.0], [0.0, 1.0]]))
+    terms = _terms(params, np.array([1]))
+    got = _group_softmax(_role_logits(np.ones((1, 1)), terms.log_theta, terms.log_beta))[:, 0]
     assert got.argmax() == 1 and got[1] > 0.999
 
 
@@ -836,6 +886,11 @@ def test_fit0_returned_state_satisfies_invariants():
             np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
             np.testing.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(s.gamma > 0)
+    # per-person rows, C-ordered, though the fit keeps them group-major
+    assert s.gamma.shape == (12, 2)
+    for arr, acts in zip((s.gamma, *s.lam_act, *s.mu_act),
+                         (12, *data.activity_counts, *data.activity_counts)):
+        assert arr.flags.c_contiguous and arr.shape == (acts, 2)
 
 
 def test_fit0_at_2000_people_holds_no_quadratic_array():
@@ -876,15 +931,20 @@ def test_fit0_at_2000_people_holds_no_quadratic_array():
     dense, _ = inject_activity_anomalies(InjectionConfig(n_nodes=n, n_groups=5, seed=0),
                                          activities=5)
     dense.neighbours, dense.edges
-    params, pairs, gamma, *sides, flat_lam, flat_mu = _init0(dense, 5, 2, Fit0Config())
-    cuts = _activity_indptr(dense.activity_counts)[1:-1]
-    state = Glad0Variational(gamma, *sides, lam_act=tuple(np.split(flat_lam, cuts)),
-                             mu_act=tuple(np.split(flat_mu, cuts)))
-    tracemalloc.start()
-    try:
-        compute_elbo0(dense, params, state)
-        elbo_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # So does the M-step's non-link mass, which gathers the linked partners'
+    # sides in runs of rows of at most EDGE_CHUNK pairs: gathering all of
+    # them at once added one (M, 2E) float array (22.6 MB at this size).
+    params, pairs, *arrays = _init0(dense, 5, 2, Fit0Config())
+    state = _variational(*arrays, _activity_indptr(dense.activity_counts))
+    peaks = []
+    for build in (lambda: compute_elbo0(dense, params, state),
+                  lambda: m_step0(dense, state, params.alpha)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     assert pairs.indices.size > 300_000
-    assert elbo_peak < 5 * pairs.indices.size * 8, elbo_peak
+    assert pairs.indices.size > 8 * glad0_vem.EDGE_CHUNK
+    assert max(peaks) < 5 * pairs.indices.size * 8, peaks

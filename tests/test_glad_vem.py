@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from scipy.optimize import linear_sum_assignment
 
 from glad.generator import InjectionConfig, generate_glad, inject_anomalies
 from glad.glad_vem import (
+    RESTART_TIE,
     FitConfig,
     FitResult,
     _expected_log_pi,
     _lambda_logits,
     _mu_logits,
     _sequential_sweep,
+    best_of_restarts,
     compute_elbo,
     fit,
     infer_state,
@@ -29,6 +32,7 @@ from glad.model import (
     ModelParams,
     PROB_EPS,
     floored_log,
+    gammaln,
     softmax,
 )
 
@@ -458,6 +462,38 @@ def test_run_em_names_the_non_finite_iteration():
         run_em(np.nan, iter([1.0]).__next__, 5, 1e-6)
     with pytest.raises(GladNumericsError, match="at iteration 2"):
         run_em(-10.0, iter([-5.0, -np.inf, 0.0]).__next__, 5, 1e-6)
+
+
+@pytest.mark.parametrize("bounds, winner", [
+    # two label-permuted copies of one optimum: dglad's anchor on a planted
+    # instance ended at these bounds, 1.5e-16 apart
+    ([-780.8343992347864, -780.8343992347862, -780.8343992347864], 0),
+    ([-100.0, -100.0 * (1 - 0.5 * RESTART_TIE)], 0),
+    ([100.0, 100.0 * (1 + 0.5 * RESTART_TIE), 99.0], 0),
+    # clearly better: the later run wins, and must beat the new best
+    ([-100.0, -100.0 * (1 - 2 * RESTART_TIE)], 1),
+    ([-100.0, -90.0, -90.0 * (1 - 0.5 * RESTART_TIE), -95.0], 1),
+    ([-100.0, -120.0, -80.0], 2),
+])
+def test_best_of_restarts_keeps_the_earlier_run_on_rounding_ties(bounds, winner):
+    runs = iter(range(len(bounds)))
+
+    def run(seed):
+        index = next(runs)
+        return SimpleNamespace(trace=np.array([-1e6, bounds[index]]), index=index)
+
+    assert best_of_restarts(run, 0, len(bounds)).index == winner
+
+
+def test_bound_multinomial_coefficient_is_derived_once():
+    # the bound's data-only term is cached on the dataset, with the value of
+    # the expression compute_elbo evaluated on every call before
+    data, _ = _planted(seed=1, n=30)
+    x = data.features
+    want = float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
+    assert "log_multinomial_coef" not in vars(data)
+    assert data.log_multinomial_coef == want
+    assert vars(data)["log_multinomial_coef"] == want
 
 
 def test_fit_checks_the_bound_at_initialization():
