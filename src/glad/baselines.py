@@ -22,7 +22,9 @@ import numpy as np
 from . import glad_vem
 from .model import Dataset, floored_log, gammaln, logsumexp
 
-__all__ = ["MixtureConfig", "MmsbResult", "GroupMixtureResult", "fit_mmsb", "fit_group_lda"]
+__all__ = [
+    "MixtureConfig", "MmsbResult", "GroupMixtureResult", "stage_one", "fit_mmsb", "fit_group_lda",
+]
 
 # The mixture EM's iteration cap and relative log-likelihood tolerance.
 MAX_ITERS = 200
@@ -52,6 +54,10 @@ class GroupMixtureResult:
     converged: bool
 
 
+def _constant_feature(n_nodes: int) -> np.ndarray:
+    return np.ones((n_nodes, 1), dtype=np.int64)
+
+
 def fit_mmsb(
     links: np.ndarray,
     n_groups: int,
@@ -66,7 +72,7 @@ def fit_mmsb(
     pairwise parts.  A zero feature would leave beta without mass.
     """
     links = np.asarray(links)
-    data = Dataset(features=np.ones((links.shape[0], 1), dtype=np.int64), links=links)
+    data = Dataset(features=_constant_feature(links.shape[0]), links=links)
     result = glad_vem.fit(data, n_groups, 1, config)
     return MmsbResult(
         grouping=result.state.grouping(),
@@ -74,6 +80,14 @@ def fit_mmsb(
         alpha=result.params.alpha,
         fit=result,
     )
+
+
+def stage_one(data: Dataset, config: glad_vem.FitConfig | None = None) -> glad_vem.Member:
+    """Stage one on ``data``'s graph as a member of ``glad_vem.fit_members``,
+    so that it can be fitted together with the joint fit on the same data.
+    Its dataset shares the graph of ``data`` and holds one constant feature;
+    see ``fit_mmsb``."""
+    return glad_vem.Member(data.with_features(_constant_feature(data.n_nodes)), 1, config)
 
 
 def _mixture_loglik_rows(features: np.ndarray, beta: np.ndarray) -> np.ndarray:

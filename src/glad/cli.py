@@ -7,8 +7,8 @@ cap without converging, 3 on a numeric abort.
 
 Every command is deterministic given identical inputs and seed: reruns
 produce byte-identical files.  ``--seed`` overrides the seed found in a
-config file; the environment variable ``GLAD_THREADS`` caps the benchmark
-worker pool.
+config file; the environment variable ``GLAD_THREADS``, a positive integer,
+caps the benchmark worker pool.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import io as gio
-from .baselines import MixtureConfig, fit_group_lda, fit_mmsb
+from .baselines import MixtureConfig, fit_group_lda, stage_one
 from .dglad_mc import DGladConfig, run_sampler
 from .generator import (
     InjectionConfig,
@@ -35,7 +35,7 @@ from .generator import (
     inject_dynamic_change,
 )
 from .glad0_vem import Fit0Config, fit0
-from .glad_vem import FitConfig, fit
+from .glad_vem import FitConfig, Member, fit, fit_members
 from .model import ActivityDataset, DynamicDataset, GladNumericsError
 from .scoring import (
     AnomalyReport,
@@ -537,23 +537,9 @@ _BENCHMARK_SCHEMA = {
 _METHODS = ("glad", "mmsb-lda")
 
 
-def _cell(cfg: dict, method: str, n_groups: int, seed: int) -> dict:
-    """One benchmark cell: the accuracy (static methods) or the fpr and
-    recall on the threshold grid (dglad) that `glad generate`, `glad fit`
-    and `glad evaluate --truth` give at the cell's sizes and seed."""
-    name = "glad" if method == "mmsb-lda" else method
-    model = _MODELS[name]
-    n_nodes = cfg["dyn_nodes"] if model.kind == "dynamic" else cfg["n_nodes"]
-    data, truth = _inject(model.kind, cfg, n_nodes=n_nodes, n_groups=n_groups, seed=seed)
-    config = model.config(seed=seed, **_flag_fields(name, cfg))
-    if method == "mmsb-lda":
-        grouping = fit_mmsb(data.links, n_groups, config).grouping
-        stage2 = fit_group_lda(
-            data.features, grouping, cfg["n_roles"], MixtureConfig(seed=seed), n_groups=n_groups
-        )
-        scores, change = stage2.scores, None
-    else:
-        grouping, scores, change = model.scores(model.fit(data, n_groups, cfg["n_roles"], config))
+def _cell_outcome(cfg, truth, grouping, scores, change, n_groups) -> dict:
+    """The accuracy (static) or the fpr and recall on the threshold grid
+    (dynamic) that `glad evaluate --truth` gives for a fit's scores."""
     # a dynamic truth repeats each person's constant group once per snapshot
     scores, change = _align_to_truth(
         scores, change, grouping, np.atleast_2d(truth.group)[0], n_groups
@@ -566,23 +552,84 @@ def _cell(cfg: dict, method: str, n_groups: int, seed: int) -> dict:
     return {"fpr": curve["fpr"].tolist(), "recall": curve["recall"].tolist()}
 
 
-def _run_cell_to_file(job) -> str:
-    """Worker entry: run one cell, record its outcome as a JSON file."""
-    cfg, key, path = job
+def _static_cells(cfg: dict, n_groups: int, seed: int) -> list:
+    """The static cells of one group count and seed, in ``_METHODS`` order,
+    as `glad generate`, `glad fit` and `glad evaluate --truth` score them.
+    Both methods fit one generated dataset, and the joint fit and the
+    baseline's stage one run together (``fit_members``).  Each entry is the
+    cell's outcome, or the exception that failed that cell alone."""
+    model = _MODELS["glad"]
+    data, truth = _inject(model.kind, cfg, n_nodes=cfg["n_nodes"], n_groups=n_groups, seed=seed)
+    config = model.config(seed=seed, **_flag_fields("glad", cfg))
+    fits = fit_members([Member(data, cfg["n_roles"], config), stage_one(data, config)], n_groups)
+    outcomes = []
+    for method, result in zip(_METHODS, fits):
+        if not isinstance(result, Exception):
+            try:
+                scored = _method_scores(cfg, method, data, result, n_groups, seed)
+                result = _cell_outcome(cfg, truth, *scored, n_groups)
+            except Exception as exc:  # fails this cell only
+                result = exc
+        outcomes.append(result)
+    return outcomes
+
+
+def _method_scores(cfg, method, data, fitted, n_groups, seed) -> tuple:
+    """(grouping, group scores, no change scores) of a static method: the
+    joint fit's own scores, or stage two's on the stage-one grouping."""
+    if method == "glad":
+        return _MODELS["glad"].scores(fitted)
+    grouping = fitted.state.grouping()
+    stage2 = fit_group_lda(
+        data.features, grouping, cfg["n_roles"], MixtureConfig(seed=seed), n_groups=n_groups
+    )
+    return grouping, stage2.scores, None
+
+
+def _dynamic_cell(cfg: dict, n_groups: int, seed: int) -> dict:
+    """One dglad cell: its fpr and recall on the threshold grid."""
+    model = _MODELS["dglad"]
+    data, truth = _inject(model.kind, cfg, n_nodes=cfg["dyn_nodes"], n_groups=n_groups, seed=seed)
+    config = model.config(seed=seed, **_flag_fields("dglad", cfg))
+    fitted = model.fit(data, n_groups, cfg["n_roles"], config)
+    return _cell_outcome(cfg, truth, *model.scores(fitted), n_groups)
+
+
+def _run_job(job) -> None:
+    """Worker entry: run one job's cells and record each outcome as a JSON file."""
+    cfg, methods, n_groups, seed, paths = job
     try:
-        payload = _cell(cfg, *key)
-        payload["status"] = "ok"
-    except Exception as exc:  # per-cell failures recorded, suite continues
-        payload = {"status": f"error: {type(exc).__name__}: {exc}"}
-    gio.write_json(path, payload)
-    return path
+        if methods == _METHODS:
+            outcomes = _static_cells(cfg, n_groups, seed)
+        else:
+            outcomes = [_dynamic_cell(cfg, n_groups, seed)]
+    except Exception as exc:  # per-job failures recorded, suite continues
+        outcomes = [exc] * len(paths)
+    for path, outcome in zip(paths, outcomes):
+        if isinstance(outcome, Exception):
+            payload = {"status": f"error: {type(outcome).__name__}: {outcome}"}
+        else:
+            payload = {**outcome, "status": "ok"}
+        gio.write_json(path, payload)
 
 
-def _n_workers(n_jobs: int) -> int:
+def _thread_cap() -> int | None:
+    """The worker cap that GLAD_THREADS sets, or None when it is unset."""
     cap = os.environ.get("GLAD_THREADS")
-    if cap is not None:
-        return max(1, min(int(cap), n_jobs))
-    return max(1, min(os.cpu_count() or 1, 4, n_jobs))
+    if cap is None:
+        return None
+    try:
+        value = int(cap)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"GLAD_THREADS must be a positive integer, not {cap!r}")
+    return value
+
+
+def _n_workers(n_jobs: int, cap: int | None) -> int:
+    limit = min(os.cpu_count() or 1, 4) if cap is None else cap
+    return max(1, min(limit, n_jobs))
 
 
 def _csv_safe(text: str) -> str:
@@ -594,34 +641,45 @@ def cmd_benchmark(args) -> int:
     cfg = gio.coerce_config(raw, _BENCHMARK_SCHEMA)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    cap = _thread_cap()
     out = Path(args.out)
     cells_dir = out / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(gio.format_config(cfg))
 
-    jobs = [
-        (cfg, (method, gc, seed), str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json"))
-        for gc in cfg["group_counts"]
-        for method in _METHODS
-        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"])
-    ]
+    # one job per dynamic cell, queued first: each takes a few times as long
+    # as a static job, which fits both static methods of one group count and seed
+    jobs = []
     if cfg["dynamic"]:
         jobs += [
-            (cfg, ("dglad", cfg["dyn_groups"], seed), str(cells_dir / f"dynamic_s{seed:03d}.json"))
+            (cfg, ("dglad",), cfg["dyn_groups"], seed,
+             (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
             for seed in range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"])
         ]
+    jobs += [
+        (cfg, _METHODS, gc, seed, tuple(
+            str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json") for method in _METHODS
+        ))
+        for gc in cfg["group_counts"]
+        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"])
+    ]
+    cells = [
+        (method, gc, seed, path)
+        for _, methods, gc, seed, paths in jobs
+        for method, path in zip(methods, paths)
+    ]
 
-    workers = _n_workers(len(jobs))
+    workers = _n_workers(len(jobs), cap)
     if workers == 1:
         for job in jobs:
-            _run_cell_to_file(job)
+            _run_job(job)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_cell_to_file, jobs))
+            list(pool.map(_run_job, jobs))
 
     # merge single-threaded, in deterministic order
     cell_rows, curves, dyn_rows = [], [], []
-    for _, (method, gc, seed), path in sorted(jobs, key=lambda j: j[2]):
+    for method, gc, seed, path in sorted(cells, key=lambda c: c[3]):
         payload = json.loads(Path(path).read_text())
         if method in _METHODS:
             acc = payload.get("accuracy", float("nan"))
@@ -694,9 +752,9 @@ def cmd_benchmark(args) -> int:
     n_failed = sum(row[-1] != "ok" for row in cell_rows + dyn_rows)
     gio.write_json(
         out / "benchmark.json",
-        {"n_cells": len(jobs), "n_failed": n_failed, "seed": cfg["seed"]},
+        {"n_cells": len(cells), "n_failed": n_failed, "seed": cfg["seed"]},
     )
-    print(f"{len(jobs)} cells, {n_failed} failed; results in {out}")
+    print(f"{len(cells)} cells, {n_failed} failed; results in {out}")
     return EXIT_OK
 
 

@@ -41,7 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glad_vem import FitConfig, best_of_restarts, fit
+from .glad_vem import (
+    FitConfig,
+    Member,
+    fit_members,
+    pick_best,
+    raise_failures,
+    restart_seeds,
+)
 from .model import (
     SIMPLEX_ATOL,
     DynamicDataset,
@@ -443,13 +450,17 @@ def particle_filter_theta(
 def _anchor_fit(data: DynamicDataset, n_groups: int, n_roles: int, config: DGladConfig):
     """Short static fit on the first snapshot, the best bound of
     ``config.init_restarts`` seeded runs: a cheap and deterministic escape
-    from a start that merged two groups.  Its warnings reach the caller."""
-
-    def run(seed):
-        static = FitConfig(max_iters=config.init_fit_iters, seed=seed, alpha0=config.alpha0)
-        return fit(data.snapshots[0], n_groups, n_roles, static)
-
-    return best_of_restarts(run, config.seed, config.init_restarts)
+    from a start that merged two groups.  The runs are fitted together on
+    the one graph; a failed run raises its error (the first, if several
+    failed).  Its warnings reach the caller."""
+    members = [
+        Member(
+            data.snapshots[0], n_roles,
+            FitConfig(max_iters=config.init_fit_iters, seed=seed, alpha0=config.alpha0),
+        )
+        for seed in restart_seeds(config.seed, config.init_restarts)
+    ]
+    return pick_best(raise_failures(fit_members(members, n_groups)))
 
 
 def default_params(

@@ -23,17 +23,32 @@ The M-step re-estimates beta (per-role feature distributions), theta
 (per-group role mixtures) and the block matrix in closed form; the Dirichlet
 prior alpha stays fixed at its starting value.
 
+Static fits that share one graph run in lockstep (``fit_members``): the
+joint fit and the baseline's stage one on the same data, or restarts from
+other seeds.  The members share the links, and so the people, and the
+group count; each has its own features, role count and config.  The sweep
+stacks their lambdas along a member axis, so each person costs one
+neighbour gather, one (S, M) softmax and one column-sum update for all S
+members.  The M-step, the bound and the stopping rule stay per member, so
+a member stops where it would stop alone, and a non-finite bound fails it
+alone.  ``fit`` is the one-member case.  A member's arithmetic is its lone
+fit's except for the gather's row sum, one product over every member,
+which can round differently; members agree with their lone fits to about
+1e-13 relative.
+
 The pieces the per-activity variant (``glad0_vem``) and the baselines share
 live here once: E[log pi], the Dirichlet and per-row bound terms, the
 normalise-with-uniform-fallback and block-ratio M-step kernels,
-``best_of_restarts`` and the EM loop itself, ``run_em``: it records the
-trace, aborts on a non-finite entry and stops on relative change.
+``best_of_restarts`` with its tie rule (``pick_best``) and the EM loop
+itself, ``run_em``: it records the trace, aborts on a non-finite entry and
+stops on relative change.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +69,13 @@ from .model import (
 __all__ = [
     "FitConfig",
     "FitResult",
+    "Member",
     "init_state",
     "m_step",
     "compute_elbo",
     "infer_state",
     "fit",
+    "fit_members",
 ]
 
 
@@ -158,12 +175,23 @@ def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
     """Unnormalized log lambda_p: ``elogpi_p`` = E[log pi_p], plus
     sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` =
     sum_k mu_pk log theta_mk.  ``nbrs`` are p's neighbours (self excluded);
-    ``col`` is the column sum of ``lam``, row p included."""
+    ``col`` is the column sum of ``lam``, row p included.
+
+    ``lam`` is (N, M) for one fit, or (N, S, M) for S fits on one graph,
+    with ``col``, ``elogpi_p`` and ``role_logits`` (S, M) and ``log_b`` and
+    ``log_1mb`` (S, M, M); the result then has one row per fit."""
     # the row sum as a product with ones: much faster than .sum(axis=0) on
-    # a short gather
-    linked = np.ones(nbrs.size) @ lam.take(nbrs, axis=0)
+    # a short gather, and one product serves every fit
+    gathered = lam.take(nbrs, axis=0).reshape(nbrs.size, col.size)
+    linked = (np.ones(nbrs.size) @ gathered).reshape(col.shape)
     notlinked = col - lam[p] - linked
-    return elogpi_p + log_b @ linked + log_1mb @ notlinked + role_logits
+    return elogpi_p + _matvec(log_b, linked) + _matvec(log_1mb, notlinked) + role_logits
+
+
+def _matvec(a, x):
+    """``a @ x`` over the last axis, one product per leading index of a
+    stack: each is the product a single (M, M) @ (M,) call computes."""
+    return (a @ x[..., None])[..., 0]
 
 
 def _mu_logits(lam, log_theta, log_beta):
@@ -284,21 +312,47 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
 # sweeps and the fit loop
 # ---------------------------------------------------------------------------
 
-def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta):
-    """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p.
+class _Run:
+    """One fit's EM state: its dataset and config, the current parameters,
+    the variational arrays the sweep updates in place, and the bound trace.
+    ``outcome`` is None while the fit runs, then whether it converged, or
+    the GladNumericsError that stopped it."""
+
+    def __init__(self, data, config, params, gamma, lam, mu):
+        self.data, self.config = data, config
+        self.gamma, self.lam, self.mu = gamma, lam, mu
+        self.set_params(params)
+        self.trace = []
+        self.outcome = None
+
+    def set_params(self, params):
+        self.params = params
+        self.xlogbeta = self.data.features @ floored_log(params.beta)
+
+    def state(self):
+        return GladVariational(self.gamma, self.lam, self.mu)
+
+
+def _sequential_sweep(neighbours, runs):
+    """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p, for
+    each of ``runs`` on the graph ``neighbours`` (CSR).
 
     gamma_p and p's role logits read only p's own pre-sweep state, and no one
     else reads mu_p, so gamma, E[log pi] and the role logits are computed as
     blocks before the pass and mu after it; only lambda is swept person by
-    person.  The result is the same sequence of updates.
+    person.  The result is the same sequence of updates.  The runs' lambdas
+    are stacked along a member axis for the pass, so each person costs one
+    gather, one softmax and one column-sum update for all of them.
     """
-    log_b = np.log(params.block)
-    log_1mb = np.log1p(-params.block)
-    log_theta = floored_log(params.theta)
-    indptr, indices = data.neighbours
-    np.add(params.alpha, lam, out=gamma)
-    elogpi = _expected_log_pi(gamma)
-    role_logits = mu @ log_theta.T
+    indptr, indices = neighbours
+    for run in runs:
+        np.add(run.params.alpha, run.lam, out=run.gamma)
+    lam = np.stack([run.lam for run in runs], axis=1)
+    elogpi = _expected_log_pi(np.stack([run.gamma for run in runs], axis=1))
+    log_theta = [floored_log(run.params.theta) for run in runs]
+    role_logits = np.stack([run.mu @ lt.T for run, lt in zip(runs, log_theta)], axis=1)
+    log_b = np.stack([np.log(run.params.block) for run in runs])
+    log_1mb = np.stack([np.log1p(-run.params.block) for run in runs])
     col = lam.sum(axis=0)
     for p in range(lam.shape[0]):
         new_lam = softmax(_lambda_logits(
@@ -307,7 +361,9 @@ def _sequential_sweep(data, params, gamma, lam, mu, xlogbeta):
         ))
         col += new_lam - lam[p]
         lam[p] = new_lam
-    mu[:] = softmax(_mu_logits(lam, log_theta, xlogbeta))
+    for s, (run, lt) in enumerate(zip(runs, log_theta)):
+        run.lam[:] = lam[:, s]
+        run.mu[:] = softmax(_mu_logits(run.lam, lt, run.xlogbeta))
 
 
 def infer_state(
@@ -325,26 +381,24 @@ def infer_state(
     msgs = validate_params(params)
     if msgs:
         raise ValueError("invalid model parameters: " + "; ".join(msgs))
-    n, m, k = data.n_nodes, params.n_groups, params.n_roles
-    state = init_state(n, m, k)
-    gamma = np.array(state.gamma)
-    lam = np.array(state.lam)
-    mu = np.array(state.mu)
-    xlogbeta = data.features @ floored_log(params.beta)
+    state = init_state(data.n_nodes, params.n_groups, params.n_roles)
+    run = _Run(
+        data, config, params, np.array(state.gamma), np.array(state.lam), np.array(state.mu)
+    )
 
     trace = []
     for _ in range(config.max_iters):
-        before = (gamma.copy(), lam.copy(), mu.copy())
-        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
-        trace.append(compute_elbo(data, params, GladVariational(gamma, lam, mu)))
+        before = (run.gamma.copy(), run.lam.copy(), run.mu.copy())
+        _sequential_sweep(data.neighbours, [run])
+        trace.append(compute_elbo(data, params, run.state()))
         delta = max(
-            np.max(np.abs(gamma - before[0])),
-            np.max(np.abs(lam - before[1])),
-            np.max(np.abs(mu - before[2])),
+            np.max(np.abs(run.gamma - before[0])),
+            np.max(np.abs(run.lam - before[1])),
+            np.max(np.abs(run.mu - before[2])),
         )
         if delta < config.tol:
             break
-    return GladVariational(gamma, lam, mu), np.array(trace)
+    return run.state(), np.array(trace)
 
 
 def seed_params(
@@ -388,57 +442,142 @@ def jitter_rows(arr: np.ndarray, rng: np.random.Generator) -> None:
     arr /= arr.sum(axis=-1, keepdims=True)
 
 
-def _init_fit(data: Dataset, n_groups: int, n_roles: int, config: FitConfig):
-    """Seeded random parameters plus a noise-broken uniform state."""
-    rng = np.random.default_rng(config.seed)
-    n = data.n_nodes
-    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
+def _em_stop(trace: list, max_iters: int, tol: float):
+    """Whether the EM loop of every fit ends at the newest entry of ``trace``:
+    None while it goes on, True once converged, False at ``max_iters``
+    iterations.
 
-    state = init_state(n, n_groups, n_roles)
-    lam = np.array(state.lam)
-    mu = np.array(state.mu)
-    jitter_rows(lam, rng)
-    jitter_rows(mu, rng)
-    return params, np.array(state.gamma), lam, mu
+    ``trace[0]`` is the bound (or log-likelihood) at the start and each
+    iteration appends one entry.  A non-finite entry raises
+    :class:`GladNumericsError` naming its iteration (0 is the start).  The
+    loop converges once the last entry moved by at most ``tol`` relative to
+    the one before (absolute below 1).
+    """
+    iteration = len(trace) - 1
+    if not np.isfinite(trace[-1]):
+        when = f"at iteration {iteration}" if iteration else "at initialization"
+        raise GladNumericsError(f"lower bound is non-finite {when}; aborting")
+    if iteration and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
+        return True
+    return False if iteration == max_iters else None
 
 
 def run_em(first: float, step, max_iters: int, tol: float) -> tuple:
-    """The EM loop of every fit: ``(trace, converged)``.
-
-    ``trace[0]`` is ``first``, the bound (or log-likelihood) at the start;
-    each of at most ``max_iters`` iterations appends ``step()``, which runs
-    one E-step and M-step and returns the new value.  A non-finite entry
-    aborts with :class:`GladNumericsError` naming its iteration (0 is the
-    start).  The loop converges once the last entry moved by at most ``tol``
-    relative to the one before (absolute below 1).
-    """
-    trace = []
-    for iteration in range(max_iters + 1):
-        trace.append(step() if iteration else first)
-        if not np.isfinite(trace[-1]):
-            when = f"at iteration {iteration}" if iteration else "at initialization"
-            raise GladNumericsError(f"lower bound is non-finite {when}; aborting")
-        if iteration and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-2])):
-            return np.array(trace), True
-    return np.array(trace), False
+    """The EM loop of one fit: ``(trace, converged)``.  ``trace[0]`` is
+    ``first``; each further entry is ``step()``, which runs one E-step and
+    M-step and returns the new value, until ``_em_stop`` ends the loop."""
+    trace = [first]
+    while (converged := _em_stop(trace, max_iters, tol)) is None:
+        trace.append(step())
+    return np.array(trace), converged
 
 
-def best_of_restarts(run, seed: int, n: int):
-    """Best-bound result of ``run(child_seed)`` over ``n`` child seeds
-    spawned from ``seed``.  Mean-field starts occasionally merge groups,
-    and the merged basin scores visibly worse.  Ties keep the earlier run:
-    a later one wins only with a final bound higher by more than
-    ``RESTART_TIE`` of the earlier's magnitude, so two label-permuted
-    copies of one optimum, whose bounds differ by rounding, do not let the
-    last bits of the kernels pick the winner."""
+def restart_seeds(seed: int, n: int) -> list:
+    """The ``n`` child seeds spawned from ``seed`` that restarts start from."""
+    return [int(child.generate_state(1)[0]) for child in np.random.SeedSequence(seed).spawn(n)]
+
+
+def pick_best(results):
+    """The result with the best final bound.  Mean-field starts
+    occasionally merge groups, and the merged basin scores visibly worse.
+    Ties keep the earlier result: a later one wins only with a final bound
+    higher by more than ``RESTART_TIE`` of the earlier's magnitude, so two
+    label-permuted copies of one optimum, whose bounds differ by rounding,
+    do not let the last bits of the kernels pick the winner."""
     best = None
-    for child in np.random.SeedSequence(seed).spawn(n):
-        attempt = run(int(child.generate_state(1)[0]))
+    for attempt in results:
         if best is None or (
             attempt.trace[-1] - best.trace[-1] > RESTART_TIE * abs(best.trace[-1])
         ):
             best = attempt
     return best
+
+
+def best_of_restarts(run, seed: int, n: int):
+    """``pick_best`` of ``run(child_seed)`` over the ``restart_seeds``,
+    run one after another."""
+    return pick_best(run(child) for child in restart_seeds(seed, n))
+
+
+class Member(NamedTuple):
+    """One fit of ``fit_members``: its dataset, role count and config."""
+
+    data: Dataset
+    n_roles: int
+    config: FitConfig | None = None
+
+
+def _start(member: Member, n_groups: int) -> _Run:
+    """A member's seeded run (see ``fit``), its starting bound recorded."""
+    data, n_roles = member.data, member.n_roles
+    config = member.config or FitConfig()
+    if n_roles > data.n_features:
+        warnings.warn("more roles than features; expect redundant roles")
+    rng = np.random.default_rng(config.seed)
+    params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
+    state = init_state(data.n_nodes, n_groups, n_roles)
+    lam = np.array(state.lam)
+    mu = np.array(state.mu)
+    jitter_rows(lam, rng)
+    jitter_rows(mu, rng)
+    run = _Run(data, config, params, np.array(state.gamma), lam, mu)
+    _record(run, compute_elbo(data, params, run.state()))
+    return run
+
+
+def _record(run: _Run, bound: float) -> None:
+    run.trace.append(bound)
+    try:
+        run.outcome = _em_stop(run.trace, run.config.max_iters, run.config.tol)
+    except GladNumericsError as exc:
+        run.outcome = exc
+
+
+def fit_members(members, n_groups: int) -> list:
+    """Static fits on one graph, run in lockstep.
+
+    Each :class:`Member` is the fit ``fit(member.data, n_groups,
+    member.n_roles, member.config)``; the members' datasets hold the same
+    links, and may differ in features, role count and config.  Each
+    iteration sweeps every running member in one pass over people
+    (``_sequential_sweep``), then runs each one's M-step and bound.  A
+    member stops where ``fit`` would stop it: at ``tol``, at ``max_iters``,
+    or at a non-finite bound, which stops that member only.  Returns one
+    entry per member, in order: its :class:`FitResult`, or the
+    :class:`GladNumericsError` that ``fit`` would raise.
+    """
+    members = list(members)
+    if not members:
+        return []
+    links = members[0].data.links
+    if any(m.data.links is not links and not np.array_equal(m.data.links, links)
+           for m in members):
+        raise ValueError("the members of a fit must share one graph")
+    runs = [_start(member, n_groups) for member in members]
+    active = [run for run in runs if run.outcome is None]
+    while active:
+        _sequential_sweep(members[0].data.neighbours, active)
+        for run in active:
+            state = run.state()
+            run.set_params(m_step(run.data, state, run.params.alpha))
+            _record(run, compute_elbo(run.data, run.params, state))
+        active = [run for run in active if run.outcome is None]
+    return [
+        run.outcome if isinstance(run.outcome, GladNumericsError) else FitResult(
+            params=run.params, state=run.state(), trace=np.array(run.trace),
+            converged=run.outcome,
+        )
+        for run in runs
+    ]
+
+
+def raise_failures(results: list) -> list:
+    """``results`` of ``fit_members``; the first member's error, if any
+    failed, is raised instead."""
+    for result in results:
+        if isinstance(result, GladNumericsError):
+            raise result
+    return results
 
 
 def fit(
@@ -453,28 +592,9 @@ def fit(
     random, the block matrix starts assortative at the observed density,
     and the uniform state gets +-1% multiplicative symmetry-breaking
     noise (re-normalized).
-    ``run_em`` records the ELBO at initialization and after every iteration
-    and stops when its relative change drops below ``config.tol``.  A
-    non-finite bound, the initial one included, aborts with
-    :class:`GladNumericsError`.
+    The ELBO is recorded at initialization and after every iteration; the
+    fit stops when its relative change drops below ``config.tol`` (see
+    ``_em_stop``).  A non-finite bound, the initial one included, aborts with
+    :class:`GladNumericsError`.  This is ``fit_members`` with one member.
     """
-    config = config or FitConfig()
-    if n_roles > data.n_features:
-        warnings.warn("more roles than features; expect redundant roles")
-
-    params, gamma, lam, mu = _init_fit(data, n_groups, n_roles, config)
-    xlogbeta = data.features @ floored_log(params.beta)
-
-    def step():
-        nonlocal params, xlogbeta
-        _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
-        state = GladVariational(gamma, lam, mu)
-        params = m_step(data, state, params.alpha)
-        xlogbeta = data.features @ floored_log(params.beta)
-        return compute_elbo(data, params, state)
-
-    first = compute_elbo(data, params, GladVariational(gamma, lam, mu))
-    trace, converged = run_em(first, step, config.max_iters, config.tol)
-    return FitResult(
-        params=params, state=GladVariational(gamma, lam, mu), trace=trace, converged=converged
-    )
+    return raise_failures(fit_members([Member(data, n_roles, config)], n_groups))[0]

@@ -20,7 +20,6 @@ Node ids are 0-based and contiguous everywhere.
 from __future__ import annotations
 
 import json
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -179,26 +178,30 @@ def _parse_edge_line(path, i, line, n_cols):
     return fields
 
 
+def _count_lines(path) -> int:
+    """Lines in the file, a last line without its newline included."""
+    raw = Path(path).read_bytes()
+    return raw.count(b"\n") + (bool(raw) and not raw.endswith(b"\n"))
+
+
 def _read_edge_fields(path, n_cols: int) -> np.ndarray:
     """The integer fields of an edge TSV as an (E, n_cols) array, one row per line.
 
-    ``np.loadtxt`` parses the whole file at once, but it skips blank lines and
-    its errors do not name the file's line, so whenever its rows do not match
-    the lines one to one, the lines are parsed again one at a time to report
-    the first bad one.
+    ``np.loadtxt`` parses the whole file at once, from the path, but it skips
+    blank lines and its errors do not name the file's line, so whenever its
+    rows do not match the lines one to one, the lines are parsed again one at
+    a time to report the first bad one.
     """
-    text = Path(path).read_text()
-    if not text:
+    n_lines = _count_lines(path)
+    if not n_lines:
         return np.zeros((0, n_cols), dtype=np.int64)
-    n_lines = text.count("\n") + (not text.endswith("\n"))
     try:
-        fields = np.loadtxt(StringIO(text), dtype=np.int64, delimiter="\t",
-                            comments=None, ndmin=2)
+        fields = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
     except ValueError:
         fields = None
     if fields is None or fields.shape != (n_lines, n_cols):
         rows = [_parse_edge_line(path, i, line, n_cols)
-                for i, line in enumerate(text.splitlines(), start=1)]
+                for i, line in enumerate(Path(path).read_text().splitlines(), start=1)]
         fields = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
     return fields
 

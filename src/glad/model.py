@@ -78,6 +78,19 @@ def _checked_links(links) -> np.ndarray:
     return y
 
 
+def _checked_features(features, n_nodes: int) -> np.ndarray:
+    """A read-only int64 copy of ``features`` after checking that it is an
+    (n_nodes, V) non-negative count matrix."""
+    x = _frozen(features, dtype=np.int64)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D count matrix")
+    if x.shape[0] != n_nodes:
+        raise ValueError("features and links disagree on the number of people")
+    if np.any(x < 0):
+        raise ValueError("feature counts must be non-negative")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # numerical kernels
 # ---------------------------------------------------------------------------
@@ -264,16 +277,20 @@ class Dataset(_EdgeIndex):
     links: np.ndarray
 
     def __post_init__(self):
-        x = _frozen(self.features, dtype=np.int64)
         y = _checked_links(self.links)
-        if x.ndim != 2:
-            raise ValueError("features must be a 2-D count matrix")
-        if y.shape[0] != x.shape[0]:
-            raise ValueError("features and links disagree on the number of people")
-        if np.any(x < 0):
-            raise ValueError("feature counts must be non-negative")
-        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "features", _checked_features(self.features, y.shape[0]))
         object.__setattr__(self, "links", y)
+
+    def with_features(self, features) -> Dataset:
+        """``features`` on this dataset's graph.  The new dataset shares
+        ``links`` and the edge index instead of copying the matrix and
+        deriving the index again."""
+        other = object.__new__(Dataset)
+        object.__setattr__(other, "features", _checked_features(features, self.n_nodes))
+        object.__setattr__(other, "links", self.links)
+        # the static kernels read these two; derived here once, for both
+        vars(other).update(neighbours=self.neighbours, edges=self.edges)
+        return other
 
     @property
     def n_nodes(self) -> int:

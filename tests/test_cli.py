@@ -14,6 +14,7 @@ from glad import cli, io
 from glad.cli import main
 from glad.dglad_mc import DGladConfig
 from glad.glad_vem import FitConfig
+from glad.model import GladNumericsError
 from glad.scoring import evaluate_dynamic, evaluate_static, top_fraction
 
 
@@ -716,6 +717,46 @@ def test_benchmark_records_cell_failures_and_continues(tmp_path, monkeypatch, ca
     assert json.loads((out / "benchmark.json").read_text())["n_failed"] == 2
 
 
+def test_benchmark_numeric_abort_fails_only_that_static_cell(tmp_path, monkeypatch):
+    # glad and the baseline's stage one are fitted together; a numeric abort
+    # of the glad member fails the glad cell, and the baseline's cell of the
+    # same seed still scores
+    monkeypatch.setenv("GLAD_THREADS", "1")
+    real = cli.fit_members
+
+    def fit_members(members, n_groups):
+        results = real(members, n_groups)
+        if members[0].config.seed == 4:
+            results[0] = GladNumericsError("lower bound is non-finite at iteration 2; aborting")
+        return results
+
+    monkeypatch.setattr(cli, "fit_members", fit_members)
+    cfg = tmp_path / "suite.cfg"
+    _suite_config(cfg, group_counts="3", n_seeds=2, n_nodes=60, max_iters=5, seed=3)
+    out = tmp_path / "bench"
+    assert run("benchmark", "--config", cfg, "--out", out) == 0
+    rows = [line.split(",") for line in (out / "cells.csv").read_text().splitlines()[1:]]
+    status = {(method, seed): row[-1] for _, method, seed, *row in rows}
+    assert status.pop(("glad", "4")) == (
+        "error: GladNumericsError: lower bound is non-finite at iteration 2; aborting"
+    )
+    assert set(status.values()) == {"ok"} and len(status) == 3
+    assert json.loads((out / "benchmark.json").read_text())["n_failed"] == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+def test_benchmark_rejects_a_bad_thread_cap_before_writing(tmp_path, monkeypatch, capsys, value):
+    # GLAD_THREADS must be a positive integer; anything else is a usage
+    # error that names the variable, and the results directory is not made
+    monkeypatch.setenv("GLAD_THREADS", value)
+    cfg = tmp_path / "suite.cfg"
+    _suite_config(cfg, group_counts="3", n_seeds=1, n_nodes=30, max_iters=2, dynamic="false")
+    out = tmp_path / "bench"
+    assert run("benchmark", "--config", cfg, "--out", out) == 1
+    assert f"GLAD_THREADS must be a positive integer, not '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_seed_flag_changes_cells(tmp_path, monkeypatch):
     monkeypatch.setenv("GLAD_THREADS", "1")
     cfg = tmp_path / "suite.cfg"
@@ -729,20 +770,22 @@ def test_benchmark_seed_flag_changes_cells(tmp_path, monkeypatch):
 
 def test_benchmark_cells_take_their_configs_from_the_registry(tmp_path, monkeypatch):
     # each cell's config equals the one the grid used to build by hand: the
-    # grid's max_iters for glad and the baseline, its sampler keys for dglad
+    # grid's max_iters for glad and the baseline, which the member fit
+    # receives in that order, and its sampler keys for dglad
     monkeypatch.setenv("GLAD_THREADS", "1")
     seen = []
 
-    def recorder(method, real):
-        def call(*args):
-            seen.append((method, args[-1]))
-            return real(*args)
-        return call
+    def fit_members(members, n_groups):
+        seen.extend(zip(("glad", "mmsb-lda"), (member.config for member in members)))
+        return real_fit_members(members, n_groups)
 
-    for name in ("glad", "dglad"):
-        model = cli._MODELS[name]
-        monkeypatch.setitem(cli._MODELS, name, model._replace(fit=recorder(name, model.fit)))
-    monkeypatch.setattr(cli, "fit_mmsb", recorder("mmsb-lda", cli.fit_mmsb))
+    def run_sampler(*args):
+        seen.append(("dglad", args[-1]))
+        return model.fit(*args)
+
+    real_fit_members, model = cli.fit_members, cli._MODELS["dglad"]
+    monkeypatch.setattr(cli, "fit_members", fit_members)
+    monkeypatch.setitem(cli._MODELS, "dglad", model._replace(fit=run_sampler))
     cfg = tmp_path / "suite.cfg"
     _suite_config(
         cfg, group_counts="3", n_seeds=2, n_nodes=60, max_iters=7, seed=3,

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from glad.dglad_mc import (
     SCAN_WINDOW,
+    _anchor_fit,
     DGladConfig,
     DGladParams,
     DGladTrace,
@@ -29,7 +31,7 @@ from glad.dglad_mc import (
     systematic_resample,
 )
 from glad.generator import InjectionConfig, inject_anomalies, inject_dynamic_change
-from glad.glad_vem import FitConfig, fit
+from glad.glad_vem import FitConfig, best_of_restarts, fit
 from glad.model import (
     Dataset,
     DynamicDataset,
@@ -1029,6 +1031,38 @@ def test_change_detection_orders_changed_groups_first():
         if aligned[3, changed].min() > aligned[3, unchanged].max():
             hits += 1
     assert hits >= 18
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_anchor_keeps_the_restart_that_sequential_restarts_keep(seed):
+    # the restarts run together; the pick is best_of_restarts's over the
+    # same child seeds run one after another
+    data, _ = small_dynamic_instance(seed=seed, n=60)
+    cfg = DGladConfig(init_fit_iters=6, init_restarts=3, seed=seed)
+    runs = []
+
+    def run(child):
+        runs.append(fit(data.snapshots[0], 3, 2, FitConfig(max_iters=6, seed=child)))
+        return runs[-1]
+
+    want = best_of_restarts(run, cfg.seed, cfg.init_restarts)
+    got = _anchor_fit(data, 3, 2, cfg)
+    picked = [
+        r.trace.shape == got.trace.shape and np.allclose(got.trace, r.trace, rtol=1e-12, atol=0)
+        for r in runs
+    ]
+    assert picked.count(True) == 1 and runs[picked.index(True)] is want
+    np.testing.assert_array_equal(got.state.grouping(), want.state.grouping())
+    np.testing.assert_allclose(got.params.block, want.params.block, rtol=1e-12, atol=0)
+
+
+def test_anchor_raises_the_first_failing_restart():
+    data, _ = small_dynamic_instance(seed=1)
+    cfg = DGladConfig(init_restarts=2, alpha0=1e-320)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(GladNumericsError, match="at initialization"):
+            _anchor_fit(data, 2, 2, cfg)
 
 
 def test_default_params_come_from_static_anchor():

@@ -8,11 +8,14 @@ import pytest
 import scipy.special
 from scipy.optimize import linear_sum_assignment
 
+from glad import glad_vem
+from glad.baselines import stage_one
 from glad.generator import InjectionConfig, generate_glad, inject_anomalies
 from glad.glad_vem import (
     RESTART_TIE,
     FitConfig,
     FitResult,
+    Member,
     _expected_log_pi,
     _lambda_logits,
     _mu_logits,
@@ -20,6 +23,7 @@ from glad.glad_vem import (
     best_of_restarts,
     compute_elbo,
     fit,
+    fit_members,
     infer_state,
     init_state,
     m_step,
@@ -202,7 +206,8 @@ def test_update_gamma_is_alpha_plus_lambda():
     data, params, state = random_instance(0)
     gamma, lam, mu = (np.array(a) for a in (state.gamma, state.lam, state.mu))
     xlogbeta = data.features @ floored_log(params.beta)
-    _sequential_sweep(data, params, gamma, lam, mu, xlogbeta)
+    run = SimpleNamespace(params=params, gamma=gamma, lam=lam, mu=mu, xlogbeta=xlogbeta)
+    _sequential_sweep(data.neighbours, [run])
     np.testing.assert_array_equal(gamma, params.alpha + state.lam)
 
 
@@ -548,6 +553,105 @@ def test_fit_recovers_planted_partition():
     rows, cols = linear_sum_assignment(-overlap)
     agreement = overlap[rows, cols].sum() / data.n_nodes
     assert agreement >= 0.95, agreement
+
+
+# ---------------------------------------------------------------------------
+# fits on one graph in lockstep
+# ---------------------------------------------------------------------------
+
+def _assert_lone_fit(got, member, n_groups):
+    # a member's result is its lone fit's up to rounding, with the same
+    # grouping and stopping point; its arrays are its own
+    want = fit(member.data, n_groups, member.n_roles, member.config)
+    assert (got.n_iters, got.converged) == (want.n_iters, want.converged)
+    np.testing.assert_array_equal(got.state.grouping(), want.state.grouping())
+    np.testing.assert_allclose(got.trace, want.trace, rtol=1e-12, atol=0)
+    for part in ("state", "params"):
+        for name, value in vars(getattr(got, part)).items():
+            assert value.flags.c_contiguous and value.flags.owndata, (part, name)
+            np.testing.assert_allclose(value, getattr(getattr(want, part), name),
+                                       rtol=1e-12, atol=0, err_msg=f"{part}.{name}")
+
+
+def _stops(results):
+    return [(r.n_iters, r.converged) for r in results]
+
+
+def test_fit_members_joint_fit_and_stage_one_match_their_lone_fits():
+    data, _ = _planted(seed=2, n=90)
+    config = FitConfig(max_iters=60, seed=2)
+    members = [Member(data, 2, config), stage_one(data, config)]
+    got = fit_members(members, 3)
+    # the stage-one member stops one iteration before the joint fit
+    assert _stops(got) == [(7, True), (6, True)]
+    for result, member in zip(got, members):
+        _assert_lone_fit(result, member, 3)
+
+
+def test_fit_members_restarts_stop_where_their_lone_fits_stop():
+    data, _ = _planted(seed=2, n=90)
+    members = [
+        Member(data, 2, FitConfig(max_iters=cap, seed=seed))
+        for seed, cap in ((0, 200), (1, 200), (2, 4))
+    ]
+    got = fit_members(members, 3)
+    assert _stops(got) == [(11, True), (7, True), (4, False)]
+    for result, member in zip(got, members):
+        _assert_lone_fit(result, member, 3)
+    assert not np.shares_memory(got[0].state.lam, got[1].state.lam)
+
+
+def test_fit_members_a_non_finite_start_fails_that_member_alone():
+    # a subnormal prior makes the starting bound non-finite (see
+    # test_fit_checks_the_bound_at_initialization)
+    data, _ = _planted(seed=0, n=30)
+    good, bad = FitConfig(max_iters=3, seed=1), FitConfig(max_iters=3, alpha0=1e-320)
+    members = [Member(data, 2, good), Member(data, 2, bad), Member(data, 2, good)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = fit_members(members, 2)
+        with pytest.raises(GladNumericsError) as lone:
+            fit(data, 2, 2, bad)
+    assert isinstance(got[1], GladNumericsError)
+    assert str(got[1]) == str(lone.value) and "at initialization" in str(got[1])
+    for i in (0, 2):
+        _assert_lone_fit(got[i], members[i], 2)
+
+
+def test_fit_members_a_bound_failing_mid_fit_stops_that_member_alone(monkeypatch):
+    # the bound of one member's dataset turns NaN at every third evaluation,
+    # which is iteration 2 of the member fit and of the lone fit after it:
+    # that member stops there with fit's error, the others run on
+    data, _ = _planted(seed=2, n=60)
+    failing = data.with_features(data.features)
+    real, calls = glad_vem.compute_elbo, []
+
+    def compute_elbo(d, params, state):
+        if d is failing:
+            calls.append(d)
+            if len(calls) % 3 == 0:
+                return np.nan
+        return real(d, params, state)
+
+    monkeypatch.setattr(glad_vem, "compute_elbo", compute_elbo)
+    config = FitConfig(max_iters=30, seed=0)
+    members = [Member(data, 2, config), Member(failing, 2, config), stage_one(data, config)]
+    got = fit_members(members, 3)
+    with pytest.raises(GladNumericsError) as lone:
+        fit(failing, 3, 2, config)
+    assert isinstance(got[1], GladNumericsError)
+    assert str(got[1]) == str(lone.value) and "at iteration 2" in str(got[1])
+    assert min(got[0].n_iters, got[2].n_iters) > 2
+    for i in (0, 2):
+        _assert_lone_fit(got[i], members[i], 3)
+
+
+def test_fit_members_need_one_graph():
+    data, _ = _planted(seed=1, n=30)
+    other, _ = _planted(seed=2, n=30)
+    with pytest.raises(ValueError, match="share one graph"):
+        fit_members([Member(data, 2), Member(other, 2)], 3)
+    assert fit_members([], 3) == []
 
 
 def test_fit_warns_more_groups_than_people():

@@ -175,6 +175,20 @@ def test_edges_empty_file_and_missing_final_newline(tmp_path):
     np.testing.assert_array_equal(_read_static(p), want)
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_edges_read_other_line_endings_as_lines(tmp_path, newline):
+    # the file is parsed from its path and its lines counted on its bytes;
+    # Windows and old Mac line endings still read as the same edges
+    p = tmp_path / "e.tsv"
+    p.write_bytes(newline.join([b"0\t1", b"3\t2", b"1\t4"]) + newline)
+    want = np.zeros((5, 5), dtype=np.int8)
+    want[[0, 1, 2, 3, 1, 4], [1, 0, 3, 2, 4, 1]] = 1
+    np.testing.assert_array_equal(_read_static(p), want)
+    p.write_bytes(newline.join([b"0\t1", b"3\t3"]))
+    with pytest.raises(ValueError, match=r"line 2: ids must be distinct"):
+        _read_static(p)
+
+
 def test_dynamic_edges_round_trip(tmp_path):
     cfg = InjectionConfig(n_nodes=24, n_groups=3, trials_per_person=8, seed=2)
     data, truth = inject_dynamic_change(cfg, horizon=3, change_time=2)

@@ -263,6 +263,21 @@ def test_dataset_edge_index_leaves_out_the_diagonal():
             arr[0] = 5
 
 
+def test_dataset_with_features_shares_the_graph():
+    links = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    d = Dataset(features=np.array([[1, 2], [0, 0], [3, 1]]), links=links)
+    other = d.with_features(np.ones((3, 1)))
+    # the matrix and the edge index are the same objects, not copies
+    assert other.links is d.links
+    assert other.neighbours is d.neighbours and other.edges is d.edges
+    np.testing.assert_array_equal(other.features, [[1], [1], [1]])
+    assert other.features.dtype == np.int64 and not other.features.flags.writeable
+    with pytest.raises(ValueError, match="disagree on the number of people"):
+        d.with_features(np.ones((2, 1)))
+    with pytest.raises(ValueError, match="non-negative"):
+        d.with_features(-np.ones((3, 1)))
+
+
 def test_dataset_arrays_are_frozen():
     d = Dataset(features=np.array([[1]]), links=np.array([[0]]))
     with pytest.raises(ValueError):
