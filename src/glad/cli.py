@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -552,18 +553,24 @@ def _cell_outcome(cfg, truth, grouping, scores, change, n_groups) -> dict:
     return {"fpr": curve["fpr"].tolist(), "recall": curve["recall"].tolist()}
 
 
-def _static_cells(cfg: dict, n_groups: int, seed: int) -> list:
-    """The static cells of one group count and seed, in ``_METHODS`` order,
-    as `glad generate`, `glad fit` and `glad evaluate --truth` score them.
-    Both methods fit one generated dataset, and the joint fit and the
-    baseline's stage one run together (``fit_members``).  Each entry is the
-    cell's outcome, or the exception that failed that cell alone."""
+def _static_cells(cfg: dict, n_groups: int, seeds) -> list:
+    """The static cells of one group count and its ``seeds``, seed by seed
+    and in ``_METHODS`` order, as `glad generate`, `glad fit` and `glad
+    evaluate --truth` score them.  Both methods of a seed fit one generated
+    dataset, and the joint fits and the baseline's stage ones of every seed
+    run together (``fit_members``).  Each entry is the cell's outcome, or
+    the exception that failed that cell alone."""
     model = _MODELS["glad"]
-    data, truth = _inject(model.kind, cfg, n_nodes=cfg["n_nodes"], n_groups=n_groups, seed=seed)
-    config = model.config(seed=seed, **_flag_fields("glad", cfg))
-    fits = fit_members([Member(data, cfg["n_roles"], config), stage_one(data, config)], n_groups)
+    cells, members = [], []
+    for seed in seeds:
+        data, truth = _inject(
+            model.kind, cfg, n_nodes=cfg["n_nodes"], n_groups=n_groups, seed=seed
+        )
+        config = model.config(seed=seed, **_flag_fields("glad", cfg))
+        cells += [(method, data, truth, seed) for method in _METHODS]
+        members += [Member(data, cfg["n_roles"], config), stage_one(data, config)]
     outcomes = []
-    for method, result in zip(_METHODS, fits):
+    for (method, data, truth, seed), result in zip(cells, fit_members(members, n_groups)):
         if not isinstance(result, Exception):
             try:
                 scored = _method_scores(cfg, method, data, result, n_groups, seed)
@@ -597,12 +604,12 @@ def _dynamic_cell(cfg: dict, n_groups: int, seed: int) -> dict:
 
 def _run_job(job) -> None:
     """Worker entry: run one job's cells and record each outcome as a JSON file."""
-    cfg, methods, n_groups, seed, paths = job
+    cfg, methods, n_groups, seeds, paths = job
     try:
         if methods == _METHODS:
-            outcomes = _static_cells(cfg, n_groups, seed)
+            outcomes = _static_cells(cfg, n_groups, seeds)
         else:
-            outcomes = [_dynamic_cell(cfg, n_groups, seed)]
+            outcomes = [_dynamic_cell(cfg, n_groups, seed) for seed in seeds]
     except Exception as exc:  # per-job failures recorded, suite continues
         outcomes = [exc] * len(paths)
     for path, outcome in zip(paths, outcomes):
@@ -628,8 +635,23 @@ def _thread_cap() -> int | None:
 
 
 def _n_workers(n_jobs: int, cap: int | None) -> int:
-    limit = min(os.cpu_count() or 1, 4) if cap is None else cap
-    return max(1, min(limit, n_jobs))
+    """Worker processes for ``n_jobs`` jobs: the GLAD_THREADS cap, or else
+    the CPUs this process may run on, at most 4."""
+    if cap is None:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        cap = min(cpus, 4)
+    return max(1, min(cap, n_jobs))
+
+
+def _seed_parts(seeds: list, n_counts: int, workers: int) -> list:
+    """``seeds`` in contiguous parts, one static job each: one part per
+    group count, or as many as keep every worker busy when there are fewer
+    group counts than workers."""
+    n = min(len(seeds), -(-workers // n_counts))
+    return [seeds[i * len(seeds) // n:(i + 1) * len(seeds) // n] for i in range(n)]
 
 
 def _csv_safe(text: str) -> str:
@@ -647,26 +669,31 @@ def cmd_benchmark(args) -> int:
     cells_dir.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(gio.format_config(cfg))
 
-    # one job per dynamic cell, queued first: each takes a few times as long
-    # as a static job, which fits both static methods of one group count and seed
-    jobs = []
-    if cfg["dynamic"]:
-        jobs += [
-            (cfg, ("dglad",), cfg["dyn_groups"], seed,
-             (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
-            for seed in range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"])
-        ]
-    jobs += [
-        (cfg, _METHODS, gc, seed, tuple(
-            str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json") for method in _METHODS
+    # one static job per group count fits every seed of it in lockstep; it
+    # takes at least as long as a dynamic cell (alone, at the study-grid
+    # config, 125-140 ms against 120-140 ms), so the static jobs are queued
+    # first, the largest first
+    seeds = list(range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]))
+    dyn_seeds = range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"]) if cfg["dynamic"] else []
+    counts = cfg["group_counts"]
+    limit = _n_workers(len(counts) * len(seeds) + len(dyn_seeds), cap)
+    static = [
+        (cfg, _METHODS, gc, tuple(part), tuple(
+            str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json")
+            for seed in part for method in _METHODS
         ))
-        for gc in cfg["group_counts"]
-        for seed in range(cfg["seed"], cfg["seed"] + cfg["n_seeds"])
+        for gc in counts
+        for part in _seed_parts(seeds, len(counts), limit)
+    ]
+    jobs = sorted(static, key=lambda job: (-len(job[3]), -job[2])) + [
+        (cfg, ("dglad",), cfg["dyn_groups"], (seed,),
+         (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
+        for seed in dyn_seeds
     ]
     cells = [
         (method, gc, seed, path)
-        for _, methods, gc, seed, paths in jobs
-        for method, path in zip(methods, paths)
+        for _, methods, gc, part, paths in jobs
+        for (seed, method), path in zip(itertools.product(part, methods), paths)
     ]
 
     workers = _n_workers(len(jobs), cap)

@@ -90,6 +90,7 @@ from .glad_vem import (
     dirichlet_terms,
     jitter_rows,
     normalize_or_uniform,
+    prior_norm,
     row_terms,
     run_em,
     seed_params,
@@ -418,7 +419,7 @@ def compute_elbo0(
     pairs = _pairs(data)
     gamma = state.gamma
     elogpi = _expected_log_pi(gamma)
-    total = dirichlet_terms(params.alpha, gamma, elogpi)
+    total = dirichlet_terms(params.alpha, gamma, elogpi, prior_norm(params.alpha))
 
     log_b = np.log(params.block)
     log_1mb = np.log1p(-params.block)

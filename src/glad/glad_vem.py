@@ -23,18 +23,21 @@ The M-step re-estimates beta (per-role feature distributions), theta
 (per-group role mixtures) and the block matrix in closed form; the Dirichlet
 prior alpha stays fixed at its starting value.
 
-Static fits that share one graph run in lockstep (``fit_members``): the
-joint fit and the baseline's stage one on the same data, or restarts from
-other seeds.  The members share the links, and so the people, and the
-group count; each has its own features, role count and config.  The sweep
-stacks their lambdas along a member axis, so each person costs one
-neighbour gather, one (S, M) softmax and one column-sum update for all S
-members.  The M-step, the bound and the stopping rule stay per member, so
-a member stops where it would stop alone, and a non-finite bound fails it
-alone.  ``fit`` is the one-member case.  A member's arithmetic is its lone
-fit's except for the gather's row sum, one product over every member,
-which can round differently; members agree with their lone fits to about
-1e-13 relative.
+Static fits on graphs of one size run in lockstep (``fit_members``): the
+joint fit and the baseline's stage one on the same data, restarts from
+other seeds, or those of several datasets, such as the study grid's seeds.
+The members share the number of people and the group count; each has its
+own graph, features, role count and config.  The sweep stacks their
+lambdas along a member axis, so each person costs one neighbour gather,
+one softmax and one column-sum update for all members.  Members on one
+graph sum their gathered rows as one product with ones; members on several
+graphs gather every graph's neighbour rows at once and sum them with one
+segment sum per graph.  The M-step, the bound and the stopping rule stay
+per member, so a member stops where it would stop alone, and a non-finite
+bound fails it alone.  ``fit`` is the one-member case.  A member's
+arithmetic is its lone fit's except for the gathered rows' sum, which can
+round differently; members agree with their lone fits to about 1e-13
+relative.
 
 The pieces the per-activity variant (``glad0_vem``) and the baselines share
 live here once: E[log pi], the Dirichlet and per-row bound terms, the
@@ -184,7 +187,25 @@ def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
     # a short gather, and one product serves every fit
     gathered = lam.take(nbrs, axis=0).reshape(nbrs.size, col.size)
     linked = (np.ones(nbrs.size) @ gathered).reshape(col.shape)
-    notlinked = col - lam[p] - linked
+    return _logits_given_linked(elogpi_p, linked, lam[p], col, log_b, log_1mb, role_logits)
+
+
+def _lambda_logits_across(p, elogpi_p, rows, starts, table, lam, col, log_b, log_1mb,
+                          role_logits):
+    """``_lambda_logits`` for fits on G graphs of N people, up to W fits
+    each.  ``table`` is the (N*G + 1, W*M) member table of
+    ``_sequential_sweep`` and ``lam`` its (N, G*W, M) view; ``rows`` are
+    the table rows of p's neighbours, graph by graph (``_cross_index``), and
+    each graph's segment starts at ``starts``.  One segment sum per graph
+    gives every fit's linked mass."""
+    linked = np.add.reduceat(table.take(rows, axis=0), starts, axis=0).reshape(col.shape)
+    return _logits_given_linked(elogpi_p, linked, lam[p], col, log_b, log_1mb, role_logits)
+
+
+def _logits_given_linked(elogpi_p, linked, own, col, log_b, log_1mb, role_logits):
+    # the linked mass of p's neighbours, and the rest of the column sum
+    # but p itself, each through its link log-likelihood
+    notlinked = col - own - linked
     return elogpi_p + _matvec(log_b, linked) + _matvec(log_1mb, notlinked) + role_logits
 
 
@@ -239,30 +260,38 @@ def m_step(
     ignored: every parameter is re-estimated from ``state``, but the
     benchmark's traced pass still passes the previous parameters.
     """
-    lam, mu = state.lam, state.mu
-    if lam.shape[0] != data.n_nodes:
+    if state.lam.shape[0] != data.n_nodes:
         raise ValueError("state and data disagree on the number of people")
+    return _m_step(data, state, alpha, _linked_mass(data, state.lam))
 
+
+def _m_step(data, state, alpha, once) -> ModelParams:
+    """``m_step`` given ``once`` = ``_linked_mass(data, state.lam)``, which
+    the bound at the same state shares."""
+    lam, mu = state.lam, state.mu
     theta = normalize_or_uniform(lam.T @ mu, 1, "theta row")
     beta = normalize_or_uniform(data.features.T @ mu, 0, "beta column")
 
-    once = _linked_mass(data, lam)
     col = lam.sum(axis=0)
     block = block_ratio(once + once.T, np.outer(col, col) - lam.T @ lam)
     block = np.clip(0.5 * (block + block.T), PROB_EPS, 1.0 - PROB_EPS)
     return ModelParams(alpha=alpha, block=block, theta=theta, beta=beta)
 
 
-def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray) -> float:
+def prior_norm(alpha: np.ndarray) -> float:
+    """log of the Dirichlet(alpha) normaliser, Gamma(sum alpha) / prod Gamma(alpha)."""
+    return float(gammaln(alpha.sum()) - gammaln(alpha).sum())
+
+
+def dirichlet_terms(alpha: np.ndarray, gamma: np.ndarray, elogpi: np.ndarray,
+                    norm: float) -> float:
     """The membership part of the bound: E[log p(pi | alpha)] - E[log q(pi | gamma)],
-    summed over people, with ``elogpi`` = E[log pi] under q."""
-    norm = float(gammaln(alpha.sum()) - gammaln(alpha).sum())
+    summed over people, with ``elogpi`` = E[log pi] under q and ``norm`` =
+    ``prior_norm(alpha)``."""
     log_p = elogpi.shape[0] * norm + float((alpha - 1.0) @ elogpi.sum(axis=0))
-    log_q = (
-        gammaln(gamma.sum(axis=1))
-        - gammaln(gamma).sum(axis=1)
-        + ((gamma - 1.0) * elogpi).sum(axis=1)
-    )
+    # one gammaln call for the entries and their row sums, as in E[log pi]
+    lg = gammaln(np.concatenate([gamma, gamma.sum(axis=1, keepdims=True)], axis=1))
+    log_q = lg[:, -1] - lg[:, :-1].sum(axis=1) + ((gamma - 1.0) * elogpi).sum(axis=1)
     return log_p - float(log_q.sum())
 
 
@@ -288,12 +317,20 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
     feature shown once per person every role and feature term is exactly 0,
     which leaves the bound of a mixed-membership blockmodel.
     """
+    return _elbo(data, params, state, _linked_mass(data, state.lam),
+                 _expected_log_pi(state.gamma), prior_norm(params.alpha),
+                 data.features @ floored_log(params.beta))
+
+
+def _elbo(data, params, state, linked, elogpi, norm, xlogbeta) -> float:
+    """``compute_elbo`` from the pieces a fit already holds: ``linked`` =
+    ``_linked_mass(data, state.lam)``, ``elogpi`` = E[log pi] under
+    ``state.gamma``, ``norm`` = ``prior_norm(params.alpha)`` and
+    ``xlogbeta`` = features @ log beta."""
     lam = state.lam
-    elogpi = _expected_log_pi(state.gamma)
 
     # once-counted pair masses: linked over the edges; all pairs p < q
     # through later[p] = sum_{q > p} lambda_q
-    linked = _linked_mass(data, lam)
     later = np.zeros_like(lam)
     later[:-1] = np.cumsum(lam[:0:-1], axis=0)[::-1]
     total = lam.T @ later
@@ -301,10 +338,9 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
     log_1mb = np.log1p(-params.block)
     pair_term = float((linked * log_b + (total - linked) * log_1mb).sum())
 
-    bound = pair_term + dirichlet_terms(params.alpha, state.gamma, elogpi)
-    x = data.features
+    bound = pair_term + dirichlet_terms(params.alpha, state.gamma, elogpi, norm)
     return bound + data.log_multinomial_coef + row_terms(
-        lam, elogpi, state.mu, floored_log(params.theta), x @ floored_log(params.beta)
+        lam, elogpi, state.mu, floored_log(params.theta), xlogbeta
     )
 
 
@@ -315,13 +351,17 @@ def compute_elbo(data: Dataset, params: ModelParams, state: GladVariational) -> 
 class _Run:
     """One fit's EM state: its dataset and config, the current parameters,
     the variational arrays the sweep updates in place, and the bound trace.
+    It also holds the bound's pieces that the fit computes anyway: E[log pi]
+    of the current gamma, the fixed prior's normaliser and ``xlogbeta``.
     ``outcome`` is None while the fit runs, then whether it converged, or
     the GladNumericsError that stopped it."""
 
     def __init__(self, data, config, params, gamma, lam, mu):
         self.data, self.config = data, config
         self.gamma, self.lam, self.mu = gamma, lam, mu
+        self.norm = prior_norm(params.alpha)
         self.set_params(params)
+        self.elogpi = _expected_log_pi(gamma)
         self.trace = []
         self.outcome = None
 
@@ -332,38 +372,84 @@ class _Run:
     def state(self):
         return GladVariational(self.gamma, self.lam, self.mu)
 
+    def bound(self, state: GladVariational, linked: np.ndarray) -> float:
+        """``compute_elbo`` at the current parameters and ``state``, this
+        run's current state, whose ``_linked_mass`` is ``linked``."""
+        return _elbo(self.data, self.params, state, linked, self.elogpi, self.norm,
+                     self.xlogbeta)
 
-def _sequential_sweep(neighbours, runs):
+
+def _cross_index(graphs):
+    """Per person p, the rows of the member table (see ``_sequential_sweep``)
+    that hold p's neighbours on each of ``graphs`` (CSR, N people each), and
+    where each graph's segment starts.  Row q*G + g holds person q on graph
+    g; each segment is led by the zero row N*G, so that no segment is empty."""
+    n_graphs, n = len(graphs), graphs[0][0].size - 1
+    degree = np.stack([np.diff(indptr) for indptr, _ in graphs], axis=1)
+    ends = np.cumsum(degree.ravel() + 1)
+    # where each (person, graph) segment starts
+    first = (ends - degree.ravel() - 1).reshape(n, n_graphs)
+    rows = np.full(ends[-1], n * n_graphs)
+    for g, (indptr, indices) in enumerate(graphs):
+        at = np.repeat(first[:, g] + 1 - indptr[:-1], np.diff(indptr))
+        rows[at + np.arange(indices.size)] = indices * n_graphs + g
+    bounds = first[:, 0].tolist() + [rows.size]
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])], list(first - first[:, :1])
+
+
+def _sequential_sweep(by_graph, across=None):
     """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p, for
-    each of ``runs`` on the graph ``neighbours`` (CSR).
+    each run of ``by_graph``, a list of (neighbours, runs) pairs, one per
+    graph (CSR); every graph has the same N people.  With several graphs,
+    ``across`` is their ``_cross_index``.
 
     gamma_p and p's role logits read only p's own pre-sweep state, and no one
     else reads mu_p, so gamma, E[log pi] and the role logits are computed as
     blocks before the pass and mu after it; only lambda is swept person by
     person.  The result is the same sequence of updates.  The runs' lambdas
     are stacked along a member axis for the pass, so each person costs one
-    gather, one softmax and one column-sum update for all of them.
+    gather, one softmax and one column-sum update for all of them.  The
+    stack is the (N*G + 1, W*M) member table of G graphs with up to W runs
+    each: row p*G + g holds person p on graph g, and the last row is zero.
+    A graph with fewer runs repeats its last one, whose copies are dropped.
+    Each run keeps the E[log pi] of its new gamma for its bound.
     """
-    indptr, indices = neighbours
-    for run in runs:
-        np.add(run.params.alpha, run.lam, out=run.gamma)
-    lam = np.stack([run.lam for run in runs], axis=1)
-    elogpi = _expected_log_pi(np.stack([run.gamma for run in runs], axis=1))
-    log_theta = [floored_log(run.params.theta) for run in runs]
-    role_logits = np.stack([run.mu @ lt.T for run, lt in zip(runs, log_theta)], axis=1)
-    log_b = np.stack([np.log(run.params.block) for run in runs])
-    log_1mb = np.stack([np.log1p(-run.params.block) for run in runs])
+    width = max(len(runs) for _, runs in by_graph)
+    padded = [run for _, runs in by_graph for run in runs + runs[-1:] * (width - len(runs))]
+    for _, runs in by_graph:
+        for run in runs:
+            np.add(run.params.alpha, run.lam, out=run.gamma)
+            run.elogpi = _expected_log_pi(run.gamma)
+    n, m = padded[0].lam.shape
+    table = np.zeros((n * len(by_graph) + 1, width * m))
+    lam = table[:-1].reshape(n, len(padded), m)
+    lam[:] = np.stack([run.lam for run in padded], axis=1)
+    elogpi = np.stack([run.elogpi for run in padded], axis=1)
+    log_theta = [floored_log(run.params.theta) for run in padded]
+    role_logits = np.stack([run.mu @ lt.T for run, lt in zip(padded, log_theta)], axis=1)
+    log_b = np.stack([np.log(run.params.block) for run in padded])
+    log_1mb = np.stack([np.log1p(-run.params.block) for run in padded])
     col = lam.sum(axis=0)
-    for p in range(lam.shape[0]):
-        new_lam = softmax(_lambda_logits(
-            p, elogpi[p], indices[indptr[p]:indptr[p + 1]], lam, col, log_b, log_1mb,
-            role_logits[p],
-        ))
+    if len(by_graph) == 1:
+        indptr, indices = by_graph[0][0]
+
+        def logits(p):
+            return _lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]], lam, col,
+                                  log_b, log_1mb, role_logits[p])
+    else:
+        rows, starts = across
+
+        def logits(p):
+            return _lambda_logits_across(p, elogpi[p], rows[p], starts[p], table, lam, col,
+                                         log_b, log_1mb, role_logits[p])
+    for p in range(n):
+        new_lam = softmax(logits(p))
         col += new_lam - lam[p]
         lam[p] = new_lam
-    for s, (run, lt) in enumerate(zip(runs, log_theta)):
-        run.lam[:] = lam[:, s]
-        run.mu[:] = softmax(_mu_logits(run.lam, lt, run.xlogbeta))
+    for g, (_, runs) in enumerate(by_graph):
+        for s, run in enumerate(runs, start=g * width):
+            run.lam[:] = lam[:, s]
+            run.mu[:] = softmax(_mu_logits(run.lam, log_theta[s], run.xlogbeta))
 
 
 def infer_state(
@@ -389,7 +475,7 @@ def infer_state(
     trace = []
     for _ in range(config.max_iters):
         before = (run.gamma.copy(), run.lam.copy(), run.mu.copy())
-        _sequential_sweep(data.neighbours, [run])
+        _sequential_sweep([(data.neighbours, [run])])
         trace.append(compute_elbo(data, params, run.state()))
         delta = max(
             np.max(np.abs(run.gamma - before[0])),
@@ -521,7 +607,8 @@ def _start(member: Member, n_groups: int) -> _Run:
     jitter_rows(lam, rng)
     jitter_rows(mu, rng)
     run = _Run(data, config, params, np.array(state.gamma), lam, mu)
-    _record(run, compute_elbo(data, params, run.state()))
+    state = run.state()
+    _record(run, run.bound(state, _linked_mass(data, state.lam)))
     return run
 
 
@@ -534,11 +621,12 @@ def _record(run: _Run, bound: float) -> None:
 
 
 def fit_members(members, n_groups: int) -> list:
-    """Static fits on one graph, run in lockstep.
+    """Static fits on graphs of one size, run in lockstep.
 
     Each :class:`Member` is the fit ``fit(member.data, n_groups,
     member.n_roles, member.config)``; the members' datasets hold the same
-    links, and may differ in features, role count and config.  Each
+    number of people, and may differ in links, features, role count and
+    config.  Members whose datasets hold equal links share one graph.  Each
     iteration sweeps every running member in one pass over people
     (``_sequential_sweep``), then runs each one's M-step and bound.  A
     member stops where ``fit`` would stop it: at ``tol``, at ``max_iters``,
@@ -549,19 +637,39 @@ def fit_members(members, n_groups: int) -> list:
     members = list(members)
     if not members:
         return []
-    links = members[0].data.links
-    if any(m.data.links is not links and not np.array_equal(m.data.links, links)
-           for m in members):
-        raise ValueError("the members of a fit must share one graph")
+    if len({m.data.links.shape for m in members}) > 1:
+        raise ValueError("the members of a fit must have graphs of one size")
+    graphs, graph_of = [], []
+    for member in members:
+        links = member.data.links
+        for g, other in enumerate(graphs):
+            if other.links is links or np.array_equal(other.links, links):
+                break
+        else:
+            g = len(graphs)
+            graphs.append(member.data)
+        graph_of.append(g)
     runs = [_start(member, n_groups) for member in members]
-    active = [run for run in runs if run.outcome is None]
-    while active:
-        _sequential_sweep(members[0].data.neighbours, active)
-        for run in active:
-            state = run.state()
-            run.set_params(m_step(run.data, state, run.params.alpha))
-            _record(run, compute_elbo(run.data, run.params, state))
-        active = [run for run in active if run.outcome is None]
+    across = {}  # the _cross_index of each set of graphs swept together
+    while True:
+        by_graph = {}
+        for run, g in zip(runs, graph_of):
+            if run.outcome is None:
+                by_graph.setdefault(g, []).append(run)
+        if not by_graph:
+            break
+        key = tuple(by_graph)
+        if len(key) > 1 and key not in across:
+            across[key] = _cross_index([graphs[g].neighbours for g in key])
+        _sequential_sweep(
+            [(graphs[g].neighbours, active) for g, active in by_graph.items()], across.get(key)
+        )
+        for active in by_graph.values():
+            for run in active:
+                state = run.state()
+                linked = _linked_mass(run.data, state.lam)
+                run.set_params(_m_step(run.data, state, run.params.alpha, linked))
+                _record(run, run.bound(state, linked))
     return [
         run.outcome if isinstance(run.outcome, GladNumericsError) else FitResult(
             params=run.params, state=run.state(), trace=np.array(run.trace),

@@ -147,21 +147,22 @@ def read_activity_features(path, n_nodes: int):
 # edge TSV
 # ---------------------------------------------------------------------------
 
-# Edge lines formatted per write, so the text of a large graph is never
-# held whole.
-EDGE_LINES = 8192
-
-
 def _write_edges(path, graphs) -> None:
     """Write an edge TSV from ``(data, suffix)`` pairs: one ``p<TAB>q`` line,
-    plus the suffix, per edge of each graph in turn, row-major."""
+    plus the suffix, per edge of each graph in turn, row-major.  Each row's
+    lines are joined from the people's id strings and written as one string,
+    so the text of a large graph is never held whole."""
     with open(path, "w") as out:
         for data, suffix in graphs:
             u, v = data.edges
-            for start in range(0, u.size, EDGE_LINES):
-                chunk = slice(start, start + EDGE_LINES)
-                out.write("".join(f"{p}\t{q}{suffix}\n"
-                                  for p, q in zip(u[chunk].tolist(), v[chunk].tolist())))
+            ids = [str(p) for p in range(data.n_nodes)]
+            bounds = np.searchsorted(u, np.arange(data.n_nodes + 1)).tolist()
+            end = suffix + "\n"
+            for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:
+                    head = ids[p] + "\t"
+                    row = [ids[q] for q in v[lo:hi].tolist()]
+                    out.write(head + (end + head).join(row) + end)
 
 
 def _parse_edge_line(path, i, line, n_cols):

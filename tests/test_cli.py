@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, invoked in-process via main()."""
 
+import itertools
 import json
 import os
 import shutil
@@ -670,15 +671,45 @@ def test_benchmark_cell_grid_and_summary(tmp_path, monkeypatch):
 
 
 def test_benchmark_worker_pool_matches_serial(tmp_path, monkeypatch):
+    # one group count's three seeds run as one job serially, and split into
+    # two or three jobs to keep two or three workers busy: the results
+    # directories, every cell's file included, are the same
     cfg = tmp_path / "suite.cfg"
-    _suite_config(cfg, group_counts="3", n_seeds=2, n_nodes=60, max_iters=25)
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    monkeypatch.setenv("GLAD_THREADS", "1")
-    assert run("benchmark", "--config", cfg, "--out", serial) == 0
-    monkeypatch.setenv("GLAD_THREADS", "2")
-    assert run("benchmark", "--config", cfg, "--out", pooled) == 0
-    for f in sorted(p.name for p in serial.iterdir() if p.is_file()):
-        assert (serial / f).read_bytes() == (pooled / f).read_bytes(), f
+    _suite_config(cfg, group_counts="3", n_seeds=3, n_nodes=60, max_iters=25)
+    outs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("GLAD_THREADS", threads)
+        outs.append(tmp_path / f"threads{threads}")
+        assert run("benchmark", "--config", cfg, "--out", outs[-1]) == 0
+    serial = outs[0]
+    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
+    assert len(files) == 5 + 6
+    for pooled in outs[1:]:
+        assert sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file()) == files
+        for f in files:
+            assert (serial / f).read_bytes() == (pooled / f).read_bytes(), f
+
+
+def test_benchmark_splits_the_seeds_only_to_fill_the_workers():
+    seeds = [3, 4, 5, 6, 7]
+    assert cli._seed_parts(seeds, 2, 2) == [seeds]
+    assert cli._seed_parts(seeds, 1, 2) == [[3, 4], [5, 6, 7]]
+    assert cli._seed_parts(seeds, 2, 4) == [[3, 4], [5, 6, 7]]
+    assert cli._seed_parts(seeds, 1, 4) == [[3], [4], [5], [6, 7]]
+    assert cli._seed_parts([3, 4], 1, 4) == [[3], [4]]
+    assert cli._seed_parts([], 1, 4) == []
+
+
+def test_worker_count_respects_the_cpu_affinity(monkeypatch):
+    # under taskset or a cpuset the process may use fewer CPUs than the
+    # machine has; the default pool starts no more workers than it may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert cli._n_workers(10, None) == 1
+    assert cli._n_workers(10, 3) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert cli._n_workers(10, None) == 4
+    assert cli._n_workers(2, None) == 2
 
 
 def test_benchmark_dynamic_curve_outputs(tmp_path, monkeypatch):
@@ -718,16 +749,17 @@ def test_benchmark_records_cell_failures_and_continues(tmp_path, monkeypatch, ca
 
 
 def test_benchmark_numeric_abort_fails_only_that_static_cell(tmp_path, monkeypatch):
-    # glad and the baseline's stage one are fitted together; a numeric abort
-    # of the glad member fails the glad cell, and the baseline's cell of the
-    # same seed still scores
+    # glad and the baseline's stage one of every seed are fitted together;
+    # a numeric abort of one seed's glad member fails that glad cell, and
+    # every other cell, the baseline's of the same seed included, still scores
     monkeypatch.setenv("GLAD_THREADS", "1")
     real = cli.fit_members
 
     def fit_members(members, n_groups):
         results = real(members, n_groups)
-        if members[0].config.seed == 4:
-            results[0] = GladNumericsError("lower bound is non-finite at iteration 2; aborting")
+        for i in range(0, len(members), 2):  # (glad, stage one) per seed
+            if members[i].config.seed == 4:
+                results[i] = GladNumericsError("lower bound is non-finite at iteration 2; aborting")
         return results
 
     monkeypatch.setattr(cli, "fit_members", fit_members)
@@ -771,12 +803,13 @@ def test_benchmark_seed_flag_changes_cells(tmp_path, monkeypatch):
 def test_benchmark_cells_take_their_configs_from_the_registry(tmp_path, monkeypatch):
     # each cell's config equals the one the grid used to build by hand: the
     # grid's max_iters for glad and the baseline, which the member fit
-    # receives in that order, and its sampler keys for dglad
+    # receives in that order for each seed, and its sampler keys for dglad
     monkeypatch.setenv("GLAD_THREADS", "1")
     seen = []
 
     def fit_members(members, n_groups):
-        seen.extend(zip(("glad", "mmsb-lda"), (member.config for member in members)))
+        methods = itertools.cycle(("glad", "mmsb-lda"))
+        seen.extend(zip(methods, (member.config for member in members)))
         return real_fit_members(members, n_groups)
 
     def run_sampler(*args):

@@ -207,7 +207,7 @@ def test_update_gamma_is_alpha_plus_lambda():
     gamma, lam, mu = (np.array(a) for a in (state.gamma, state.lam, state.mu))
     xlogbeta = data.features @ floored_log(params.beta)
     run = SimpleNamespace(params=params, gamma=gamma, lam=lam, mu=mu, xlogbeta=xlogbeta)
-    _sequential_sweep(data.neighbours, [run])
+    _sequential_sweep([(data.neighbours, [run])])
     np.testing.assert_array_equal(gamma, params.alpha + state.lam)
 
 
@@ -624,16 +624,16 @@ def test_fit_members_a_bound_failing_mid_fit_stops_that_member_alone(monkeypatch
     # that member stops there with fit's error, the others run on
     data, _ = _planted(seed=2, n=60)
     failing = data.with_features(data.features)
-    real, calls = glad_vem.compute_elbo, []
+    real, calls = glad_vem._elbo, []
 
-    def compute_elbo(d, params, state):
+    def elbo(d, *pieces):
         if d is failing:
             calls.append(d)
             if len(calls) % 3 == 0:
                 return np.nan
-        return real(d, params, state)
+        return real(d, *pieces)
 
-    monkeypatch.setattr(glad_vem, "compute_elbo", compute_elbo)
+    monkeypatch.setattr(glad_vem, "_elbo", elbo)
     config = FitConfig(max_iters=30, seed=0)
     members = [Member(data, 2, config), Member(failing, 2, config), stage_one(data, config)]
     got = fit_members(members, 3)
@@ -646,12 +646,95 @@ def test_fit_members_a_bound_failing_mid_fit_stops_that_member_alone(monkeypatch
         _assert_lone_fit(got[i], members[i], 3)
 
 
-def test_fit_members_need_one_graph():
+def _graphs_swept(monkeypatch):
+    # the member count of each graph of every sweep
+    real, swept = glad_vem._sequential_sweep, []
+
+    def sweep(by_graph, *across):
+        swept.append([len(runs) for _, runs in by_graph])
+        return real(by_graph, *across)
+
+    monkeypatch.setattr(glad_vem, "_sequential_sweep", sweep)
+    return swept
+
+
+def test_fit_members_on_several_graphs_match_their_lone_fits(monkeypatch):
+    # three graphs of 90 people with two, one and three members, listed out
+    # of graph order; the graphs' members stop at different iterations, so
+    # the set of graphs swept together shrinks as the fit runs
+    a, b, c = (_planted(seed=seed, n=90)[0] for seed in (2, 3, 4))
+    members = [
+        Member(a, 2, FitConfig(max_iters=60, seed=2)),
+        Member(c, 2, FitConfig(max_iters=60, seed=0)),
+        Member(b, 2, FitConfig(max_iters=3, seed=1)),
+        stage_one(a, FitConfig(max_iters=60, seed=2)),
+        Member(c, 2, FitConfig(max_iters=60, seed=1)),
+        stage_one(c, FitConfig(max_iters=5, seed=0)),
+    ]
+    swept = _graphs_swept(monkeypatch)
+    got = fit_members(members, 3)
+    assert _stops(got) == [(7, True), (6, True), (3, False), (6, True), (6, True), (5, False)]
+    assert swept == [[2, 3, 1]] * 3 + [[2, 3]] * 2 + [[2, 2], [1]]
+    for result, member in zip(got, members):
+        _assert_lone_fit(result, member, 3)
+
+
+def test_fit_members_share_a_graph_whose_links_are_equal(monkeypatch):
+    data, _ = _planted(seed=2, n=60)
+    copy = Dataset(features=data.features, links=data.links.copy())
+    other, _ = _planted(seed=3, n=60)
+    swept = _graphs_swept(monkeypatch)
+    config = FitConfig(max_iters=2, seed=0)
+    fit_members([Member(data, 2, config), Member(other, 2, config), Member(copy, 2, config)], 3)
+    assert swept == [[2, 1]] * 2
+
+
+def test_fit_members_one_graph_stops_early_or_fails_while_the_others_run_on(monkeypatch):
+    # the bound of the first graph's member turns NaN at iteration 2, the
+    # second graph's member stops at its cap of 2, and the third graph's
+    # members run to convergence on their own
+    a, b, c = (_planted(seed=seed, n=60)[0] for seed in (1, 2, 3))
+    real, calls = glad_vem._elbo, []
+
+    def elbo(d, *pieces):
+        if d is a:
+            calls.append(d)
+            if len(calls) % 3 == 0:
+                return np.nan
+        return real(d, *pieces)
+
+    monkeypatch.setattr(glad_vem, "_elbo", elbo)
+    config = FitConfig(max_iters=30, seed=0)
+    members = [Member(a, 2, config), Member(b, 2, replace(config, max_iters=2)),
+               Member(c, 2, config), stage_one(c, config)]
+    got = fit_members(members, 3)
+    with pytest.raises(GladNumericsError) as lone:
+        fit(a, 3, 2, config)
+    assert isinstance(got[0], GladNumericsError)
+    assert str(got[0]) == str(lone.value) and "at iteration 2" in str(got[0])
+    assert got[1].n_iters == 2 and min(got[2].n_iters, got[3].n_iters) > 2
+    for i in (1, 2, 3):
+        _assert_lone_fit(got[i], members[i], 3)
+
+
+def test_fit_members_need_graphs_of_one_size():
     data, _ = _planted(seed=1, n=30)
-    other, _ = _planted(seed=2, n=30)
-    with pytest.raises(ValueError, match="share one graph"):
+    other, _ = _planted(seed=2, n=36)
+    with pytest.raises(ValueError, match="graphs of one size"):
         fit_members([Member(data, 2), Member(other, 2)], 3)
     assert fit_members([], 3) == []
+
+
+def test_member_bound_from_shared_pieces_equals_compute_elbo():
+    # every bound of a member fit comes from the E[log pi] of its sweep,
+    # the prior's normaliser of its start and its M-step's xlogbeta; a
+    # fresh compute_elbo at the final state gives the same float
+    a, b = (_planted(seed=seed, n=60)[0] for seed in (1, 2))
+    config = FitConfig(max_iters=4, seed=0)
+    members = [Member(a, 2, config), stage_one(a, config), Member(b, 2, replace(config, seed=1))]
+    results = fit_members(members, 3) + [fit(a, 3, 2, config)]
+    for member, result in zip(members + members[:1], results, strict=True):
+        assert result.trace[-1] == compute_elbo(member.data, result.params, result.state)
 
 
 def test_fit_warns_more_groups_than_people():

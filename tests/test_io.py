@@ -202,6 +202,46 @@ def test_dynamic_edges_round_trip(tmp_path):
         np.testing.assert_array_equal(s1.features, s2.features)
 
 
+def _oracle_edge_text(graphs):
+    # one f-string per edge, p < q, row-major, as the edge file was first written
+    lines = []
+    for links, suffix in graphs:
+        n = links.shape[0]
+        for p in range(n):
+            lines += [f"{p}\t{q}{suffix}\n" for q in range(p + 1, n) if links[p, q]]
+    return "".join(lines)
+
+
+def _graph(n, pairs):
+    links = np.zeros((n, n), dtype=np.int8)
+    for p, q in pairs:
+        links[p, q] = links[q, p] = 1
+    return Dataset(features=np.ones((n, 1), dtype=np.int64), links=links)
+
+
+def test_edge_writer_matches_the_one_line_per_edge_oracle(tmp_path):
+    # a generated static graph, a dynamic one with its snapshot suffix, an
+    # empty graph and one whose isolated people have no line; ids of one
+    # to four digits
+    static, _ = inject_anomalies(InjectionConfig(n_nodes=1200, n_groups=4, seed=3))
+    dynamic, _ = inject_dynamic_change(
+        InjectionConfig(n_nodes=30, n_groups=3, seed=1), horizon=3, change_time=2
+    )
+    cases = [
+        [(static, "")],
+        [(snap, f"\t{t}") for t, snap in enumerate(dynamic.snapshots)],
+        [(_graph(5, []), "")],
+        [(_graph(12, [(0, 11), (3, 4), (3, 9), (10, 11)]), "")],
+        [(_graph(12, [(2, 7)]), "\t0"), (_graph(12, []), "\t1"), (_graph(12, [(0, 1)]), "\t2")],
+    ]
+    assert static.edges[0].size > 10**4
+    for i, graphs in enumerate(cases):
+        path = tmp_path / f"edges{i}.tsv"
+        io._write_edges(path, graphs)
+        want = _oracle_edge_text([(data.links, suffix) for data, suffix in graphs])
+        assert path.read_text() == want, i
+
+
 def test_dynamic_edges_validate_snapshot_index(tmp_path):
     p = tmp_path / "e.tsv"
     p.write_text("0\t1\t7\n")
