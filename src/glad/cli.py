@@ -536,6 +536,8 @@ _BENCHMARK_SCHEMA = {
 
 # the grid's static methods: the joint fit and the two-stage baseline on its config
 _METHODS = ("glad", "mmsb-lda")
+# the dense links (one byte per pair) that one static benchmark job may hold
+_JOB_LINKS_BYTES = 16 * 2**20
 
 
 def _cell_outcome(cfg, truth, grouping, scores, change, n_groups) -> dict:
@@ -646,12 +648,12 @@ def _n_workers(n_jobs: int, cap: int | None) -> int:
     return max(1, min(cap, n_jobs))
 
 
-def _seed_parts(seeds: list, n_counts: int, workers: int) -> list:
-    """``seeds`` in contiguous parts, one static job each: one part per
-    group count, or as many as keep every worker busy when there are fewer
-    group counts than workers."""
-    n = min(len(seeds), -(-workers // n_counts))
-    return [seeds[i * len(seeds) // n:(i + 1) * len(seeds) // n] for i in range(n)]
+def _seed_batches(seeds: list, n_nodes: int) -> list:
+    """``seeds`` in contiguous batches, one static job each.  A job holds
+    every dataset of its seeds until its fit ends, so it takes as many seeds
+    as keep their dense N x N links within ``_JOB_LINKS_BYTES``."""
+    size = max(1, _JOB_LINKS_BYTES // n_nodes**2)
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
 def _csv_safe(text: str) -> str:
@@ -669,27 +671,27 @@ def cmd_benchmark(args) -> int:
     cells_dir.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(gio.format_config(cfg))
 
-    # one static job per group count fits every seed of it in lockstep; it
-    # takes at least as long as a dynamic cell (alone, at the study-grid
-    # config, 125-140 ms against 120-140 ms), so the static jobs are queued
-    # first, the largest first
+    # one static job per group count fits every seed of it in lockstep (in
+    # batches, for large graphs); the jobs are the same whatever the worker
+    # count, so the results are too.  At the study-grid config a whole group
+    # count takes about as long as a dynamic cell (alone, 125-140 ms against
+    # 120-140 ms), so the static jobs are queued first, the largest first
     seeds = list(range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]))
-    dyn_seeds = range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"]) if cfg["dynamic"] else []
-    counts = cfg["group_counts"]
-    limit = _n_workers(len(counts) * len(seeds) + len(dyn_seeds), cap)
     static = [
-        (cfg, _METHODS, gc, tuple(part), tuple(
+        (cfg, _METHODS, gc, tuple(batch), tuple(
             str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json")
-            for seed in part for method in _METHODS
+            for seed in batch for method in _METHODS
         ))
-        for gc in counts
-        for part in _seed_parts(seeds, len(counts), limit)
+        for gc in cfg["group_counts"]
+        for batch in _seed_batches(seeds, cfg["n_nodes"])
     ]
-    jobs = sorted(static, key=lambda job: (-len(job[3]), -job[2])) + [
-        (cfg, ("dglad",), cfg["dyn_groups"], (seed,),
-         (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
-        for seed in dyn_seeds
-    ]
+    jobs = sorted(static, key=lambda job: (-len(job[3]), -job[2]))
+    if cfg["dynamic"]:
+        jobs += [
+            (cfg, ("dglad",), cfg["dyn_groups"], (seed,),
+             (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
+            for seed in range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"])
+        ]
     cells = [
         (method, gc, seed, path)
         for _, methods, gc, part, paths in jobs

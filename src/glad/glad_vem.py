@@ -32,12 +32,14 @@ lambdas along a member axis, so each person costs one neighbour gather,
 one softmax and one column-sum update for all members.  Members on one
 graph sum their gathered rows as one product with ones; members on several
 graphs gather every graph's neighbour rows at once and sum them with one
-segment sum per graph.  The M-step, the bound and the stopping rule stay
-per member, so a member stops where it would stop alone, and a non-finite
-bound fails it alone.  ``fit`` is the one-member case.  A member's
-arithmetic is its lone fit's except for the gathered rows' sum, which can
-round differently; members agree with their lone fits to about 1e-13
-relative.
+segment sum per graph, from the first iteration to the last.  The M-step,
+the bound and the stopping rule stay per member, so a member stops where it
+would stop alone, and a non-finite bound fails it alone.  ``fit`` is the
+one-member case.  A member's arithmetic is its lone fit's except for the
+gathered rows' sum: on several graphs it is a segment sum, which can round
+differently from the product with ones (members agree with their lone fits
+to about 1e-13 relative), but it reads only the member's own graph, so it
+does not depend on which other graphs share the fit or when they stop.
 
 The pieces the per-activity variant (``glad0_vem``) and the baselines share
 live here once: E[log pi], the Dirichlet and per-row bound terms, the
@@ -400,8 +402,9 @@ def _cross_index(graphs):
 def _sequential_sweep(by_graph, across=None):
     """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p, for
     each run of ``by_graph``, a list of (neighbours, runs) pairs, one per
-    graph (CSR); every graph has the same N people.  With several graphs,
-    ``across`` is their ``_cross_index``.
+    graph (CSR); every graph has the same N people.  ``across`` is their
+    ``_cross_index`` for the segment-sum gather; without it, the runs sit
+    on one graph and share the ones-product gather.
 
     gamma_p and p's role logits read only p's own pre-sweep state, and no one
     else reads mu_p, so gamma, E[log pi] and the role logits are computed as
@@ -430,7 +433,7 @@ def _sequential_sweep(by_graph, across=None):
     log_b = np.stack([np.log(run.params.block) for run in padded])
     log_1mb = np.stack([np.log1p(-run.params.block) for run in padded])
     col = lam.sum(axis=0)
-    if len(by_graph) == 1:
+    if across is None:
         indptr, indices = by_graph[0][0]
 
         def logits(p):
@@ -650,6 +653,9 @@ def fit_members(members, n_groups: int) -> list:
             graphs.append(member.data)
         graph_of.append(g)
     runs = [_start(member, n_groups) for member in members]
+    # a fit on several graphs sums every linked mass by segments to its end,
+    # also once one graph is left, so a member's bits do not depend on when
+    # the other graphs stop
     across = {}  # the _cross_index of each set of graphs swept together
     while True:
         by_graph = {}
@@ -659,7 +665,7 @@ def fit_members(members, n_groups: int) -> list:
         if not by_graph:
             break
         key = tuple(by_graph)
-        if len(key) > 1 and key not in across:
+        if len(graphs) > 1 and key not in across:
             across[key] = _cross_index([graphs[g].neighbours for g in key])
         _sequential_sweep(
             [(graphs[g].neighbours, active) for g, active in by_graph.items()], across.get(key)

@@ -671,9 +671,9 @@ def test_benchmark_cell_grid_and_summary(tmp_path, monkeypatch):
 
 
 def test_benchmark_worker_pool_matches_serial(tmp_path, monkeypatch):
-    # one group count's three seeds run as one job serially, and split into
-    # two or three jobs to keep two or three workers busy: the results
-    # directories, every cell's file included, are the same
+    # one group count's three seeds run as one job, whatever the worker
+    # count: the results directories, every cell's file included, are the
+    # same with one, two and three workers
     cfg = tmp_path / "suite.cfg"
     _suite_config(cfg, group_counts="3", n_seeds=3, n_nodes=60, max_iters=25)
     outs = []
@@ -690,14 +690,13 @@ def test_benchmark_worker_pool_matches_serial(tmp_path, monkeypatch):
             assert (serial / f).read_bytes() == (pooled / f).read_bytes(), f
 
 
-def test_benchmark_splits_the_seeds_only_to_fill_the_workers():
+def test_benchmark_batches_the_seeds_by_their_links():
+    # a static job holds at most 16 MiB of dense links, and at least one seed
     seeds = [3, 4, 5, 6, 7]
-    assert cli._seed_parts(seeds, 2, 2) == [seeds]
-    assert cli._seed_parts(seeds, 1, 2) == [[3, 4], [5, 6, 7]]
-    assert cli._seed_parts(seeds, 2, 4) == [[3, 4], [5, 6, 7]]
-    assert cli._seed_parts(seeds, 1, 4) == [[3], [4], [5], [6, 7]]
-    assert cli._seed_parts([3, 4], 1, 4) == [[3], [4]]
-    assert cli._seed_parts([], 1, 4) == []
+    assert cli._seed_batches(seeds, 300) == [seeds]
+    assert cli._seed_batches(seeds, 2000) == [[3, 4, 5, 6], [7]]
+    assert cli._seed_batches(seeds, 4097) == [[3], [4], [5], [6], [7]]
+    assert cli._seed_batches([], 300) == []
 
 
 def test_worker_count_respects_the_cpu_affinity(monkeypatch):

@@ -717,6 +717,26 @@ def test_fit_members_one_graph_stops_early_or_fails_while_the_others_run_on(monk
         _assert_lone_fit(got[i], members[i], 3)
 
 
+def test_fit_members_on_several_graphs_do_not_depend_on_the_other_graphs():
+    # a's members give the same floats beside a graph that stops after one
+    # iteration, beside one with three members that runs on, and beside
+    # both: the fit sums a's linked mass by segments to its end, whatever
+    # else is swept with it
+    a, b, c = (_planted(seed=seed, n=60)[0] for seed in (1, 2, 3))
+    config = FitConfig(max_iters=30, seed=0)
+    mine = [Member(a, 2, config), stage_one(a, config)]
+    short = [Member(b, 2, replace(config, max_iters=1))]
+    long = [Member(c, 2, replace(config, seed=s)) for s in (1, 2, 3)]
+    runs = [fit_members(mine + others, 3)[:2] for others in (short, long, long + short)]
+    assert min(r.n_iters for r in runs[0]) > 2
+    for got in runs[1:]:
+        for x, y in zip(runs[0], got):
+            np.testing.assert_array_equal(x.trace, y.trace)
+            for part in ("state", "params"):
+                for name, value in vars(getattr(x, part)).items():
+                    np.testing.assert_array_equal(value, getattr(getattr(y, part), name))
+
+
 def test_fit_members_need_graphs_of_one_size():
     data, _ = _planted(seed=1, n=30)
     other, _ = _planted(seed=2, n=36)
