@@ -13,22 +13,25 @@ Blei, Fienberg & Xing, JMLR 2008):
     phi_in      (M, 2E)  receiver-side group posterior of each linked pair
     nolink_out  (M, N)   sender side a_p, shared by every non-linked (p, q)
     nolink_in   (M, N)   receiver side b_q, shared by every non-linked (p, q)
-    lam_act     ragged   per-activity group posterior, (A_p, M) per person
-    mu_act      ragged   per-activity role posterior, (A_p, K) per person
+    lam         (M, A)   group posterior of each activity
+    mu          (K, A)   role posterior of each activity
+    act_indptr  (N + 1)  p's activities are columns act_indptr[p]:act_indptr[p + 1]
 
 The 2E linked ordered pairs are in the CSR order of ``data.neighbours``:
 column e is the pair (p, indices[e]) for indptr[p] <= e < indptr[p + 1].
-The pair arrays are group-major: with M small, each softmax reduces over
-the leading axis, and the link evidence of a whole side is one (M, M)
-product.  The fit keeps gamma and the A activities group-major too, as
-(M, N), (M, A) and (K, A) arrays with the activities stacked people
-ascending, and hands out the per-person rows above only in its results
-(``_variational``): numpy reduces a short trailing axis several times
-more slowly than a leading one.  Tying the non-linked pairs gives a
-sub-family of the one with a private posterior per pair, so the bound is
-still a lower bound on the same evidence; nothing is subsampled (compare
-Gopalan, Mimno, Gerrish, Freedman & Blei, NIPS 2012).  Every sweep, M-step and bound costs O(E*M + N*M^2)
-plus the activity terms, and no array has N^2 entries.
+The A activities are stacked people ascending, in the order of
+``data.feature_ids``.  The pair and activity arrays are group-major: with
+M small, each softmax reduces over the leading axis (numpy reduces a
+short trailing axis several times more slowly than a leading one), and
+the link evidence of a whole side is one (M, M) product.  The fit keeps
+gamma group-major too, as (M, N), and hands out a C-ordered (N, M) copy
+of it; the other arrays of the state are the sweep's own
+(``_variational``).  Tying the non-linked pairs gives a sub-family of the
+one with a private posterior per pair, so the bound is still a lower
+bound on the same evidence; nothing is subsampled (compare Gopalan,
+Mimno, Gerrish, Freedman & Blei, NIPS 2012).  Every sweep, M-step and
+bound costs O(E*M + N*M^2) plus the activity terms, and no array has N^2
+entries.
 
 With n0_p = N - 1 - deg_p non-linked partners of p and
 S_p = sum_q b_q - b_p - sum_{q in nbr(p)} b_q their receiver mass, the
@@ -46,12 +49,16 @@ updates, in order, each block at its exact coordinate maximizer:
     (``_role_logits``)
 
 where T_q is the sender mass of q's non-linked partners, built from a as
-S is from b.  The bound (``compute_elbo0``) is that of the model exactly
-as generated: receiver sides draw from the *receiver's* membership, so
-gamma credits person p with the sides drawn from p's membership, as in
-MMSB.  The M-step's block ratio divides the linked mass phi_out phi_in' by
-that plus sum_p a_p S_p'.  Every per-person sum over neighbours or
-activities is a segment sum over CSR-ordered entries (``np.add.reduceat``).
+S is from b.  The bound (``compute_elbo0``) is that of the directed
+model, in which each ordered pair has its own sender and receiver sides
+and its own Bernoulli, so each undirected link is observed twice.
+Receiver sides draw from the *receiver's* membership, so gamma credits
+person p with the sides drawn from p's membership, as in MMSB.  This is
+not the model ``generate_glad0`` samples, which draws one sender and one
+receiver side per *unordered* pair; ROADMAP item 1 makes the two agree.
+The M-step's block ratio divides the linked mass phi_out phi_in' by that
+plus sum_p a_p S_p'.  Every per-person sum over neighbours or activities
+is a segment sum over CSR-ordered entries (``np.add.reduceat``).
 
 The sweep does only the work that changes between sweeps.  What it reads
 of the parameters (log B, log(1 - B), the floored log theta and each
@@ -148,8 +155,9 @@ class Glad0Variational:
     phi_in: np.ndarray
     nolink_out: np.ndarray
     nolink_in: np.ndarray
-    lam_act: tuple
-    mu_act: tuple
+    lam: np.ndarray
+    mu: np.ndarray
+    act_indptr: np.ndarray
 
     def __post_init__(self):
         n, m = self.gamma.shape
@@ -158,20 +166,17 @@ class Glad0Variational:
             raise ValueError("linked pair posteriors must both be (M, 2E)")
         if self.nolink_out.shape != (m, n) or self.nolink_in.shape != (m, n):
             raise ValueError("non-link posteriors must be (M, N)")
+        lam, mu, indptr = self.lam, self.mu, self.act_indptr
+        if lam.ndim != 2 or mu.ndim != 2 or lam.shape[0] != m or mu.shape[1] != lam.shape[1] \
+                or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != lam.shape[1] \
+                or np.any(np.diff(indptr) < 0):
+            raise ValueError("activity posteriors must be (M, A) and (K, A), "
+                             "indexed by an (N + 1) indptr from 0 to A")
         if np.any(~(self.gamma > 0)):
             raise ValueError("gamma must stay strictly positive")
-        for name in ("phi_out", "phi_in", "nolink_out", "nolink_in"):
+        for name in ("phi_out", "phi_in", "nolink_out", "nolink_in", "lam", "mu"):
             if np.any(np.abs(getattr(self, name).sum(axis=0) - 1.0) > SIMPLEX_ATOL):
-                raise ValueError(f"{name} pair posteriors must be simplices")
-        if len(self.lam_act) != n or len(self.mu_act) != n:
-            raise ValueError("need one activity posterior list per person")
-        for lam, mu in zip(self.lam_act, self.mu_act):
-            if lam.shape[0] != mu.shape[0] or lam.shape[1] != m:
-                raise ValueError("activity posteriors misshaped")
-        for rows in (self.lam_act, self.mu_act):
-            stacked = np.concatenate(rows) if n else np.zeros((0, 1))
-            if np.any(np.abs(stacked.sum(axis=1) - 1.0) > SIMPLEX_ATOL):
-                raise ValueError("activity posterior rows must be simplices")
+                raise ValueError(f"{name} posterior columns must be simplices")
 
     @property
     def n_nodes(self) -> int:
@@ -184,13 +189,9 @@ class Glad0Variational:
     def grouping(self) -> np.ndarray:
         """Hard node grouping: activity-averaged group posterior, falling
         back to the membership posterior for people with no activities."""
-        out = np.empty(self.n_nodes, dtype=np.int64)
-        for p, lam in enumerate(self.lam_act):
-            if lam.shape[0]:
-                out[p] = int(lam.mean(axis=0).argmax())
-            else:
-                out[p] = int(self.gamma[p].argmax())
-        return out
+        counts = np.diff(self.act_indptr)
+        mean = _segment_sums(self.lam, self.act_indptr) / np.maximum(counts, 1)
+        return np.where(counts > 0, mean.argmax(axis=0), self.gamma.argmax(axis=1))
 
 
 class _Pairs(NamedTuple):
@@ -339,34 +340,24 @@ def _activity_indptr(counts):
     return indptr
 
 
-def _stacked(state: Glad0Variational, data: ActivityDataset):
-    # stacked activity rows (people ascending) and each row's feature id
-    n, m = state.gamma.shape
-    k = state.mu_act[0].shape[1] if state.mu_act else 1
-    flat_lam = np.concatenate(state.lam_act) if n else np.zeros((0, m))
-    flat_mu = np.concatenate(state.mu_act) if n else np.zeros((0, k))
-    ids = np.concatenate(data.feature_ids) if n else np.zeros(0, dtype=np.int64)
-    return flat_lam, flat_mu, ids
-
-
-def _person_rows(cols, act_indptr):
-    # per-person C-ordered (A_p, M) rows of a group-major activity array
-    rows = np.ascontiguousarray(cols.T)
-    bounds = act_indptr.tolist()
-    return tuple(rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+def _feature_ids(data: ActivityDataset):
+    # each activity's feature id, stacked people ascending as the activity
+    # posteriors are
+    return np.concatenate(data.feature_ids) if data.n_nodes else np.zeros(0, dtype=np.int64)
 
 
 def _variational(gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu, act_indptr):
-    # the public state of the sweep's arrays: gamma and the activity
-    # posteriors as C-ordered per-person rows, the pair sides as they are
+    # the public state of the sweep's arrays: gamma as a C-ordered (N, M)
+    # copy, everything else as it is
     return Glad0Variational(
         gamma=np.ascontiguousarray(gamma.T),
         phi_out=phi_out,
         phi_in=phi_in,
         nolink_out=nolink_out,
         nolink_in=nolink_in,
-        lam_act=_person_rows(lam, act_indptr),
-        mu_act=_person_rows(mu, act_indptr),
+        lam=lam,
+        mu=mu,
+        act_indptr=act_indptr,
     )
 
 
@@ -385,15 +376,18 @@ def m_step0(
     nolink = state.nolink_out @ _nolink_mass(state.nolink_in, _pairs(data)).T
     block = np.clip(block_ratio(linked, linked + nolink), PROB_EPS, 1.0 - PROB_EPS)
 
-    flat_lam, flat_mu, ids = _stacked(state, data)
+    ids = _feature_ids(data)
     beta = np.stack(
-        [np.bincount(ids, weights=col, minlength=data.n_features) for col in flat_mu.T],
+        [np.bincount(ids, weights=row, minlength=data.n_features) for row in state.mu],
         axis=1,
     )
+    # theta's product runs over C-ordered (A, M) and (A, K) copies: the
+    # group-major arrays as they are would sum in another order
+    lam_rows, mu_rows = (np.ascontiguousarray(a.T) for a in (state.lam, state.mu))
     return ModelParams(
         alpha=alpha,
         block=block,
-        theta=normalize_or_uniform(flat_lam.T @ flat_mu, 1, "theta row"),
+        theta=normalize_or_uniform(lam_rows.T @ mu_rows, 1, "theta row"),
         beta=normalize_or_uniform(beta, 0, "beta column"),
     )
 
@@ -442,11 +436,13 @@ def compute_elbo0(
         total += float(((log_b.T @ phi_out) * phi_in).sum())
         total -= float((nolink_f[:, sender] * b[:, receiver]).sum())
 
-    flat_lam, flat_mu, ids = _stacked(state, data)
-    person = np.repeat(np.arange(data.n_nodes), data.activity_counts)
+    # row_terms sums over C-ordered (A, M) and (A, K) copies, for the reason
+    # m_step0 gives
+    lam_rows, mu_rows = (np.ascontiguousarray(a.T) for a in (state.lam, state.mu))
+    person = np.repeat(np.arange(data.n_nodes), np.diff(state.act_indptr))
     return total + row_terms(
-        flat_lam, elogpi[person], flat_mu, floored_log(params.theta),
-        floored_log(params.beta)[ids],
+        lam_rows, elogpi[person], mu_rows, floored_log(params.theta),
+        floored_log(params.beta)[_feature_ids(data)],
     )
 
 
@@ -462,7 +458,7 @@ def _update(arr, new, tol, moved):
     return moved
 
 
-def _sweep0(terms, pairs, act_counts, tol, gamma, dig, phi_out, phi_in, nolink_out,
+def _sweep0(terms, pairs, act_indptr, tol, gamma, dig, phi_out, phi_in, nolink_out,
             nolink_in, lam, mu):
     """One block-coordinate pass in the module docstring's order; returns
     whether some posterior entry changed by more than ``tol``.  Once one
@@ -485,26 +481,26 @@ def _sweep0(terms, pairs, act_counts, tol, gamma, dig, phi_out, phi_in, nolink_o
         own, _nolink_mass(nolink_out, pairs) / pairs.n0_div, terms.log_1mb.T)), tol, moved)
 
     gamma[:] = _gamma_block(terms.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
-                            _segment_sums(lam, _activity_indptr(act_counts)))
+                            _segment_sums(lam, act_indptr))
     dig[:] = digamma(gamma)
     moved = _update(lam, _group_softmax(_lambda_logits(
-        np.repeat(_own(dig), act_counts, axis=1), mu, terms.log_theta)), tol, moved)
+        np.repeat(_own(dig), np.diff(act_indptr), axis=1), mu, terms.log_theta)), tol, moved)
     return _update(mu, _group_softmax(
         _role_logits(lam, terms.log_theta, terms.log_beta)), tol, moved)
 
 
 def _init0(data, n_groups, n_roles, config):
-    """Seeded parameters and the noise-broken uniform starting posteriors,
-    group-major: ``(params, pairs, gamma, phi_out, phi_in, nolink_out,
-    nolink_in, lam, mu)``.  The jitter is drawn in that order (gamma
-    aside), pair sides pair by pair, as (2E, M), (N, M), (A, M) and
-    (A, K) rows."""
+    """Seeded parameters, the activity indptr and the noise-broken uniform
+    starting posteriors, group-major: ``(params, pairs, act_indptr, gamma,
+    phi_out, phi_in, nolink_out, nolink_in, lam, mu)``.  The jitter is
+    drawn in that order (gamma aside), pair sides pair by pair, as (2E, M),
+    (N, M), (A, M) and (A, K) rows."""
     rng = np.random.default_rng(config.seed)
     n = data.n_nodes
     params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
     pairs = _pairs(data)
-    counts = data.activity_counts
-    acts = int(counts.sum())
+    act_indptr = _activity_indptr(data.activity_counts)
+    acts = int(act_indptr[-1])
     shapes = ((pairs.indices.size, n_groups), (pairs.indices.size, n_groups),
               (n, n_groups), (n, n_groups), (acts, n_groups), (acts, n_roles))
     rows = [np.full(shape, 1.0 / shape[1]) for shape in shapes]
@@ -512,8 +508,8 @@ def _init0(data, n_groups, n_roles, config):
         jitter_rows(arr, rng)
     phi_out, phi_in, nolink_out, nolink_in, lam, mu = (np.ascontiguousarray(a.T) for a in rows)
     gamma = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
-                         _segment_sums(lam, _activity_indptr(counts)))
-    return params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu
+                         _segment_sums(lam, act_indptr))
+    return params, pairs, act_indptr, gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu
 
 
 def fit0(
@@ -541,10 +537,8 @@ def fit0(
             config.seed,
             config.restarts,
         )
-    params, pairs, *arrays = _init0(data, n_groups, n_roles, config)
-    counts = data.activity_counts
-    act_indptr = _activity_indptr(counts)
-    ids = np.concatenate(data.feature_ids) if counts.sum() else np.zeros(0, dtype=np.int64)
+    params, pairs, act_indptr, *arrays = _init0(data, n_groups, n_roles, config)
+    ids = _feature_ids(data)
     terms = _terms(params, ids)
     gamma = arrays[0]
     dig = digamma(gamma)
@@ -555,7 +549,7 @@ def fit0(
     def step():
         nonlocal params, terms
         for _ in range(config.inner_max):
-            if not _sweep0(terms, pairs, counts, config.inner_tol, gamma, dig, *arrays[1:]):
+            if not _sweep0(terms, pairs, act_indptr, config.inner_tol, gamma, dig, *arrays[1:]):
                 break
         state = snapshot()
         params = m_step0(data, state, params.alpha)

@@ -158,8 +158,9 @@ def test_update_kernels_match_straightline_oracles():
             if want is not None and want.size:  # no links, or no activity rows
                 worst_abs = max(worst_abs, float(np.abs(got - want).max()))
         got_bound = compute_elbo0(data, params, state)
+        lams, mus = tg0.person_activities(state)
         want_bound = tg0.oracle_elbo0(data, params, state.gamma, *tg0.expand_state(data, state),
-                                      state.lam_act, state.mu_act)
+                                      lams, mus)
         worst_rel = max(
             worst_rel, abs(got_bound - want_bound) / max(1.0, abs(want_bound))
         )
@@ -175,9 +176,9 @@ def test_update_kernels_match_straightline_oracles():
                 for a in range(data.activity_counts[p]):
                     for g in range(m):
                         for r in range(k):
-                            theta[g, r] += state.lam_act[p][a, g] * state.mu_act[p][a, r]
+                            theta[g, r] += lams[p][a, g] * mus[p][a, r]
                     for r in range(k):
-                        beta[data.feature_ids[p][a], r] += state.mu_act[p][a, r]
+                        beta[data.feature_ids[p][a], r] += mus[p][a, r]
             theta /= theta.sum(axis=1, keepdims=True)
             beta /= beta.sum(axis=0, keepdims=True)
             worst_abs = max(worst_abs, float(np.abs(fitted.theta - theta).max()))

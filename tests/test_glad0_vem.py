@@ -91,7 +91,7 @@ def expand_state(data, state):
     return expand(data.links, state.phi_out, state.phi_in, state.nolink_out, state.nolink_in)
 
 
-def oracle_elbo0(data, params, gamma, phi_out, phi_in, lam_act, mu_act):
+def oracle_elbo0(data, params, gamma, phi_out, phi_in, lams, mus):
     """The bound of the dense pair family, one term at a time."""
     y = data.links
     n, m = gamma.shape
@@ -117,8 +117,8 @@ def oracle_elbo0(data, params, gamma, phi_out, phi_in, lam_act, mu_act):
                     f = y[p, q] * math.log(block[g, h]) + (1 - y[p, q]) * math.log(1 - block[g, h])
                     total += phi_out[p, q, g] * phi_in[p, q, h] * f
     for p in range(n):
-        for a in range(lam_act[p].shape[0]):
-            lam, mu = lam_act[p][a], mu_act[p][a]
+        for a in range(lams[p].shape[0]):
+            lam, mu = lams[p][a], mus[p][a]
             fid = data.feature_ids[p][a]
             for g in range(m):
                 total += lam[g] * (elogpi[p][g] - _flog(lam[g]))
@@ -129,7 +129,7 @@ def oracle_elbo0(data, params, gamma, phi_out, phi_in, lam_act, mu_act):
     return total
 
 
-def oracle_gamma0(p, alpha, phi_out, phi_in, lam_act):
+def oracle_gamma0(p, alpha, phi_out, phi_in, lams):
     n, _, m = phi_out.shape
     out = [float(alpha[g]) for g in range(m)]
     for g in range(m):
@@ -137,8 +137,8 @@ def oracle_gamma0(p, alpha, phi_out, phi_in, lam_act):
             if q == p:
                 continue
             out[g] += phi_out[p, q, g] + phi_in[q, p, g]
-        for a in range(lam_act[p].shape[0]):
-            out[g] += lam_act[p][a, g]
+        for a in range(lams[p].shape[0]):
+            out[g] += lams[p][a, g]
     return np.array(out)
 
 
@@ -198,25 +198,25 @@ def oracle_nolink_in(q, y, block, gamma, phi_out):
     return _normalized_exp(scores)
 
 
-def oracle_lambda0(p, a, gamma, theta, mu_act):
+def oracle_lambda0(p, a, gamma, theta, mus):
     m, k = theta.shape
     psi = scipy.special.psi
     scores = []
     for g in range(m):
         s = psi(gamma[p, g])
         for r in range(k):
-            s += mu_act[p][a, r] * _flog(theta[g, r])
+            s += mus[p][a, r] * _flog(theta[g, r])
         scores.append(s)
     return _normalized_exp(scores)
 
 
-def oracle_mu0(p, a, feature_ids, theta, beta, lam_act):
+def oracle_mu0(p, a, feature_ids, theta, beta, lams):
     m, k = theta.shape
     scores = []
     for r in range(k):
         s = _flog(beta[feature_ids[p][a], r])
         for g in range(m):
-            s += lam_act[p][a, g] * _flog(theta[g, r])
+            s += lams[p][a, g] * _flog(theta[g, r])
         scores.append(s)
     return _normalized_exp(scores)
 
@@ -281,11 +281,18 @@ def oracle_bound(data, params, arrays):
     return oracle_elbo0(data, params, arrays["gamma"], d_out, d_in, arrays["lam"], arrays["mu"])
 
 
+def person_activities(state):
+    """``(lams, mus)``: lists of each person's (A_p, M) and (A_p, K) activity
+    rows, the columns ``act_indptr[p]:act_indptr[p + 1]`` transposed."""
+    bounds = list(zip(state.act_indptr[:-1], state.act_indptr[1:]))
+    return tuple([cols[:, lo:hi].T for lo, hi in bounds] for cols in (state.lam, state.mu))
+
+
 def as_arrays(state):
+    lams, mus = person_activities(state)
     return {
         "gamma": state.gamma, "phi_out": state.phi_out, "phi_in": state.phi_in,
-        "nolink_out": state.nolink_out, "nolink_in": state.nolink_in,
-        "lam": list(state.lam_act), "mu": list(state.mu_act),
+        "nolink_out": state.nolink_out, "nolink_in": state.nolink_in, "lam": lams, "mu": mus,
     }
 
 
@@ -311,17 +318,12 @@ def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
         phi_in=rng.dirichlet(np.ones(m), size=n_linked).T,
         nolink_out=rng.dirichlet(np.ones(m), size=n).T,
         nolink_in=rng.dirichlet(np.ones(m), size=n).T,
-        lam_act=tuple(rng.dirichlet(np.ones(m), size=c) for c in counts),
-        mu_act=tuple(rng.dirichlet(np.ones(k), size=c) for c in counts),
+        # drawn person by person, then stacked group-major as fit0 holds them
+        lam=np.concatenate([rng.dirichlet(np.ones(m), size=c) for c in counts]).T.copy(),
+        mu=np.concatenate([rng.dirichlet(np.ones(k), size=c) for c in counts]).T.copy(),
+        act_indptr=_activity_indptr(counts),
     )
     return data, params, state
-
-
-def activity_columns(state):
-    """The stacked activity posteriors, group-major as the sweep holds them:
-    ``(lam, mu)`` of shapes (M, A) and (K, A)."""
-    return tuple(np.ascontiguousarray(np.concatenate(rows).T)
-                 for rows in (state.lam_act, state.mu_act))
 
 
 def kernel_updates(data, params, state):
@@ -330,7 +332,6 @@ def kernel_updates(data, params, state):
     with gamma and the activity rows per person as the oracles give them;
     the activity rows are None when nobody has an activity."""
     pairs = _pairs(data)
-    counts = data.activity_counts
     terms = _terms(params, np.concatenate(data.feature_ids))
     own = _own(digamma(state.gamma).T)
     new_out = _group_softmax(_side_logits(np.repeat(own, pairs.degree, axis=1), state.phi_in,
@@ -341,15 +342,15 @@ def kernel_updates(data, params, state):
         _side_logits(own, _nolink_mass(state.nolink_in, pairs) / pairs.n0_div, terms.log_1mb))
     new_b = _group_softmax(
         _side_logits(own, _nolink_mass(state.nolink_out, pairs) / pairs.n0_div, terms.log_1mb.T))
-    lam_cols, mu_cols = activity_columns(state)
-    act = _segment_sums(lam_cols, _activity_indptr(counts))
+    act = _segment_sums(state.lam, state.act_indptr)
     gamma = _gamma_block(params.alpha, pairs, state.phi_out, state.phi_in,
                          state.nolink_out, state.nolink_in, act)
     lam = mu = None
-    if lam_cols.shape[1]:
-        lam = _group_softmax(_lambda_logits(np.repeat(own, counts, axis=1), mu_cols,
+    if state.lam.shape[1]:
+        counts = np.diff(state.act_indptr)
+        lam = _group_softmax(_lambda_logits(np.repeat(own, counts, axis=1), state.mu,
                                             terms.log_theta)).T
-        mu = _group_softmax(_role_logits(lam_cols, terms.log_theta, terms.log_beta)).T
+        mu = _group_softmax(_role_logits(state.lam, terms.log_theta, terms.log_beta)).T
     return new_out, new_in, new_a, new_b, gamma.T, lam, mu
 
 
@@ -388,8 +389,9 @@ def test_update_gamma0_matches_oracle(seed):
     data, params, state = random_instance0(seed)
     got = kernel_updates(data, params, state)[4]
     phi_out, phi_in = expand_state(data, state)
+    lams, _ = person_activities(state)
     for p in range(data.n_nodes):
-        want = oracle_gamma0(p, params.alpha, phi_out, phi_in, state.lam_act)
+        want = oracle_gamma0(p, params.alpha, phi_out, phi_in, lams)
         np.testing.assert_allclose(got[p], want, atol=1e-12)
 
 
@@ -409,14 +411,14 @@ def test_update_activity_posteriors_match_oracle(seed):
     data, params, state = random_instance0(seed)
     counts = data.activity_counts
     *_, lam, mu = kernel_updates(data, params, state)
+    lams, mus = person_activities(state)
     acts = [(p, a) for p in range(data.n_nodes) for a in range(counts[p])]
     for row, (p, a) in enumerate(acts):
         np.testing.assert_allclose(
-            lam[row], oracle_lambda0(p, a, state.gamma, params.theta, state.mu_act), atol=1e-12
+            lam[row], oracle_lambda0(p, a, state.gamma, params.theta, mus), atol=1e-12
         )
         np.testing.assert_allclose(
-            mu[row],
-            oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, state.lam_act),
+            mu[row], oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, lams),
             atol=1e-12,
         )
 
@@ -435,7 +437,7 @@ def test_m_step0_block_matches_oracle(seed):
 def test_compute_elbo0_matches_dense_oracle(seed):
     data, params, state = random_instance0(seed, n=3 + seed % 4, m=2 + seed % 2)
     want = oracle_elbo0(data, params, state.gamma, *expand_state(data, state),
-                        state.lam_act, state.mu_act)
+                        *person_activities(state))
     got = compute_elbo0(data, params, state)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
 
@@ -446,11 +448,11 @@ def test_compute_elbo0_matches_dense_oracle_at_initialization(seed):
     data, _ = inject_activity_anomalies(
         InjectionConfig(n_nodes=12 + 7 * seed, n_groups=3, seed=seed), activities=3)
     config = Fit0Config(max_iters=1, seed=seed)
-    params, _, *arrays = _init0(data, 3, 2, config)
-    state = _variational(*arrays, _activity_indptr(data.activity_counts))
+    params, _, act_indptr, *arrays = _init0(data, 3, 2, config)
+    state = _variational(*arrays, act_indptr)
     got = compute_elbo0(data, params, state)
     want = oracle_elbo0(data, params, state.gamma, *expand_state(data, state),
-                        state.lam_act, state.mu_act)
+                        *person_activities(state))
     assert abs(got - want) <= 1e-10 * abs(want), (got, want)
     assert fit0(data, 3, 2, config).trace[0] == got
 
@@ -467,10 +469,10 @@ def test_sweep0_is_the_public_updates_in_block_order(seed):
     dig = digamma(gamma)
     sides = [np.array(a) for a in (state.phi_out, state.phi_in, state.nolink_out,
                                    state.nolink_in)]
-    lam, mu = activity_columns(state)
+    lam, mu = state.lam.copy(), state.mu.copy()
     assert lam.shape[1] and pairs.indices.size
     assert _sweep0(_terms(params, np.concatenate(data.feature_ids)), pairs,
-                   data.activity_counts, 0.0, gamma, dig, *sides, lam, mu)
+                   state.act_indptr, 0.0, gamma, dig, *sides, lam, mu)
     np.testing.assert_array_equal(dig, digamma(gamma))
 
     want = as_arrays(state)
@@ -508,9 +510,9 @@ def test_fit0_carries_digamma_and_builds_terms_once_per_m_step(monkeypatch):
         for got, want in zip(terms, _terms(current["params"], ids)):
             np.testing.assert_array_equal(got, want)
 
-    def sweep(terms, pairs, counts, tol, gamma, dig, *rest):
+    def sweep(terms, pairs, act_indptr, tol, gamma, dig, *rest):
         check(terms, gamma, dig)
-        moved = real_sweep(terms, pairs, counts, tol, gamma, dig, *rest)
+        moved = real_sweep(terms, pairs, act_indptr, tol, gamma, dig, *rest)
         check(terms, gamma, dig)
         sweeps.append(moved)
         return moved
@@ -571,6 +573,7 @@ def test_each_block_update_is_a_coordinate_maximizer(seed):
 def test_m_step0_theta_beta_match_oracle():
     data, params, state = random_instance0(3, n=5, m=3, k=2, v=4)
     got = m_step0(data, state, params.alpha)
+    lams, mus = person_activities(state)
     m, k, v = 3, 2, 4
     theta = np.zeros((m, k))
     beta = np.zeros((v, k))
@@ -578,9 +581,9 @@ def test_m_step0_theta_beta_match_oracle():
         for a in range(data.activity_counts[p]):
             for g in range(m):
                 for r in range(k):
-                    theta[g, r] += state.lam_act[p][a, g] * state.mu_act[p][a, r]
+                    theta[g, r] += lams[p][a, g] * mus[p][a, r]
             for r in range(k):
-                beta[data.feature_ids[p][a], r] += state.mu_act[p][a, r]
+                beta[data.feature_ids[p][a], r] += mus[p][a, r]
     theta /= theta.sum(axis=1, keepdims=True)
     beta /= beta.sum(axis=0, keepdims=True)
     np.testing.assert_allclose(got.theta, theta, atol=1e-12)
@@ -644,8 +647,7 @@ def test_phi_out_linked_follows_one_hot_counterpart():
     state = Glad0Variational(
         gamma=np.ones((n, 2)), phi_out=np.full_like(phi_in, 0.5), phi_in=phi_in,
         nolink_out=np.full((2, n), 0.5), nolink_in=np.full((2, n), 0.5),
-        lam_act=tuple(np.zeros((0, 2)) for _ in range(n)),
-        mu_act=tuple(np.zeros((0, 2)) for _ in range(n)),
+        lam=np.zeros((2, 0)), mu=np.zeros((2, 0)), act_indptr=np.zeros(n + 1, dtype=int),
     )
     got = kernel_updates(data, params, state)[0]
     assert got[:, 0].argmax() == 1
@@ -659,7 +661,8 @@ def test_lambda0_identical_rate_rows_uses_gamma_only():
         pytest.skip("instance drew no activities for person 0")
     same = np.array([[0.3, 0.7], [0.3, 0.7]])
     own = _own(digamma(state.gamma[p])[:, None])
-    got = _group_softmax(_lambda_logits(own, state.mu_act[p][:1].T, np.log(same)))[:, 0]
+    first = state.act_indptr[p]
+    got = _group_softmax(_lambda_logits(own, state.mu[:, first:first + 1], np.log(same)))[:, 0]
     g = np.exp(scipy.special.psi(state.gamma[p]))
     np.testing.assert_allclose(got, g / g.sum(), atol=1e-12)
 
@@ -668,9 +671,10 @@ def test_mu0_identical_emissions_uses_rates_only():
     data, params, state = random_instance0(6)
     p = next(p for p in range(4) if data.activity_counts[p] > 0)
     terms = _terms(replace(params, beta=np.full((3, 2), 1.0 / 3)), data.feature_ids[p][:1])
-    got = _group_softmax(_role_logits(state.lam_act[p][:1].T, terms.log_theta,
+    first = state.act_indptr[p]
+    got = _group_softmax(_role_logits(state.lam[:, first:first + 1], terms.log_theta,
                                       terms.log_beta))[:, 0]
-    s = state.lam_act[p][0] @ np.log(params.theta)
+    s = state.lam[:, first] @ np.log(params.theta)
     want = np.exp(s - s.max())
     np.testing.assert_allclose(got, want / want.sum(), atol=1e-12)
 
@@ -699,8 +703,9 @@ def test_m_step0_one_hot_saturates_block():
         phi_in=phi_in,
         nolink_out=np.full((m, n), 0.5),
         nolink_in=np.full((m, n), 0.5),
-        lam_act=tuple(np.zeros((0, m)) for _ in range(n)),
-        mu_act=tuple(np.zeros((0, 2)) for _ in range(n)),
+        lam=np.zeros((m, 0)),
+        mu=np.zeros((2, 0)),
+        act_indptr=np.zeros(n + 1, dtype=int),
     )
     with pytest.warns(UserWarning):
         got = m_step0(data, state, np.array([0.1, 0.1]))
@@ -727,12 +732,12 @@ def test_activity_dataset_checks_links_as_dataset_does(links, match):
 # ---------------------------------------------------------------------------
 
 def test_state_validation_catches_bad_rows():
-    # three people, two groups, two linked pairs, one activity each
+    # three people, two groups, two roles, two linked pairs, one activity each
     sides = np.full((2, 2), 0.5)
     nolink = np.full((2, 3), 0.5)
-    acts = tuple(np.full((1, 2), 0.5) for _ in range(3))
+    acts = np.full((2, 3), 0.5)
     good = dict(gamma=np.full((3, 2), 0.5), phi_out=sides, phi_in=sides, nolink_out=nolink,
-                nolink_in=nolink, lam_act=acts, mu_act=acts)
+                nolink_in=nolink, lam=acts, mu=acts, act_indptr=np.arange(4))
     Glad0Variational(**good)
     with pytest.raises(ValueError, match=r"\(M, 2E\)"):
         Glad0Variational(**{**good, "phi_in": np.full((2, 3), 0.5)})
@@ -744,16 +749,41 @@ def test_state_validation_catches_bad_rows():
         Glad0Variational(**{**good, "phi_out": bad})
     with pytest.raises(ValueError, match="positive"):
         Glad0Variational(**{**good, "gamma": np.zeros((3, 2))})
+    # the activity index: one entry too few, or not ending at A
+    for indptr in (np.arange(3), np.array([0, 1, 2, 2])):
+        with pytest.raises(ValueError, match=r"\(N \+ 1\) indptr"):
+            Glad0Variational(**{**good, "act_indptr": indptr})
+    # a role posterior for fewer activities than the group posterior has
+    with pytest.raises(ValueError, match=r"\(K, A\)"):
+        Glad0Variational(**{**good, "mu": np.full((2, 2), 0.5)})
+    for name in ("lam", "mu"):
+        bad = acts.copy()
+        bad[:, 2] = [0.7, 0.7]
+        with pytest.raises(ValueError, match=f"{name} posterior columns must be simplices"):
+            Glad0Variational(**{**good, name: bad})
 
 
 def test_grouping_falls_back_to_gamma_without_activities():
+    # person 0 has no activities, person 1 two, in group 0 mostly
     half = np.full((2, 2), 0.5)
     gamma = np.array([[0.2, 5.0], [1.0, 1.0]])
-    lam = (np.zeros((0, 2)), np.array([[0.9, 0.1], [0.8, 0.2]]))
-    mu = (np.zeros((0, 2)), np.full((2, 2), 0.5))
+    lam = np.array([[0.9, 0.8], [0.1, 0.2]])
     state = Glad0Variational(gamma=gamma, phi_out=half, phi_in=half, nolink_out=half,
-                             nolink_in=half, lam_act=lam, mu_act=mu)
+                             nolink_in=half, lam=lam, mu=half, act_indptr=np.array([0, 0, 2]))
     np.testing.assert_array_equal(state.grouping(), [1, 0])
+
+    # a fitted state in which every third person has no activities, against
+    # the rule person by person: the argmax of the mean of the person's
+    # activity rows, or of gamma for a person without any
+    counts = np.where(np.arange(15) % 3 == 0, 0, np.arange(15) % 4 + 1)
+    data, _ = generate_glad0(_planted_params(), 15, counts, seed=5)
+    s = fit0(data, 3, 2, Fit0Config(max_iters=3, seed=2)).state
+    want = []
+    for p, (lo, hi) in enumerate(zip(s.act_indptr[:-1], s.act_indptr[1:])):
+        rows = s.lam[:, lo:hi].T
+        want.append(rows.mean(axis=0).argmax() if rows.shape[0] else s.gamma[p].argmax())
+    assert 0 in data.activity_counts
+    np.testing.assert_array_equal(s.grouping(), want)
 
 
 # ---------------------------------------------------------------------------
@@ -881,16 +911,15 @@ def test_fit0_returned_state_satisfies_invariants():
     assert s.nolink_out.shape == s.nolink_in.shape == (2, 12)
     for side in (s.phi_out, s.phi_in, s.nolink_out, s.nolink_in):
         np.testing.assert_allclose(side.sum(axis=0), 1.0, atol=1e-9)
-    for lam, mu in zip(s.lam_act, s.mu_act):
-        if lam.size:
-            np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
-            np.testing.assert_allclose(mu.sum(axis=1), 1.0, atol=1e-9)
+    # the activities group-major, stacked people ascending
+    acts = int(data.activity_counts.sum())
+    assert s.lam.shape == (2, acts) and s.mu.shape == (2, acts)
+    np.testing.assert_array_equal(s.act_indptr, np.cumsum([0, *data.activity_counts]))
+    for cols in (s.lam, s.mu):
+        np.testing.assert_allclose(cols.sum(axis=0), 1.0, atol=1e-9)
     assert np.all(s.gamma > 0)
-    # per-person rows, C-ordered, though the fit keeps them group-major
-    assert s.gamma.shape == (12, 2)
-    for arr, acts in zip((s.gamma, *s.lam_act, *s.mu_act),
-                         (12, *data.activity_counts, *data.activity_counts)):
-        assert arr.flags.c_contiguous and arr.shape == (acts, 2)
+    # gamma per person, C-ordered, though the fit keeps it group-major
+    assert s.gamma.shape == (12, 2) and s.gamma.flags.c_contiguous
 
 
 def test_fit0_at_2000_people_holds_no_quadratic_array():
@@ -919,7 +948,7 @@ def test_fit0_at_2000_people_holds_no_quadratic_array():
     finally:
         tracemalloc.stop()
     s = res.state
-    arrays = [s.gamma, s.phi_out, s.phi_in, s.nolink_out, s.nolink_in, *s.lam_act, *s.mu_act]
+    arrays = [s.gamma, s.phi_out, s.phi_in, s.nolink_out, s.nolink_in, s.lam, s.mu]
     assert max(a.size for a in arrays) < n * n
     assert max(peaks) < n * n, peaks
     assert fit_peak < 150e6, fit_peak
@@ -934,8 +963,8 @@ def test_fit0_at_2000_people_holds_no_quadratic_array():
     # So does the M-step's non-link mass, which gathers the linked partners'
     # sides in runs of rows of at most EDGE_CHUNK pairs: gathering all of
     # them at once added one (M, 2E) float array (22.6 MB at this size).
-    params, pairs, *arrays = _init0(dense, 5, 2, Fit0Config())
-    state = _variational(*arrays, _activity_indptr(dense.activity_counts))
+    params, pairs, act_indptr, *arrays = _init0(dense, 5, 2, Fit0Config())
+    state = _variational(*arrays, act_indptr)
     peaks = []
     for build in (lambda: compute_elbo0(dense, params, state),
                   lambda: m_step0(dense, state, params.alpha)):
