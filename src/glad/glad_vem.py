@@ -29,17 +29,14 @@ other seeds, or those of several datasets, such as the study grid's seeds.
 The members share the number of people and the group count; each has its
 own graph, features, role count and config.  The sweep stacks their
 lambdas along a member axis, so each person costs one neighbour gather,
-one softmax and one column-sum update for all members.  Members on one
-graph sum their gathered rows as one product with ones; members on several
-graphs gather every graph's neighbour rows at once and sum them with one
-segment sum per graph, from the first iteration to the last.  The M-step,
-the bound and the stopping rule stay per member, so a member stops where it
-would stop alone, and a non-finite bound fails it alone.  ``fit`` is the
-one-member case.  A member's arithmetic is its lone fit's except for the
-gathered rows' sum: on several graphs it is a segment sum, which can round
-differently from the product with ones (members agree with their lone fits
-to about 1e-13 relative), but it reads only the member's own graph, so it
-does not depend on which other graphs share the fit or when they stop.
+one softmax and one column-sum update for all members.  The gather is one
+segment sum per graph over that graph's neighbour rows; a lone fit is the
+case of one graph.  The M-step, the bound and the stopping rule stay per
+member, so a member stops where it would stop alone, and a non-finite bound
+fails it alone.  ``fit`` is the one-member case.  A member's arithmetic is
+its lone fit's, each sum taken in the same order, so its trace, state and
+parameters equal its lone fit's bit for bit, whichever other members and
+graphs share the fit and whenever they stop.
 
 The pieces the per-activity variant (``glad0_vem``) and the baselines share
 live here once: E[log pi], the Dirichlet and per-row bound terms, the
@@ -176,38 +173,23 @@ def _linked_mass(data: Dataset, lam: np.ndarray) -> np.ndarray:
     return mass
 
 
-def _lambda_logits(p, elogpi_p, nbrs, lam, col, log_b, log_1mb, role_logits):
-    """Unnormalized log lambda_p: ``elogpi_p`` = E[log pi_p], plus
-    sum_{q != p} sum_n lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` =
-    sum_k mu_pk log theta_mk.  ``nbrs`` are p's neighbours (self excluded);
-    ``col`` is the column sum of ``lam``, row p included.
+def _lambda_logits(p, elogpi_p, rows, starts, table, lam, col, log_b, log_1mb, role_logits):
+    """Unnormalized log lambda_p of fits on G graphs of N people, up to W
+    fits each: ``elogpi_p`` = E[log pi_p], plus sum_{q != p} sum_n
+    lambda_{q,n} * f(Y_pq, B_mn), plus ``role_logits`` = sum_k mu_pk log
+    theta_mk, one row per fit.
 
-    ``lam`` is (N, M) for one fit, or (N, S, M) for S fits on one graph,
-    with ``col``, ``elogpi_p`` and ``role_logits`` (S, M) and ``log_b`` and
-    ``log_1mb`` (S, M, M); the result then has one row per fit."""
-    # the row sum as a product with ones: much faster than .sum(axis=0) on
-    # a short gather, and one product serves every fit
-    gathered = lam.take(nbrs, axis=0).reshape(nbrs.size, col.size)
-    linked = (np.ones(nbrs.size) @ gathered).reshape(col.shape)
-    return _logits_given_linked(elogpi_p, linked, lam[p], col, log_b, log_1mb, role_logits)
-
-
-def _lambda_logits_across(p, elogpi_p, rows, starts, table, lam, col, log_b, log_1mb,
-                          role_logits):
-    """``_lambda_logits`` for fits on G graphs of N people, up to W fits
-    each.  ``table`` is the (N*G + 1, W*M) member table of
-    ``_sequential_sweep`` and ``lam`` its (N, G*W, M) view; ``rows`` are
-    the table rows of p's neighbours, graph by graph (``_cross_index``), and
-    each graph's segment starts at ``starts``.  One segment sum per graph
-    gives every fit's linked mass."""
+    ``table`` is the (N*G + 1, W*M) member table of ``_sequential_sweep``
+    and ``lam`` its (N, G*W, M) view, whose column sum ``col`` includes row
+    p; ``log_b`` and ``log_1mb`` are (G*W, M, M).  ``rows`` are the table
+    rows of p's neighbours (self excluded), graph by graph
+    (``_cross_index``), and each graph's segment starts at ``starts``.  One
+    segment sum per graph gives every fit's linked mass; each sums its own
+    graph's rows in one order, whatever else shares the table."""
     linked = np.add.reduceat(table.take(rows, axis=0), starts, axis=0).reshape(col.shape)
-    return _logits_given_linked(elogpi_p, linked, lam[p], col, log_b, log_1mb, role_logits)
-
-
-def _logits_given_linked(elogpi_p, linked, own, col, log_b, log_1mb, role_logits):
     # the linked mass of p's neighbours, and the rest of the column sum
     # but p itself, each through its link log-likelihood
-    notlinked = col - own - linked
+    notlinked = col - lam[p] - linked
     return elogpi_p + _matvec(log_b, linked) + _matvec(log_1mb, notlinked) + role_logits
 
 
@@ -391,20 +373,25 @@ def _cross_index(graphs):
     ends = np.cumsum(degree.ravel() + 1)
     # where each (person, graph) segment starts
     first = (ends - degree.ravel() - 1).reshape(n, n_graphs)
-    rows = np.full(ends[-1], n * n_graphs)
+    # int32, filled 256 people at a time: a fit holds the index to its end,
+    # and the temporaries of a whole-graph fill raised the peak memory of a
+    # lone fit at N = 2000 by a fifth
+    rows = np.full(ends[-1], n * n_graphs, dtype=np.int32)
     for g, (indptr, indices) in enumerate(graphs):
-        at = np.repeat(first[:, g] + 1 - indptr[:-1], np.diff(indptr))
-        rows[at + np.arange(indices.size)] = indices * n_graphs + g
+        for lo in range(0, n, 256):
+            hi = min(lo + 256, n)
+            start, stop = indptr[lo], indptr[hi]
+            at = np.repeat(first[lo:hi, g] + 1 - indptr[lo:hi], degree[lo:hi, g])
+            rows[at + np.arange(start, stop)] = indices[start:stop] * n_graphs + g
     bounds = first[:, 0].tolist() + [rows.size]
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])], list(first - first[:, :1])
 
 
-def _sequential_sweep(by_graph, across=None):
+def _sequential_sweep(by_graph, across):
     """In-place Gauss-Seidel pass over people: gamma_p, lambda_p, mu_p, for
-    each run of ``by_graph``, a list of (neighbours, runs) pairs, one per
-    graph (CSR); every graph has the same N people.  ``across`` is their
-    ``_cross_index`` for the segment-sum gather; without it, the runs sit
-    on one graph and share the ones-product gather.
+    each run of ``by_graph``, a list of run lists, one per graph; every
+    graph has the same N people, and ``across`` is the ``_cross_index`` of
+    the graphs in that order.
 
     gamma_p and p's role logits read only p's own pre-sweep state, and no one
     else reads mu_p, so gamma, E[log pi] and the role logits are computed as
@@ -417,9 +404,9 @@ def _sequential_sweep(by_graph, across=None):
     A graph with fewer runs repeats its last one, whose copies are dropped.
     Each run keeps the E[log pi] of its new gamma for its bound.
     """
-    width = max(len(runs) for _, runs in by_graph)
-    padded = [run for _, runs in by_graph for run in runs + runs[-1:] * (width - len(runs))]
-    for _, runs in by_graph:
+    width = max(len(runs) for runs in by_graph)
+    padded = [run for runs in by_graph for run in runs + runs[-1:] * (width - len(runs))]
+    for runs in by_graph:
         for run in runs:
             np.add(run.params.alpha, run.lam, out=run.gamma)
             run.elogpi = _expected_log_pi(run.gamma)
@@ -433,23 +420,13 @@ def _sequential_sweep(by_graph, across=None):
     log_b = np.stack([np.log(run.params.block) for run in padded])
     log_1mb = np.stack([np.log1p(-run.params.block) for run in padded])
     col = lam.sum(axis=0)
-    if across is None:
-        indptr, indices = by_graph[0][0]
-
-        def logits(p):
-            return _lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]], lam, col,
-                                  log_b, log_1mb, role_logits[p])
-    else:
-        rows, starts = across
-
-        def logits(p):
-            return _lambda_logits_across(p, elogpi[p], rows[p], starts[p], table, lam, col,
-                                         log_b, log_1mb, role_logits[p])
+    rows, starts = across
     for p in range(n):
-        new_lam = softmax(logits(p))
+        new_lam = softmax(_lambda_logits(p, elogpi[p], rows[p], starts[p], table, lam, col,
+                                         log_b, log_1mb, role_logits[p]))
         col += new_lam - lam[p]
         lam[p] = new_lam
-    for g, (_, runs) in enumerate(by_graph):
+    for g, runs in enumerate(by_graph):
         for s, run in enumerate(runs, start=g * width):
             run.lam[:] = lam[:, s]
             run.mu[:] = softmax(_mu_logits(run.lam, log_theta[s], run.xlogbeta))
@@ -475,10 +452,11 @@ def infer_state(
         data, config, params, np.array(state.gamma), np.array(state.lam), np.array(state.mu)
     )
 
+    across = _cross_index([data.neighbours])
     trace = []
     for _ in range(config.max_iters):
         before = (run.gamma.copy(), run.lam.copy(), run.mu.copy())
-        _sequential_sweep([(data.neighbours, [run])])
+        _sequential_sweep([[run]], across)
         trace.append(compute_elbo(data, params, run.state()))
         delta = max(
             np.max(np.abs(run.gamma - before[0])),
@@ -634,8 +612,8 @@ def fit_members(members, n_groups: int) -> list:
     (``_sequential_sweep``), then runs each one's M-step and bound.  A
     member stops where ``fit`` would stop it: at ``tol``, at ``max_iters``,
     or at a non-finite bound, which stops that member only.  Returns one
-    entry per member, in order: its :class:`FitResult`, or the
-    :class:`GladNumericsError` that ``fit`` would raise.
+    entry per member, in order: its :class:`FitResult`, equal to ``fit``'s
+    bit for bit, or the :class:`GladNumericsError` that ``fit`` would raise.
     """
     members = list(members)
     if not members:
@@ -653,9 +631,8 @@ def fit_members(members, n_groups: int) -> list:
             graphs.append(member.data)
         graph_of.append(g)
     runs = [_start(member, n_groups) for member in members]
-    # a fit on several graphs sums every linked mass by segments to its end,
-    # also once one graph is left, so a member's bits do not depend on when
-    # the other graphs stop
+    # each graph's linked mass is summed by segments in its lone fit's
+    # order, so a member's bits do not depend on what is swept with it
     across = {}  # the _cross_index of each set of graphs swept together
     while True:
         by_graph = {}
@@ -665,11 +642,9 @@ def fit_members(members, n_groups: int) -> list:
         if not by_graph:
             break
         key = tuple(by_graph)
-        if len(graphs) > 1 and key not in across:
+        if key not in across:
             across[key] = _cross_index([graphs[g].neighbours for g in key])
-        _sequential_sweep(
-            [(graphs[g].neighbours, active) for g, active in by_graph.items()], across.get(key)
-        )
+        _sequential_sweep(list(by_graph.values()), across[key])
         for active in by_graph.values():
             for run in active:
                 state = run.state()

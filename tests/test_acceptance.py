@@ -33,7 +33,6 @@ from glad.glad0_vem import Fit0Config, compute_elbo0, fit0, m_step0
 from glad.glad_vem import (
     FitConfig,
     _expected_log_pi,
-    _lambda_logits,
     _mu_logits,
     compute_elbo,
     fit,
@@ -115,16 +114,15 @@ def test_update_kernels_match_straightline_oracles():
         k = 2 + (seed // 2) % 2
         v = 2 + seed % 3
         data, params, state = tgv.random_instance(seed, n=n, m=m, k=k, v=v)
-        indptr, indices = data.neighbours
         elogpi = _expected_log_pi(state.gamma)
         log_theta = floored_log(params.theta)
         role_logits = state.mu @ log_theta.T
         col = state.lam.sum(axis=0)
         log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
         mu = softmax(_mu_logits(state.lam, log_theta, data.features @ floored_log(params.beta)))
+        logits = tgv.one_graph_lambda(data.neighbours, state.lam, col, log_b, log_1mb)
         for p in range(n):
-            got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
-                                         state.lam, col, log_b, log_1mb, role_logits[p]))
+            got = softmax(logits(p, elogpi[p], role_logits[p]))
             want = tgv.oracle_lambda(
                 p, data.features, data.links, params.alpha, params.block,
                 params.theta, params.beta, state.gamma, state.lam, state.mu,

@@ -1047,13 +1047,10 @@ def test_anchor_keeps_the_restart_that_sequential_restarts_keep(seed):
 
     want = best_of_restarts(run, cfg.seed, cfg.init_restarts)
     got = _anchor_fit(data, 3, 2, cfg)
-    picked = [
-        r.trace.shape == got.trace.shape and np.allclose(got.trace, r.trace, rtol=1e-12, atol=0)
-        for r in runs
-    ]
+    picked = [np.array_equal(got.trace, r.trace) for r in runs]
     assert picked.count(True) == 1 and runs[picked.index(True)] is want
     np.testing.assert_array_equal(got.state.grouping(), want.state.grouping())
-    np.testing.assert_allclose(got.params.block, want.params.block, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.params.block, want.params.block)
 
 
 def test_anchor_raises_the_first_failing_restart():

@@ -16,6 +16,7 @@ from glad.glad_vem import (
     FitConfig,
     FitResult,
     Member,
+    _cross_index,
     _expected_log_pi,
     _lambda_logits,
     _mu_logits,
@@ -189,8 +190,21 @@ def rel_close(a, b, tol=1e-10):
 # ---------------------------------------------------------------------------
 # update kernels against the oracles.  The lambda kernel takes what the sweep
 # computes once per sweep: E[log pi] and role logits of every person, the
-# neighbour lists, the column sum of lambda and the log block matrices.
+# neighbour rows, the column sum of lambda and the log block matrices.
 # ---------------------------------------------------------------------------
+
+def one_graph_lambda(neighbours, lam, col, log_b, log_1mb):
+    """The sweep's lambda kernel for one fit on one graph, as a function of
+    p, E[log pi_p] and p's role logits: ``lam`` is the member table over its
+    zero row, which ``_cross_index([neighbours])`` indexes."""
+    rows, starts = _cross_index([neighbours])
+    table = np.vstack([lam, np.zeros((1, lam.shape[1]))])
+
+    def logits(p, elogpi_p, role_logits_p):
+        return _lambda_logits(p, elogpi_p, rows[p], starts[p], table, table[:-1], col,
+                              log_b, log_1mb, role_logits_p)
+    return logits
+
 
 def test_init_state_uniform():
     s = init_state(3, 4, 2)
@@ -207,21 +221,20 @@ def test_update_gamma_is_alpha_plus_lambda():
     gamma, lam, mu = (np.array(a) for a in (state.gamma, state.lam, state.mu))
     xlogbeta = data.features @ floored_log(params.beta)
     run = SimpleNamespace(params=params, gamma=gamma, lam=lam, mu=mu, xlogbeta=xlogbeta)
-    _sequential_sweep([(data.neighbours, [run])])
+    _sequential_sweep([[run]], _cross_index([data.neighbours]))
     np.testing.assert_array_equal(gamma, params.alpha + state.lam)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_update_lambda_matches_oracle(seed):
     data, params, state = random_instance(seed)
-    indptr, indices = data.neighbours
     elogpi = _expected_log_pi(state.gamma)
     role_logits = state.mu @ floored_log(params.theta).T
     col = state.lam.sum(axis=0)
     log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
+    logits = one_graph_lambda(data.neighbours, state.lam, col, log_b, log_1mb)
     for p in range(data.n_nodes):
-        got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
-                                     state.lam, col, log_b, log_1mb, role_logits[p]))
+        got = softmax(logits(p, elogpi[p], role_logits[p]))
         want = oracle_lambda(
             p, data.features, data.links, params.alpha, params.block,
             params.theta, params.beta, state.gamma, state.lam, state.mu,
@@ -243,16 +256,16 @@ def test_update_lambda_constant_block_ignores_links():
     # all block entries equal: the pairwise term is constant in m and the
     # result is driven by the point-wise and digamma terms alone
     data, params, state = random_instance(3)
-    indptr, indices = data.neighbours
     elogpi = _expected_log_pi(state.gamma)
     role_logits = state.mu @ floored_log(params.theta).T
     col = state.lam.sum(axis=0)
     log_b, log_1mb = np.log(np.full((2, 2), 0.4)), np.log1p(-np.full((2, 2), 0.4))
+    no_links = (np.zeros(data.n_nodes + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    kernels = [one_graph_lambda(graph, state.lam, col, log_b, log_1mb)
+               for graph in (data.neighbours, no_links)]
     for p in range(data.n_nodes):
         linked, alone = (
-            softmax(_lambda_logits(p, elogpi[p], nbrs, state.lam, col, log_b, log_1mb,
-                                   role_logits[p]))
-            for nbrs in (indices[indptr[p]:indptr[p + 1]], np.zeros(0, dtype=np.int64))
+            softmax(logits(p, elogpi[p], role_logits[p])) for logits in kernels
         )
         np.testing.assert_allclose(linked, alone, atol=1e-12)
 
@@ -267,10 +280,9 @@ def test_update_lambda_single_node_uniform():
         beta=np.array([[0.7, 0.3], [0.3, 0.7]]),
     )
     gamma, lam, mu = np.array([[1.2, 1.2]]), np.array([[0.5, 0.5]]), np.array([[0.6, 0.4]])
-    logits = _lambda_logits(
-        0, _expected_log_pi(gamma[0]), data.neighbours[1], lam, lam.sum(axis=0),
-        np.log(params.block), np.log1p(-params.block), floored_log(params.theta) @ mu[0],
-    )
+    logits = one_graph_lambda(
+        data.neighbours, lam, lam.sum(axis=0), np.log(params.block), np.log1p(-params.block)
+    )(0, _expected_log_pi(gamma[0]), floored_log(params.theta) @ mu[0])
     np.testing.assert_allclose(softmax(logits), [0.5, 0.5], atol=1e-12)
 
 
@@ -386,18 +398,17 @@ def test_m_step_block_matches_oracles_with_self_links(seed):
 def test_lambda_updates_ignore_self_links(seed):
     data, params, state = random_instance(seed, n=6, m=3, k=2, v=3)
     looped = _with_self_links(data)
-    indptr, indices = looped.neighbours
     elogpi = _expected_log_pi(state.gamma)
     role_logits = state.mu @ floored_log(params.theta).T
     col = state.lam.sum(axis=0)
     log_b, log_1mb = np.log(params.block), np.log1p(-params.block)
+    logits = one_graph_lambda(looped.neighbours, state.lam, col, log_b, log_1mb)
     for p in range(data.n_nodes):
         want = oracle_lambda(
             p, data.features, looped.links, params.alpha, params.block,
             params.theta, params.beta, state.gamma, state.lam, state.mu,
         )
-        got = softmax(_lambda_logits(p, elogpi[p], indices[indptr[p]:indptr[p + 1]],
-                                     state.lam, col, log_b, log_1mb, role_logits[p]))
+        got = softmax(logits(p, elogpi[p], role_logits[p]))
         np.testing.assert_allclose(got, want, atol=1e-12)
     swept, _ = infer_state(looped, params, FitConfig(max_iters=2))
     plain, _ = infer_state(data, params, FitConfig(max_iters=2))
@@ -560,17 +571,17 @@ def test_fit_recovers_planted_partition():
 # ---------------------------------------------------------------------------
 
 def _assert_lone_fit(got, member, n_groups):
-    # a member's result is its lone fit's up to rounding, with the same
+    # a member's result is its lone fit's bit for bit, with the same
     # grouping and stopping point; its arrays are its own
     want = fit(member.data, n_groups, member.n_roles, member.config)
     assert (got.n_iters, got.converged) == (want.n_iters, want.converged)
     np.testing.assert_array_equal(got.state.grouping(), want.state.grouping())
-    np.testing.assert_allclose(got.trace, want.trace, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(got.trace, want.trace)
     for part in ("state", "params"):
         for name, value in vars(getattr(got, part)).items():
             assert value.flags.c_contiguous and value.flags.owndata, (part, name)
-            np.testing.assert_allclose(value, getattr(getattr(want, part), name),
-                                       rtol=1e-12, atol=0, err_msg=f"{part}.{name}")
+            np.testing.assert_array_equal(value, getattr(getattr(want, part), name),
+                                          err_msg=f"{part}.{name}")
 
 
 def _stops(results):
@@ -650,9 +661,9 @@ def _graphs_swept(monkeypatch):
     # the member count of each graph of every sweep
     real, swept = glad_vem._sequential_sweep, []
 
-    def sweep(by_graph, *across):
-        swept.append([len(runs) for _, runs in by_graph])
-        return real(by_graph, *across)
+    def sweep(by_graph, across):
+        swept.append([len(runs) for runs in by_graph])
+        return real(by_graph, across)
 
     monkeypatch.setattr(glad_vem, "_sequential_sweep", sweep)
     return swept
