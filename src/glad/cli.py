@@ -536,7 +536,7 @@ _BENCHMARK_SCHEMA = {
 
 # the grid's static methods: the joint fit and the two-stage baseline on its config
 _METHODS = ("glad", "mmsb-lda")
-# the dense links (one byte per pair) that one static benchmark job may hold
+# one byte per pair of a job's seeds: the cap on N^2 x seeds per static job
 _JOB_LINKS_BYTES = 16 * 2**20
 
 
@@ -651,7 +651,9 @@ def _n_workers(n_jobs: int, cap: int | None) -> int:
 def _seed_batches(seeds: list, n_nodes: int) -> list:
     """``seeds`` in contiguous batches, one static job each.  A job holds
     every dataset of its seeds until its fit ends, so it takes as many seeds
-    as keep their dense N x N links within ``_JOB_LINKS_BYTES``."""
+    as keep N^2 bytes per seed within ``_JOB_LINKS_BYTES``.  The datasets
+    hold edge lists, not N x N links, so the cap bounds a job's memory
+    loosely; it stays, so that the jobs stay those the benchmark measures."""
     size = max(1, _JOB_LINKS_BYTES // n_nodes**2)
     return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 

@@ -618,7 +618,12 @@ def run_sampler(
 
     features = np.stack([snap.features for snap in data.snapshots])
     feat_scores = features @ floored_log(params.beta)
-    links = np.stack([snap.links for snap in data.snapshots])
+    # the stacked (T, N, N) adjacency, filled once from the snapshots' edges
+    links = np.zeros((horizon, n, n), dtype=np.int8)
+    for t, snap in enumerate(data.snapshots):
+        u, v = snap.edges
+        links[t, u, v] = 1
+        links[t, v, u] = 1
     logb = np.log(params.block)
     log1mb = np.log1p(-params.block)
     history = np.empty((config.sweeps, horizon, n_groups, n_roles))

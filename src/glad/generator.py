@@ -3,7 +3,8 @@
 All samplers draw from an isolated ``numpy.random.Generator`` seeded per
 call, in a fixed documented order (memberships, groups, links, roles,
 features), so repeated calls with the same seed are byte-identical.  Links
-are sampled on the upper triangle only and mirrored; the diagonal stays zero.
+are sampled on the upper triangle only and kept as an edge list; no N x N
+adjacency matrix is built.
 """
 
 from __future__ import annotations
@@ -83,24 +84,48 @@ def _as_trials(trials, n_nodes: int) -> np.ndarray:
     return arr
 
 
+# draws of whole rows of the upper triangle gathered before their linked
+# pairs are read out: one boolean a pair, 64 KiB or one row if longer
+_LINK_BUFFER = 1 << 16
+
+
 def _sample_links(
     rng: np.random.Generator, block: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Symmetric 0/1 adjacency, upper triangle drawn and mirrored.
+) -> tuple:
+    """An undirected graph as its edge list ``(u, v)``: u < v, row-major.
 
     Pair (p, q) links with rate ``block[left[p, q], right[p, q]]``, where
     ``left`` and ``right`` broadcast to (N, N): per-person groups
-    (``group[:, None]``, ``group``) or per-pair memberships.  The triangle is
-    drawn row by row, one uniform per pair in row-major order, so the random
-    stream matches a single draw over the whole triangle while no N x N rate
-    matrix is built.
+    (``group[:, None]``, ``group``) or per-pair memberships.  The upper
+    triangle is drawn row by row, one uniform per pair in row-major order,
+    so the random stream matches a single draw over the whole triangle while
+    neither an N x N rate matrix nor an adjacency matrix is built.
     """
     left, right = np.broadcast_arrays(left, right)
     n = left.shape[0]
-    y = np.zeros((n, n), dtype=np.int8)
+    linked = np.empty(max(n - 1, _LINK_BUFFER), dtype=bool)
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+
+    def read_out(first, last, used):
+        # the linked pairs of rows first..last-1, whose draws fill linked[:used]
+        lengths = np.arange(n - 1 - first, n - 1 - last, -1)
+        starts = np.cumsum(lengths) - lengths
+        hits = np.flatnonzero(linked[:used])
+        rows = np.searchsorted(starts, hits, side="right") - 1
+        us.append(rows + first)
+        vs.append(hits - starts[rows] + rows + (first + 1))
+
+    used = first = 0
     for p in range(n - 1):
-        y[p, p + 1:] = rng.random(n - 1 - p) < block[left[p, p + 1:], right[p, p + 1:]]
-    return y + y.T
+        k = n - 1 - p
+        if used + k > linked.size:
+            read_out(first, p, used)
+            used, first = 0, p
+        np.less(rng.random(k), block[left[p, p + 1:], right[p, p + 1:]],
+                out=linked[used:used + k])
+        used += k
+    read_out(first, max(first, n - 1), used)
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _snapshot(rng, block, rates, beta, group, trials) -> tuple:
@@ -108,10 +133,10 @@ def _snapshot(rng, block, rates, beta, group, trials) -> tuple:
     (``block[group_p, group_q]``), then a role per person from ``rates[group]``,
     then feature counts ``Multinomial(trials_p, beta[:, role_p])``.  Returns
     ``(Dataset, role)``."""
-    links = _sample_links(rng, block, group[:, None], group)
+    edges = _sample_links(rng, block, group[:, None], group)
     role = _categorical_rows(rng, rates[group])
     features = rng.multinomial(trials, beta.T[role])
-    return Dataset(features=features, links=links), role
+    return Dataset(features=features, edges=edges), role
 
 
 def generate_glad(params: ModelParams, n_nodes: int, trials, seed: int):
@@ -164,7 +189,7 @@ def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
     z_out[(iu[1], iu[0])] = z_in[iu]
     z_in[(iu[1], iu[0])] = z_out[iu]
 
-    links = _sample_links(rng, params.block, z_out, z_in)
+    edges = _sample_links(rng, params.block, z_out, z_in)
 
     group_rows, role_rows, feature_rows = [], [], []
     beta_t = params.beta.T  # (K, V)
@@ -183,7 +208,7 @@ def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
         feature_rows.append(d)
 
     data = ActivityDataset(
-        feature_ids=tuple(feature_rows), links=links, n_features=params.n_features
+        feature_ids=tuple(feature_rows), edges=edges, n_features=params.n_features
     )
     truth = GroundTruth(
         pi=pi, group=tuple(group_rows), role=tuple(role_rows), z_out=z_out, z_in=z_in
@@ -370,7 +395,7 @@ def inject_activity_anomalies(cfg: InjectionConfig, activities: int | None = Non
         raise ValueError("activities must be non-negative")
     rng = np.random.default_rng(cfg.seed)
     anomalous, params, group, pi = _planted(cfg, rng, cfg.n_anomalous)
-    links = _sample_links(rng, params.block, group[:, None], group)
+    edges = _sample_links(rng, params.block, group[:, None], group)
     roles, tokens = [], []
     for p in range(cfg.n_nodes):
         r = _categorical_rows(rng, np.tile(params.theta[group[p]], (n_acts, 1)))
@@ -378,7 +403,7 @@ def inject_activity_anomalies(cfg: InjectionConfig, activities: int | None = Non
         tokens.append(_categorical_rows(rng, params.beta.T[r]))
 
     data = ActivityDataset(
-        feature_ids=tuple(tokens), links=links, n_features=params.beta.shape[0]
+        feature_ids=tuple(tokens), edges=edges, n_features=params.beta.shape[0]
     )
     truth = GroundTruth(
         pi=pi,

@@ -607,8 +607,8 @@ def fit_members(members, n_groups: int) -> list:
     Each :class:`Member` is the fit ``fit(member.data, n_groups,
     member.n_roles, member.config)``; the members' datasets hold the same
     number of people, and may differ in links, features, role count and
-    config.  Members whose datasets hold equal links share one graph.  Each
-    iteration sweeps every running member in one pass over people
+    config.  Members whose datasets hold equal edge lists share one graph.
+    Each iteration sweeps every running member in one pass over people
     (``_sequential_sweep``), then runs each one's M-step and bound.  A
     member stops where ``fit`` would stop it: at ``tol``, at ``max_iters``,
     or at a non-finite bound, which stops that member only.  Returns one
@@ -618,13 +618,13 @@ def fit_members(members, n_groups: int) -> list:
     members = list(members)
     if not members:
         return []
-    if len({m.data.links.shape for m in members}) > 1:
+    if len({m.data.n_nodes for m in members}) > 1:
         raise ValueError("the members of a fit must have graphs of one size")
     graphs, graph_of = [], []
     for member in members:
-        links = member.data.links
+        edges = member.data.edges
         for g, other in enumerate(graphs):
-            if other.links is links or np.array_equal(other.links, links):
+            if other.edges is edges or all(map(np.array_equal, other.edges, edges)):
                 break
         else:
             g = len(graphs)

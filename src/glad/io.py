@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ActivityDataset, Dataset, DynamicDataset
+from .model import ActivityDataset, Dataset, DynamicDataset, _checked_edges
 
 __all__ = [
     "coerce_config",
@@ -212,15 +212,15 @@ def _first_hit(mask: np.ndarray) -> int:
     return int(hits[0]) if hits.size else mask.size
 
 
-def _read_checked_edges(path, n_nodes: int, horizon: int | None = None) -> np.ndarray:
-    """Parse and validate a static (``horizon=None``) or dynamic edge TSV.
+def _raise_first_bad_line(path, fields: np.ndarray, n_nodes: int, horizon: int | None):
+    """Raise the error of the first bad line of a static (``horizon=None``)
+    or dynamic edge TSV, given its fields in line order.
 
     Each line must hold two distinct ids in [0, n_nodes), a snapshot index in
     [0, horizon) for the dynamic kind, and a pair not already listed (in that
     snapshot).  The first offending line is reported by its line number;
     within one line the checks apply in that order.
     """
-    fields = _read_edge_fields(path, 2 if horizon is None else 3)
     p, q = fields[:, 0], fields[:, 1]
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     bad_ids = (p == q) | (lo < 0) | (hi >= n_nodes)
@@ -240,7 +240,7 @@ def _read_checked_edges(path, n_nodes: int, horizon: int | None = None) -> np.nd
     first = [_first_hit(mask) for mask in (bad_ids, bad_t, repeat)]
     i = min(first)
     if i == fields.shape[0]:
-        return fields
+        return
     check = first.index(i)
     if check == 0:
         message = f"ids must be distinct and in [0, {n_nodes})"
@@ -253,22 +253,33 @@ def _read_checked_edges(path, n_nodes: int, horizon: int | None = None) -> np.nd
     raise ValueError(f"{path} line {i + 1}: {message}")
 
 
-def read_edges(path, n_nodes: int) -> np.ndarray:
-    """Read a static edge TSV into a symmetric (N, N) 0/1 matrix."""
-    p, q = _read_checked_edges(path, n_nodes).T
-    links = np.zeros((n_nodes, n_nodes), dtype=np.int8)
-    links[p, q] = 1
-    links[q, p] = 1
-    return links
+def read_edges(path, n_nodes: int) -> tuple:
+    """Read a static edge TSV into its edge list ``(u, v)``: u < v, each
+    pair once, row-major.  A bad line raises ``ValueError`` naming it."""
+    fields = _read_edge_fields(path, 2)
+    try:
+        return _checked_edges(fields.T, n_nodes)
+    except ValueError:
+        _raise_first_bad_line(path, fields, n_nodes, None)
+        raise
 
 
-def read_dynamic_edges(path, n_nodes: int, horizon: int):
-    """Read a dynamic edge TSV into per-snapshot symmetric matrices."""
-    p, q, t = _read_checked_edges(path, n_nodes, horizon).T
-    snaps = np.zeros((horizon, n_nodes, n_nodes), dtype=np.int8)
-    snaps[t, p, q] = 1
-    snaps[t, q, p] = 1
-    return list(snaps)
+def read_dynamic_edges(path, n_nodes: int, horizon: int) -> list:
+    """Read a dynamic edge TSV into one edge list ``(u, v)`` per snapshot,
+    each as :func:`read_edges` returns it."""
+    fields = _read_edge_fields(path, 3)
+    try:
+        t = fields[:, 2]
+        if t.size and (t.min() < 0 or t.max() >= horizon):
+            raise ValueError("snapshot index out of range")
+        # lines come in snapshot order as written; others are put in it
+        snaps = fields if np.all(t[1:] >= t[:-1]) else fields[np.argsort(t, kind="stable")]
+        bounds = np.searchsorted(snaps[:, 2], np.arange(horizon + 1)).tolist()
+        return [_checked_edges(snaps[lo:hi, :2].T, n_nodes)
+                for lo, hi in zip(bounds, bounds[1:])]
+    except ValueError:
+        _raise_first_bad_line(path, fields, n_nodes, horizon)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -371,21 +382,21 @@ def read_dataset(dirpath):
     n = int(manifest["n_nodes"])
     if kind == "static":
         features = read_static_features(root / "features.csv")
-        return Dataset(features=features, links=read_edges(root / "edges.tsv", n))
+        return Dataset(features=features, edges=read_edges(root / "edges.tsv", n))
     if kind == "activity":
         ids = read_activity_features(root / "features.csv", n)
         return ActivityDataset(
             feature_ids=ids,
-            links=read_edges(root / "edges.tsv", n),
+            edges=read_edges(root / "edges.tsv", n),
             n_features=int(manifest["n_features"]),
         )
     if kind == "dynamic":
         horizon = int(manifest["horizon"])
-        link_snaps = read_dynamic_edges(root / "edges.tsv", n, horizon)
+        edge_snaps = read_dynamic_edges(root / "edges.tsv", n, horizon)
         snaps = [
             Dataset(
                 features=read_static_features(root / f"features_t{t}.csv"),
-                links=link_snaps[t],
+                edges=edge_snaps[t],
             )
             for t in range(horizon)
         ]

@@ -1,8 +1,9 @@
 """Shared domain types and numerical kernels for the GLAD model family.
 
-Every inference backend works on the same value objects: dense dataset
-containers (:class:`Dataset`, :class:`ActivityDataset`, :class:`DynamicDataset`),
-the generative parameters (:class:`ModelParams`), and the variational state of
+Every inference backend works on the same value objects: dataset containers
+(:class:`Dataset`, :class:`ActivityDataset`, :class:`DynamicDataset`), each
+holding its graph as an edge list and never as an N x N matrix, the
+generative parameters (:class:`ModelParams`), and the variational state of
 the static model (:class:`GladVariational`).  The log-domain primitives the
 update equations are built from live here as well, so the variational and
 Monte Carlo modules share one set of conventions:
@@ -10,8 +11,8 @@ Monte Carlo modules share one set of conventions:
 * Bernoulli block probabilities are kept inside ``[PROB_EPS, 1 - PROB_EPS]``.
 * Simplex parameters may contain exact zeros; logs are taken through
   :func:`floored_log`, which clamps at ``SIMPLEX_FLOOR`` first.
-* Self-links are never modelled: the diagonal of an adjacency matrix is
-  stored but ignored by every likelihood and update.
+* Self-links are never modelled: an edge list holds no self-pair, and the
+  diagonal of a dense ``links`` matrix given to a dataset is dropped.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def _frozen(a: np.ndarray, dtype=None) -> np.ndarray:
 
 
 def _checked_links(links) -> np.ndarray:
-    """A read-only int8 copy of ``links`` after checking that it is a square,
+    """An int8 copy of ``links`` after checking that it is a square,
     symmetric 0/1 matrix."""
-    y = _frozen(links, dtype=np.int8)
+    y = np.array(links, dtype=np.int8)
     if y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError("links must be a square matrix")
     if not np.all((y == 0) | (y == 1)):
@@ -78,13 +79,63 @@ def _checked_links(links) -> np.ndarray:
     return y
 
 
-def _checked_features(features, n_nodes: int) -> np.ndarray:
+class _EdgeList(tuple):
+    """``(u, v)`` as :func:`_checked_edges` returns it: canonical, read-only
+    and made by that call, so datasets on as many people or more share it
+    instead of checking and copying it again."""
+
+
+def _checked_edges(edges, n_nodes: int) -> _EdgeList:
+    """Read-only int64 ``(u, v)`` of an undirected graph on ``n_nodes``
+    people: each linked pair once, u < v, row-major.
+
+    ``edges`` is a pair of id arrays, each pair in either orientation and in
+    any order.  An id outside [0, n_nodes), a person paired with themselves
+    or a pair listed twice raises ``ValueError``.
+    """
+    if isinstance(edges, _EdgeList) and not (edges[1].size and edges[1].max() >= n_nodes):
+        return edges
+    u, v = (np.asarray(a, dtype=np.int64) for a in edges)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError("edges must be two 1-D id arrays of one length")
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if lo.size and (lo.min() < 0 or hi.max() >= n_nodes):
+        raise ValueError(f"edge ids must lie in [0, {n_nodes})")
+    if np.any(lo == hi):
+        raise ValueError("an edge pairs a person with themselves")
+    key = lo * n_nodes
+    key += hi
+    # already canonical, as every reader and generator writes it: one pass
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError("an unordered pair is listed twice")
+        lo, hi = lo[order], hi[order]
+    return _EdgeList((_readonly(lo), _readonly(hi)))
+
+
+def _graph_edges(links, edges, n_nodes: int, rows: str) -> tuple:
+    """The checked edge list of a graph given as a dense ``links`` matrix
+    (its diagonal ignored) or as ``edges``, exactly one of the two, on the
+    ``n_nodes`` people of the dataset's ``rows``."""
+    if (links is None) == (edges is None):
+        raise TypeError("give the graph as links or as edges, not both")
+    if links is not None:
+        y = _checked_links(links)
+        if y.shape[0] != n_nodes:
+            raise ValueError(f"{rows} and links disagree on the number of people")
+        edges = np.nonzero(np.triu(y, 1))
+    return _checked_edges(edges, n_nodes)
+
+
+def _checked_features(features, n_nodes: int | None = None) -> np.ndarray:
     """A read-only int64 copy of ``features`` after checking that it is an
-    (n_nodes, V) non-negative count matrix."""
+    (N, V) non-negative count matrix, with N = ``n_nodes`` if given."""
     x = _frozen(features, dtype=np.int64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-D count matrix")
-    if x.shape[0] != n_nodes:
+    if n_nodes is not None and x.shape[0] != n_nodes:
         raise ValueError("features and links disagree on the number of people")
     if np.any(x < 0):
         raise ValueError("feature counts must be non-negative")
@@ -223,21 +274,43 @@ def floored_log(x: np.ndarray) -> np.ndarray:
 # value objects
 # ---------------------------------------------------------------------------
 
-class _EdgeIndex:
-    """Sparse views of a symmetric 0/1 ``links`` matrix, derived once on first use.
+class _Graph:
+    """An undirected graph on ``n_nodes`` people, held as its edge list
+    ``edges``: ``(u, v)`` with u < v, each linked pair once, row-major.
 
-    All are read-only index arrays in row-major order; the diagonal is left out.
+    The sparse views are derived from it on first use; all are read-only
+    index arrays in row-major order, and nothing N x N is held.
     """
+
+    @property
+    def links(self) -> np.ndarray:
+        """The (N, N) symmetric 0/1 int8 adjacency matrix, zero diagonal.
+        Built afresh on every call, for small graphs and tests: no kernel
+        reads it."""
+        u, v = self.edges
+        y = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int8)
+        y[u, v] = 1
+        y[v, u] = 1
+        return _readonly(y)
 
     @cached_property
     def neighbours(self) -> tuple:
         """CSR ``(indptr, indices)``: person p's neighbours are
         ``indices[indptr[p]:indptr[p + 1]]``, ascending."""
-        rows, cols = np.nonzero(self.links)
-        keep = rows != cols
-        indptr = np.zeros(self.links.shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=self.links.shape[0]), out=indptr[1:])
-        return _readonly(indptr), _readonly(cols[keep])
+        u, v = self.edges
+        n = self.n_nodes
+        below, above = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(below + above, out=indptr[1:])
+        # row p holds its neighbours below p, then those above; the edges
+        # list the ones above in CSR order, and the ones below once sorted
+        # by their larger end (stably, so each row's stay ascending)
+        is_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
+        indices = np.empty(2 * u.size, dtype=np.int64)
+        order = np.argsort(v, kind="stable")
+        indices[is_below] = np.take(u, order, out=order)
+        indices[np.logical_not(is_below, out=is_below)] = v
+        return _readonly(indptr), _readonly(indices)
 
     @cached_property
     def senders(self) -> np.ndarray:
@@ -252,44 +325,37 @@ class _EdgeIndex:
         # pairs ordered by (receiver, sender) list the reversed pairs in CSR order
         return _readonly(np.argsort(self.neighbours[1], kind="stable"))
 
-    @cached_property
-    def edges(self) -> tuple:
-        """``(u, v)`` with u < v: each unordered linked pair once."""
-        indptr, indices = self.neighbours
-        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-        upper = rows < indices
-        return _readonly(rows[upper]), _readonly(indices[upper])
 
-
-@dataclass(frozen=True)
-class Dataset(_EdgeIndex):
+@dataclass(frozen=True, init=False)
+class Dataset(_Graph):
     """Static observations: per-person feature counts and an undirected graph.
 
     ``features`` is an (N, V) non-negative integer count matrix; row p holds
-    person p's aggregated activity counts.  ``links`` is the (N, N) symmetric
-    0/1 adjacency matrix.  The diagonal is ignored throughout.  The graph is
-    also available as an edge list, ``edges`` (each unordered pair once), and
-    as neighbour lists, ``neighbours`` (CSR); both are derived from ``links``
-    on first use, and the sparse kernels read them instead of the matrix.
+    person p's aggregated activity counts.  The graph is given either as
+    ``edges``, a pair of id arrays with each unordered pair once in either
+    orientation, or as ``links``, an (N, N) symmetric 0/1 matrix whose
+    diagonal is ignored.  Either way it is stored once, as the canonical
+    edge list ``edges``; the neighbour lists ``neighbours`` (CSR) are
+    derived from it on first use, and ``links`` builds the dense matrix on
+    demand.
     """
 
     features: np.ndarray
-    links: np.ndarray
+    edges: tuple
 
-    def __post_init__(self):
-        y = _checked_links(self.links)
-        object.__setattr__(self, "features", _checked_features(self.features, y.shape[0]))
-        object.__setattr__(self, "links", y)
+    def __init__(self, features, *, links=None, edges=None):
+        x = _checked_features(features)
+        object.__setattr__(self, "features", x)
+        object.__setattr__(self, "edges", _graph_edges(links, edges, x.shape[0], "features"))
 
     def with_features(self, features) -> Dataset:
-        """``features`` on this dataset's graph.  The new dataset shares
-        ``links`` and the edge index instead of copying the matrix and
-        deriving the index again."""
+        """``features`` on this dataset's graph.  The new dataset shares the
+        edge list and the neighbour lists instead of deriving them again."""
         other = object.__new__(Dataset)
         object.__setattr__(other, "features", _checked_features(features, self.n_nodes))
-        object.__setattr__(other, "links", self.links)
-        # the static kernels read these two; derived here once, for both
-        vars(other).update(neighbours=self.neighbours, edges=self.edges)
+        object.__setattr__(other, "edges", self.edges)
+        # the static kernels read the neighbour lists; derived here once, for both
+        vars(other)["neighbours"] = self.neighbours
         return other
 
     @property
@@ -313,39 +379,37 @@ class Dataset(_EdgeIndex):
         return float(gammaln(x.sum(axis=1) + 1.0).sum() - gammaln(x + 1.0).sum())
 
 
-@dataclass(frozen=True)
-class ActivityDataset(_EdgeIndex):
+@dataclass(frozen=True, init=False)
+class ActivityDataset(_Graph):
     """Activity-level observations: one categorical feature per activity.
 
     ``feature_ids[p]`` is an integer array with one entry per activity of
     person p, each the index of the single feature that activity produced
-    (the one-hot encoding stored compactly).  ``links``, ``edges`` and
-    ``neighbours`` are as in :class:`Dataset`; glad0's pair kernels also read
-    ``senders`` and ``reverse``.
+    (the one-hot encoding stored compactly).  The graph is given and stored
+    as in :class:`Dataset`; glad0's pair kernels also read ``senders`` and
+    ``reverse``.
     """
 
     feature_ids: tuple
-    links: np.ndarray
+    edges: tuple
     n_features: int
 
-    def __post_init__(self):
-        y = _checked_links(self.links)
-        if len(self.feature_ids) != y.shape[0]:
-            raise ValueError("feature_ids and links disagree on the number of people")
+    def __init__(self, feature_ids, n_features: int, *, links=None, edges=None):
         rows = []
-        for ids in self.feature_ids:
+        for ids in feature_ids:
             a = _frozen(ids, dtype=np.int64)
             if a.ndim != 1:
                 raise ValueError("each person's activities must be a 1-D index array")
-            if a.size and (a.min() < 0 or a.max() >= self.n_features):
+            if a.size and (a.min() < 0 or a.max() >= n_features):
                 raise ValueError("activity feature index out of range")
             rows.append(a)
         object.__setattr__(self, "feature_ids", tuple(rows))
-        object.__setattr__(self, "links", y)
+        object.__setattr__(self, "n_features", n_features)
+        object.__setattr__(self, "edges", _graph_edges(links, edges, len(rows), "feature_ids"))
 
     @property
     def n_nodes(self) -> int:
-        return self.links.shape[0]
+        return len(self.feature_ids)
 
     @property
     def activity_counts(self) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import glad.generator as generator_module
 from glad.generator import (
     InjectionConfig,
     _sample_links,
@@ -224,12 +225,23 @@ def test_generate_glad0_deterministic():
 # ---------------------------------------------------------------------------
 
 def _reference_links(rng, rates):
-    # one draw over the whole upper triangle, row-major, then mirrored
+    # one draw over the whole upper triangle, row-major, as an edge list
     n = rates.shape[0]
     iu = np.triu_indices(n, k=1)
+    linked = rng.random(n * (n - 1) // 2) < rates[iu]
+    return iu[0][linked], iu[1][linked]
+
+
+def _dense_oracle_edges(rng, block, left, right):
+    # the dense sampler written out: one uniform per pair, row by row, into
+    # an N x N matrix, mirrored, then its upper-triangle pairs, row-major
+    n = left.shape[0]
     y = np.zeros((n, n), dtype=np.int8)
-    y[iu] = rng.random(n * (n - 1) // 2) < rates[iu]
-    return y + y.T
+    for p in range(n):
+        for q in range(p + 1, n):
+            y[p, q] = y[q, p] = rng.random() < block[left[p, q], right[p, q]]
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n) if y[p, q]]
+    return [p for p, _ in pairs], [q for _, q in pairs]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -249,6 +261,29 @@ def test_sample_links_row_by_row_equals_one_triangle_draw(seed):
             _sample_links(rowwise, block, left, right), _reference_links(reference, rates)
         )
         assert rowwise.random() == reference.random()  # the stream continues in step
+
+
+@pytest.mark.parametrize("buffer", [1, 7, 1 << 16])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 40])
+def test_sample_links_edges_equal_the_dense_oracle(n, buffer, monkeypatch):
+    # the random stream of the dense sampler is pinned: the same uniforms
+    # give the same edges, for per-person groups and per-pair memberships,
+    # whether the rows' draws are read out one row at a time, a few rows at
+    # a time or all at once
+    monkeypatch.setattr(generator_module, "_LINK_BUFFER", buffer)
+    rng = np.random.default_rng(7 + n)
+    m = 3
+    block = rng.uniform(0.05, 0.95, size=(m, m))
+    group = rng.integers(0, m, size=n)
+    z_out, z_in = rng.integers(0, m, size=(2, n, n))
+    for left, right in ((np.tile(group[:, None], (1, n)), np.tile(group, (n, 1))),
+                        (z_out, z_in)):
+        sampled, oracle = np.random.default_rng(n), np.random.default_rng(n)
+        u, v = _sample_links(sampled, block, left, right)
+        want_u, want_v = _dense_oracle_edges(oracle, block, left, right)
+        assert u.tolist() == want_u and v.tolist() == want_v
+        assert u.dtype == v.dtype == np.int64
+        assert sampled.random() == oracle.random()
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,8 @@ def test_edges_round_trip_and_symmetry(tmp_path):
         p, q = map(int, line.split("\t"))
         assert p < q
     back = io.read_edges(tmp_path / "edges.tsv", 15)
-    np.testing.assert_array_equal(back, links)
+    np.testing.assert_array_equal(back, data.edges)
+    np.testing.assert_array_equal(Dataset(features=data.features, edges=back).links, links)
 
 
 def test_edges_reject_malformed(tmp_path):
@@ -108,11 +109,12 @@ def test_edges_reject_malformed(tmp_path):
 
 
 def _read_static(path):
-    return io.read_edges(path, 5)
+    # the dense matrix of the edge list read, so cases can spell out the graph
+    return _graph(5, zip(*io.read_edges(path, 5))).links
 
 
 def _read_dynamic(path):
-    return io.read_dynamic_edges(path, 5, 3)
+    return [_graph(5, zip(*edges)).links for edges in io.read_dynamic_edges(path, 5, 3)]
 
 
 # each case: the file's lines, then the message expected on its line

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glad.model import (
+    ActivityDataset,
     Dataset,
     GladVariational,
     ModelParams,
@@ -267,15 +268,120 @@ def test_dataset_with_features_shares_the_graph():
     links = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]])
     d = Dataset(features=np.array([[1, 2], [0, 0], [3, 1]]), links=links)
     other = d.with_features(np.ones((3, 1)))
-    # the matrix and the edge index are the same objects, not copies
-    assert other.links is d.links
+    # the edge list and the neighbour lists are the same objects, not copies
     assert other.neighbours is d.neighbours and other.edges is d.edges
+    np.testing.assert_array_equal(other.links, links)
     np.testing.assert_array_equal(other.features, [[1], [1], [1]])
     assert other.features.dtype == np.int64 and not other.features.flags.writeable
     with pytest.raises(ValueError, match="disagree on the number of people"):
         d.with_features(np.ones((2, 1)))
     with pytest.raises(ValueError, match="non-negative"):
         d.with_features(-np.ones((3, 1)))
+
+
+def _graph_oracle(y):
+    # the sparse views of a dense symmetric matrix, written out pair by pair
+    n = y.shape[0]
+    rows = [[q for q in range(n) if q != p and y[p, q]] for p in range(n)]
+    pairs = [(p, q) for p in range(n) for q in rows[p]]
+    return {
+        "edges": ([p for p, q in pairs if p < q], [q for p, q in pairs if p < q]),
+        "indptr": np.cumsum([0] + [len(r) for r in rows]),
+        "indices": [q for _, q in pairs],
+        "senders": [p for p, _ in pairs],
+        "reverse": [pairs.index((q, p)) for p, q in pairs],
+    }
+
+
+def _assert_graph(data, y):
+    want = _graph_oracle(y)
+    np.testing.assert_array_equal(data.edges, np.reshape(want["edges"], (2, -1)))
+    np.testing.assert_array_equal(data.neighbours[0], want["indptr"])
+    np.testing.assert_array_equal(data.neighbours[1], want["indices"])
+    np.testing.assert_array_equal(data.senders, want["senders"])
+    np.testing.assert_array_equal(data.reverse, want["reverse"])
+    no_diagonal = y * (1 - np.eye(y.shape[0], dtype=y.dtype))
+    np.testing.assert_array_equal(data.links, no_diagonal)
+    assert data.links.dtype == np.int8
+    for arr in (*data.edges, *data.neighbours, data.senders, data.reverse):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+
+
+def _both_ways(y, rng):
+    # one dataset of each kind from the dense matrix, and one from its edge
+    # list shuffled, each pair in a random orientation
+    n = y.shape[0]
+    u, v = np.nonzero(np.triu(y, 1))
+    order = rng.permutation(u.size)
+    flip = rng.random(u.size) < 0.5
+    edges = (np.where(flip, v, u)[order], np.where(flip, u, v)[order])
+    x = np.ones((n, 2), dtype=np.int64)
+    ids = (np.zeros(1, dtype=np.int64),) * n
+    return [
+        Dataset(features=x, links=y), Dataset(features=x, edges=edges),
+        ActivityDataset(feature_ids=ids, links=y, n_features=2),
+        ActivityDataset(feature_ids=ids, edges=edges, n_features=2),
+    ]
+
+
+def _symmetric(n, upper):
+    y = np.zeros((n, n), dtype=np.int8)
+    y[np.triu_indices(n, 1)] = upper
+    return y + y.T
+
+
+@pytest.mark.parametrize("y", [
+    np.zeros((1, 1), dtype=np.int8),  # one person
+    np.zeros((4, 4), dtype=np.int8),  # no edges
+    _symmetric(6, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]),  # isolated people
+    _symmetric(5, 1),  # complete graph
+    np.eye(3, dtype=np.int8),  # self-links only: the diagonal is dropped
+], ids=["one-person", "no-edges", "isolated-people", "complete", "diagonal-only"])
+def test_datasets_from_edges_and_from_links_hold_one_graph(y):
+    for data in _both_ways(y, np.random.default_rng(0)):
+        _assert_graph(data, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                                             max_size=n * (n - 1) // 2))
+), st.integers(0, 2**32 - 1))
+def test_random_graphs_from_edges_and_from_links_agree(graph, seed):
+    y = _symmetric(*graph)
+    for data in _both_ways(y, np.random.default_rng(seed)):
+        _assert_graph(data, y)
+
+
+@pytest.mark.parametrize("edges, match", [
+    (([0, 2], [1, 2]), "themselves"),
+    (([0, 1], [1, 4]), r"\[0, 4\)"),
+    (([0, -1], [1, 2]), r"\[0, 4\)"),
+    (([0, 1, 0], [1, 2, 1]), "listed twice"),
+    (([0, 2, 1], [1, 3, 0]), "listed twice"),
+    (([0, 1], [1]), "one length"),
+], ids=["self-pair", "id-too-large", "negative-id", "repeat", "repeat-reversed", "lengths"])
+def test_edge_lists_reject_bad_pairs(edges, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(features=np.ones((4, 1), dtype=np.int64), edges=edges)
+    with pytest.raises(ValueError, match=match):
+        ActivityDataset(feature_ids=(np.zeros(0, dtype=np.int64),) * 4, edges=edges,
+                        n_features=1)
+
+
+def test_datasets_take_the_graph_once():
+    x = np.ones((2, 1), dtype=np.int64)
+    with pytest.raises(TypeError):
+        Dataset(features=x)
+    with pytest.raises(TypeError):
+        Dataset(features=x, links=np.zeros((2, 2)), edges=([], []))
+    with pytest.raises(ValueError, match="disagree on the number of people"):
+        Dataset(features=x, links=np.zeros((3, 3)))
+    # a checked edge list is shared, but only by datasets whose people it fits
+    d = Dataset(features=np.ones((4, 1), dtype=np.int64), edges=([0, 1], [1, 3]))
+    assert Dataset(features=np.ones((5, 1), dtype=np.int64), edges=d.edges).edges is d.edges
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        Dataset(features=np.ones((3, 1), dtype=np.int64), edges=d.edges)
 
 
 def test_dataset_arrays_are_frozen():

@@ -1,0 +1,53 @@
+"""No N x N allocation from generate to fit: a graph is held as its edges.
+
+Each case runs the pipeline the command line runs, generate -> write ->
+read -> a 2-iteration fit, at N = 6000 on a sparse planted graph (about 6
+links per person), under tracemalloc.  One dense int8 adjacency matrix
+alone is N^2 = 36 MB there; the cases allow a traced peak of N^2 / 4 bytes
+(9 MB), so any N x N array fails them.
+
+The fits use 2 groups: their own memory is linear in N but not small, for
+example ``model.digamma`` expands an (N, M + 1) argument into ten copies,
+and 2 groups keep it well inside the budget.  The activity case gives each
+person 2 activities for the same reason: the activity feature files are
+written and parsed one Python object per activity.
+"""
+
+import tracemalloc
+
+import pytest
+
+from glad import io as gio
+from glad.generator import InjectionConfig, inject_activity_anomalies, inject_anomalies
+from glad.glad0_vem import Fit0Config, fit0
+from glad.glad_vem import FitConfig, fit
+
+N = 6000
+
+
+def _static(cfg):
+    return inject_anomalies(cfg), lambda data: fit(data, 2, 2, FitConfig(max_iters=2, seed=0))
+
+
+def _activity(cfg):
+    return inject_activity_anomalies(cfg, activities=2), lambda data: fit0(
+        data, 2, 2, Fit0Config(max_iters=2, seed=0)
+    )
+
+
+@pytest.mark.parametrize("pipeline", [_static, _activity], ids=["static", "activity"])
+def test_generate_to_fit_holds_no_dense_graph(tmp_path, pipeline):
+    cfg = InjectionConfig(n_nodes=N, block_in=0.003, block_out=0.0005, seed=0)
+    tracemalloc.start()
+    try:
+        (data, truth), run_fit = pipeline(cfg)
+        gio.write_dataset(tmp_path, data, truth)
+        del data, truth
+        data = gio.read_dataset(tmp_path)
+        run_fit(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the graph is sparse, as the budget assumes
+    assert 4 * N < 2 * data.edges[0].size < 8 * N
+    assert peak < N * N / 4, f"traced peak {peak / 1e6:.1f} MB"
