@@ -191,25 +191,20 @@ def generate_glad0(params: ModelParams, n_nodes: int, activities, seed: int):
 
     edges = _sample_links(rng, params.block, z_out, z_in)
 
-    group_rows, role_rows, feature_rows = [], [], []
+    # each person's draws in turn (none for a person without activities);
+    # the features stacked people ascending
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    feature_ids = np.empty(indptr[-1], dtype=np.int64)
+    group_rows, role_rows = [], []
     beta_t = params.beta.T  # (K, V)
     for p in range(n_nodes):
-        a_p = counts[p]
-        if a_p == 0:
-            group_rows.append(np.zeros(0, dtype=np.int64))
-            role_rows.append(np.zeros(0, dtype=np.int64))
-            feature_rows.append(np.zeros(0, dtype=np.int64))
-            continue
-        g = _categorical_rows(rng, np.broadcast_to(pi[p], (a_p, m)))
+        g = _categorical_rows(rng, np.broadcast_to(pi[p], (counts[p], m)))
         r = _categorical_rows(rng, params.theta[g])
-        d = _categorical_rows(rng, beta_t[r])
+        feature_ids[indptr[p]:indptr[p + 1]] = _categorical_rows(rng, beta_t[r])
         group_rows.append(g)
         role_rows.append(r)
-        feature_rows.append(d)
 
-    data = ActivityDataset(
-        feature_ids=tuple(feature_rows), edges=edges, n_features=params.n_features
-    )
+    data = ActivityDataset(feature_ids, indptr, params.n_features, edges=edges)
     truth = GroundTruth(
         pi=pi, group=tuple(group_rows), role=tuple(role_rows), z_out=z_out, z_in=z_in
     )
@@ -396,15 +391,14 @@ def inject_activity_anomalies(cfg: InjectionConfig, activities: int | None = Non
     rng = np.random.default_rng(cfg.seed)
     anomalous, params, group, pi = _planted(cfg, rng, cfg.n_anomalous)
     edges = _sample_links(rng, params.block, group[:, None], group)
-    roles, tokens = [], []
+    roles, tokens = [], np.empty((cfg.n_nodes, n_acts), dtype=np.int64)
     for p in range(cfg.n_nodes):
         r = _categorical_rows(rng, np.tile(params.theta[group[p]], (n_acts, 1)))
         roles.append(r)
-        tokens.append(_categorical_rows(rng, params.beta.T[r]))
+        tokens[p] = _categorical_rows(rng, params.beta.T[r])
 
-    data = ActivityDataset(
-        feature_ids=tuple(tokens), edges=edges, n_features=params.beta.shape[0]
-    )
+    data = ActivityDataset(tokens.ravel(), np.arange(cfg.n_nodes + 1) * n_acts,
+                           params.beta.shape[0], edges=edges)
     truth = GroundTruth(
         pi=pi,
         group=group,

@@ -19,11 +19,12 @@ Blei, Fienberg & Xing, JMLR 2008):
 
 The 2E linked ordered pairs are in the CSR order of ``data.neighbours``:
 column e is the pair (p, indices[e]) for indptr[p] <= e < indptr[p + 1].
-The A activities are stacked people ascending, in the order of
-``data.feature_ids``.  The pair and activity arrays are group-major: with
-M small, each softmax reduces over the leading axis (numpy reduces a
-short trailing axis several times more slowly than a leading one), and
-the link evidence of a whole side is one (M, M) product.  The fit keeps
+The A activities are the dataset's own, stacked people ascending in the
+order of ``data.feature_ids``, and ``act_indptr`` is ``data.act_indptr``
+itself.  The pair and activity arrays are group-major: with M small, each
+softmax reduces over the leading axis (numpy reduces a short trailing
+axis several times more slowly than a leading one), and the link
+evidence of a whole side is one (M, M) product.  The fit keeps
 gamma group-major too, as (M, N), and hands out a C-ordered (N, M) copy
 of it; the other arrays of the state are the sweep's own
 (``_variational``).  Tying the non-linked pairs gives a sub-family of the
@@ -334,18 +335,6 @@ def _role_logits(lam, log_theta, log_beta):
     return logits
 
 
-def _activity_indptr(counts):
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
-def _feature_ids(data: ActivityDataset):
-    # each activity's feature id, stacked people ascending as the activity
-    # posteriors are
-    return np.concatenate(data.feature_ids) if data.n_nodes else np.zeros(0, dtype=np.int64)
-
-
 def _variational(gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu, act_indptr):
     # the public state of the sweep's arrays: gamma as a C-ordered (N, M)
     # copy, everything else as it is
@@ -376,9 +365,9 @@ def m_step0(
     nolink = state.nolink_out @ _nolink_mass(state.nolink_in, _pairs(data)).T
     block = np.clip(block_ratio(linked, linked + nolink), PROB_EPS, 1.0 - PROB_EPS)
 
-    ids = _feature_ids(data)
     beta = np.stack(
-        [np.bincount(ids, weights=row, minlength=data.n_features) for row in state.mu],
+        [np.bincount(data.feature_ids, weights=row, minlength=data.n_features)
+         for row in state.mu],
         axis=1,
     )
     # theta's product runs over C-ordered (A, M) and (A, K) copies: the
@@ -442,7 +431,7 @@ def compute_elbo0(
     person = np.repeat(np.arange(data.n_nodes), np.diff(state.act_indptr))
     return total + row_terms(
         lam_rows, elogpi[person], mu_rows, floored_log(params.theta),
-        floored_log(params.beta)[_feature_ids(data)],
+        floored_log(params.beta)[data.feature_ids],
     )
 
 
@@ -490,17 +479,16 @@ def _sweep0(terms, pairs, act_indptr, tol, gamma, dig, phi_out, phi_in, nolink_o
 
 
 def _init0(data, n_groups, n_roles, config):
-    """Seeded parameters, the activity indptr and the noise-broken uniform
-    starting posteriors, group-major: ``(params, pairs, act_indptr, gamma,
-    phi_out, phi_in, nolink_out, nolink_in, lam, mu)``.  The jitter is
-    drawn in that order (gamma aside), pair sides pair by pair, as (2E, M),
-    (N, M), (A, M) and (A, K) rows."""
+    """Seeded parameters and the noise-broken uniform starting posteriors,
+    group-major: ``(params, pairs, gamma, phi_out, phi_in, nolink_out,
+    nolink_in, lam, mu)``.  The jitter is drawn in that order (gamma
+    aside), pair sides pair by pair, as (2E, M), (N, M), (A, M) and (A, K)
+    rows."""
     rng = np.random.default_rng(config.seed)
     n = data.n_nodes
     params = seed_params(data, n_groups, n_roles, rng, config.alpha0)
     pairs = _pairs(data)
-    act_indptr = _activity_indptr(data.activity_counts)
-    acts = int(act_indptr[-1])
+    acts = data.feature_ids.size
     shapes = ((pairs.indices.size, n_groups), (pairs.indices.size, n_groups),
               (n, n_groups), (n, n_groups), (acts, n_groups), (acts, n_roles))
     rows = [np.full(shape, 1.0 / shape[1]) for shape in shapes]
@@ -508,8 +496,8 @@ def _init0(data, n_groups, n_roles, config):
         jitter_rows(arr, rng)
     phi_out, phi_in, nolink_out, nolink_in, lam, mu = (np.ascontiguousarray(a.T) for a in rows)
     gamma = _gamma_block(params.alpha, pairs, phi_out, phi_in, nolink_out, nolink_in,
-                         _segment_sums(lam, act_indptr))
-    return params, pairs, act_indptr, gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu
+                         _segment_sums(lam, data.act_indptr))
+    return params, pairs, gamma, phi_out, phi_in, nolink_out, nolink_in, lam, mu
 
 
 def fit0(
@@ -537,23 +525,23 @@ def fit0(
             config.seed,
             config.restarts,
         )
-    params, pairs, act_indptr, *arrays = _init0(data, n_groups, n_roles, config)
-    ids = _feature_ids(data)
-    terms = _terms(params, ids)
+    params, pairs, *arrays = _init0(data, n_groups, n_roles, config)
+    terms = _terms(params, data.feature_ids)
     gamma = arrays[0]
     dig = digamma(gamma)
 
     def snapshot():
-        return _variational(*arrays, act_indptr)
+        return _variational(*arrays, data.act_indptr)
 
     def step():
         nonlocal params, terms
         for _ in range(config.inner_max):
-            if not _sweep0(terms, pairs, act_indptr, config.inner_tol, gamma, dig, *arrays[1:]):
+            if not _sweep0(terms, pairs, data.act_indptr, config.inner_tol, gamma, dig,
+                           *arrays[1:]):
                 break
         state = snapshot()
         params = m_step0(data, state, params.alpha)
-        terms = _terms(params, ids)
+        terms = _terms(params, data.feature_ids)
         return compute_elbo0(data, params, state)
 
     first = compute_elbo0(data, params, snapshot())

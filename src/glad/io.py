@@ -72,6 +72,71 @@ def _read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def _write_rows(out, bounds, cols, texts, sep: str, end: str) -> None:
+    """Write one line per entry of a CSR layout: person p's entries are
+    ``cols[bounds[p]:bounds[p + 1]]``, and entry c's line is p, ``sep``,
+    ``texts[c]`` and ``end``.  ``texts`` is an object array of strings, so
+    each person's lines are gathered, joined and written as one string, and
+    the text of a large file is never held whole."""
+    for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo < hi:
+            head = f"{p}{sep}"
+            out.write(head + (end + head).join(texts[cols[lo:hi]]) + end)
+
+
+def _parse_line(path, i, line, n_cols, delimiter, messages):
+    cells = line.split(delimiter)
+    if len(cells) != n_cols:
+        raise ValueError(f"{path} line {i}: {messages[0]}")
+    try:
+        fields = [int(c) for c in cells]
+    except ValueError:
+        fields = None
+    if fields is None or any(abs(f) >= 2**63 for f in fields):
+        raise ValueError(f"{path} line {i}: {messages[1]}")
+    return fields
+
+
+def _count_lines(path) -> int:
+    """Lines in the file as text mode splits them, a last line without its newline included."""
+    raw = Path(path).read_bytes()
+    ends = raw.count(b"\n")
+    if b"\r" in raw:
+        ends += raw.count(b"\r") - raw.count(b"\r\n")
+    return ends + (bool(raw) and not raw.endswith((b"\n", b"\r")))
+
+
+def _read_fields(path, n_cols: int, delimiter: str, header: int, messages) -> np.ndarray:
+    """The integer fields of a delimited text file as an (R, n_cols) int64
+    array, one row per line after the first ``header`` lines.
+
+    ``np.loadtxt`` parses the whole file at once, from the path, but it skips
+    blank lines and its errors do not name the file's line, so whenever its
+    rows do not match the lines one to one, the lines are parsed again one at
+    a time to report the first bad one with ``messages``: a line with
+    another number of fields, then one whose fields are not int64 integers.
+    """
+    n_rows = _count_lines(path) - header
+    if n_rows <= 0:
+        return np.zeros((0, n_cols), dtype=np.int64)
+    try:
+        fields = np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None,
+                            skiprows=header, ndmin=2)
+    except ValueError:
+        fields = None
+    if fields is None or fields.shape != (n_rows, n_cols):
+        lines = Path(path).read_text().splitlines()[header:]
+        rows = [_parse_line(path, i, line, n_cols, delimiter, messages)
+                for i, line in enumerate(lines, start=header + 1)]
+        fields = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
+    return fields
+
+
+def _agree(path, field: str, got: int, want: int) -> None:
+    if got != want:
+        raise ValueError(f"{path}: {field} is {got}, but dataset.json gives {want}")
+
+
 # ---------------------------------------------------------------------------
 # feature CSV
 # ---------------------------------------------------------------------------
@@ -80,67 +145,59 @@ def _feature_header(n_features: int) -> str:
     return ",".join(["node_id"] + [f"f_{j + 1}" for j in range(n_features)])
 
 
-def _write_feature_rows(path, rows, n_features: int) -> None:
-    lines = [_feature_header(n_features)]
-    for node, counts in rows:
-        lines.append(",".join([str(node)] + [str(int(c)) for c in counts]))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_static_features(path, features: np.ndarray) -> None:
+    np.savetxt(path, np.column_stack((np.arange(features.shape[0]), features)), fmt="%d",
+               delimiter=",", header=_feature_header(features.shape[1]), comments="")
 
 
-def _parse_feature_file(path):
-    """Return (node_ids, counts) from a feature CSV, validating the header."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+def _read_features(path) -> np.ndarray:
+    """The fields of a feature CSV as an (R, 1 + V) array: node id, then
+    the V counts, one row per line after the header."""
+    with open(path) as f:
+        first = f.readline()
+    if not first:
         raise ValueError(f"{path}: empty feature file; expected 'node_id,f_1,...' CSV")
-    header = lines[0].split(",")
-    if header[0] != "node_id" or any(
-        h != f"f_{j + 1}" for j, h in enumerate(header[1:])
-    ) or len(header) < 2:
+    header = first.rstrip("\n")
+    n_cols = header.count(",") + 1
+    if n_cols < 2 or header != _feature_header(n_cols - 1):
         raise ValueError(f"{path}: feature header must read 'node_id,f_1,...,f_V'")
-    n_features = len(header) - 1
-    ids, counts = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n_features + 1:
-            raise ValueError(f"{path} line {i}: expected {n_features + 1} integer cells")
-        try:
-            row = [int(c) for c in cells]
-        except ValueError:
-            raise ValueError(f"{path} line {i}: feature cells must be integers") from None
-        ids.append(row[0])
-        counts.append(row[1:])
-    return np.asarray(ids, dtype=np.int64), np.asarray(counts, dtype=np.int64).reshape(
-        len(ids), n_features
-    )
+    return _read_fields(path, n_cols, ",", 1,
+                        (f"expected {n_cols} integer cells", "feature cells must be integers"))
 
 
 def read_static_features(path) -> np.ndarray:
     """Read a static feature CSV: one row per node, ids 0..N-1 in order."""
-    ids, counts = _parse_feature_file(path)
-    if not np.array_equal(ids, np.arange(ids.size)):
+    fields = _read_features(path)
+    if not np.array_equal(fields[:, 0], np.arange(fields.shape[0])):
         raise ValueError(
             f"{path}: static feature rows must list node ids 0..N-1 exactly once, in order"
         )
-    return counts
+    return fields[:, 1:]
 
 
-def read_activity_features(path, n_nodes: int):
-    """Read an activity-level feature CSV into per-person index arrays.
+def read_activity_features(path, n_nodes: int, n_features: int):
+    """Read an activity-level feature CSV into ``(feature_ids, act_indptr)``,
+    the stacked layout of :class:`ActivityDataset`.
 
-    Every row must be one-hot (one count of 1, rest 0); rows group by
-    ``node_id`` in file order.  Nodes without rows get empty arrays, which is
-    why the caller must supply ``n_nodes``.
+    Every row must be one-hot (one count of 1, rest 0), and the header must
+    list ``n_features`` features.  Rows are grouped by ``node_id``, each
+    person's in file order, by one stable sort that a grouped file skips.
+    Nodes without rows own no activities, which is why the caller must
+    supply ``n_nodes``.
     """
-    ids, counts = _parse_feature_file(path)
+    fields = _read_features(path)
+    _agree(path, "n_features", fields.shape[1] - 1, n_features)
+    node, counts = fields[:, 0], fields[:, 1:]
     if counts.size and (counts.min() < 0 or counts.max() > 1 or np.any(counts.sum(axis=1) != 1)):
         raise ValueError(f"{path}: activity feature rows must be one-hot (a single 1)")
-    if ids.size and (ids.min() < 0 or ids.max() >= n_nodes):
+    if node.size and (node.min() < 0 or node.max() >= n_nodes):
         raise ValueError(f"{path}: node ids must lie in [0, {n_nodes})")
-    per_person = [[] for _ in range(n_nodes)]
-    tokens = counts.argmax(axis=1) if counts.size else np.zeros(0, dtype=np.int64)
-    for node, tok in zip(ids, tokens):
-        per_person[node].append(int(tok))
-    return tuple(np.asarray(p, dtype=np.int64) for p in per_person)
+    ids = counts.argmax(axis=1)
+    if np.any(node[1:] < node[:-1]):
+        ids = ids[np.argsort(node, kind="stable")]
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(node, minlength=n_nodes), out=indptr[1:])
+    return ids, indptr
 
 
 # ---------------------------------------------------------------------------
@@ -149,62 +206,19 @@ def read_activity_features(path, n_nodes: int):
 
 def _write_edges(path, graphs) -> None:
     """Write an edge TSV from ``(data, suffix)`` pairs: one ``p<TAB>q`` line,
-    plus the suffix, per edge of each graph in turn, row-major.  Each row's
-    lines are joined from the people's id strings and written as one string,
-    so the text of a large graph is never held whole."""
+    plus the suffix, per edge of each graph in turn, row-major."""
     with open(path, "w") as out:
         for data, suffix in graphs:
             u, v = data.edges
-            ids = [str(p) for p in range(data.n_nodes)]
+            ids = np.array([str(p) for p in range(data.n_nodes)], dtype=object)
             bounds = np.searchsorted(u, np.arange(data.n_nodes + 1)).tolist()
-            end = suffix + "\n"
-            for p, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                if lo < hi:
-                    head = ids[p] + "\t"
-                    row = [ids[q] for q in v[lo:hi].tolist()]
-                    out.write(head + (end + head).join(row) + end)
-
-
-def _parse_edge_line(path, i, line, n_cols):
-    cells = line.split("\t")
-    shape = "p<TAB>q" if n_cols == 2 else "p<TAB>q<TAB>t"
-    if len(cells) != n_cols:
-        raise ValueError(f"{path} line {i}: expected '{shape}' with {n_cols} integer fields")
-    try:
-        fields = [int(c) for c in cells]
-    except ValueError:
-        fields = None
-    if fields is None or any(abs(f) >= 2**63 for f in fields):
-        raise ValueError(f"{path} line {i}: expected '{shape}' with integer fields")
-    return fields
-
-
-def _count_lines(path) -> int:
-    """Lines in the file, a last line without its newline included."""
-    raw = Path(path).read_bytes()
-    return raw.count(b"\n") + (bool(raw) and not raw.endswith(b"\n"))
+            _write_rows(out, bounds, v, ids, "\t", suffix + "\n")
 
 
 def _read_edge_fields(path, n_cols: int) -> np.ndarray:
-    """The integer fields of an edge TSV as an (E, n_cols) array, one row per line.
-
-    ``np.loadtxt`` parses the whole file at once, from the path, but it skips
-    blank lines and its errors do not name the file's line, so whenever its
-    rows do not match the lines one to one, the lines are parsed again one at
-    a time to report the first bad one.
-    """
-    n_lines = _count_lines(path)
-    if not n_lines:
-        return np.zeros((0, n_cols), dtype=np.int64)
-    try:
-        fields = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-    except ValueError:
-        fields = None
-    if fields is None or fields.shape != (n_lines, n_cols):
-        rows = [_parse_edge_line(path, i, line, n_cols)
-                for i, line in enumerate(Path(path).read_text().splitlines(), start=1)]
-        fields = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
-    return fields
+    shape = "p<TAB>q" if n_cols == 2 else "p<TAB>q<TAB>t"
+    return _read_fields(path, n_cols, "\t", 0, (f"expected '{shape}' with {n_cols} integer fields",
+                                                f"expected '{shape}' with integer fields"))
 
 
 def _first_hit(mask: np.ndarray) -> int:
@@ -330,28 +344,21 @@ def write_dataset(dirpath, data, truth=None) -> None:
         manifest["kind"] = "dynamic"
         manifest["horizon"] = data.horizon
         for t, snap in enumerate(data.snapshots):
-            _write_feature_rows(
-                out / f"features_t{t}.csv",
-                list(enumerate(snap.features)),
-                data.n_features,
-            )
+            _write_static_features(out / f"features_t{t}.csv", snap.features)
         _write_edges(out / "edges.tsv",
                      [(snap, f"\t{t}") for t, snap in enumerate(data.snapshots)])
     elif isinstance(data, ActivityDataset):
         manifest["kind"] = "activity"
-        rows = []
-        for p, ids in enumerate(data.feature_ids):
-            for tok in ids:
-                one_hot = np.zeros(data.n_features, dtype=np.int64)
-                one_hot[tok] = 1
-                rows.append((p, one_hot))
-        _write_feature_rows(out / "features.csv", rows, data.n_features)
+        # one one-hot row per activity, in the stacked order
+        v = data.n_features
+        one_hot = np.array(["0," * f + "1" + ",0" * (v - 1 - f) for f in range(v)], dtype=object)
+        with open(out / "features.csv", "w") as f:
+            f.write(_feature_header(v) + "\n")
+            _write_rows(f, data.act_indptr.tolist(), data.feature_ids, one_hot, ",", "\n")
         _write_edges(out / "edges.tsv", [(data, "")])
     elif isinstance(data, Dataset):
         manifest["kind"] = "static"
-        _write_feature_rows(
-            out / "features.csv", list(enumerate(data.features)), data.n_features
-        )
+        _write_static_features(out / "features.csv", data.features)
         _write_edges(out / "edges.tsv", [(data, "")])
     else:
         raise TypeError("write_dataset expects a Dataset, ActivityDataset or DynamicDataset")
@@ -372,32 +379,34 @@ def _node_grouping(group) -> np.ndarray:
 
 
 def read_dataset(dirpath):
-    """Load a dataset directory written by :func:`write_dataset`."""
+    """Load a dataset directory written by :func:`write_dataset`.  Each
+    feature file's header lists the ``n_features`` of ``dataset.json``, and
+    a per-node one has its ``n_nodes`` rows, or ``ValueError`` names it."""
     root = Path(dirpath)
     manifest_path = root / "dataset.json"
     if not manifest_path.exists():
         raise ValueError(f"{dirpath}: not a dataset directory (missing dataset.json)")
     manifest = _read_json(manifest_path)
     kind = manifest.get("kind")
-    n = int(manifest["n_nodes"])
+    n, v = int(manifest["n_nodes"]), int(manifest["n_features"])
+
+    def static_features(path):
+        features = read_static_features(path)
+        _agree(path, "n_nodes", features.shape[0], n)
+        _agree(path, "n_features", features.shape[1], v)
+        return features
+
     if kind == "static":
-        features = read_static_features(root / "features.csv")
+        features = static_features(root / "features.csv")
         return Dataset(features=features, edges=read_edges(root / "edges.tsv", n))
     if kind == "activity":
-        ids = read_activity_features(root / "features.csv", n)
-        return ActivityDataset(
-            feature_ids=ids,
-            edges=read_edges(root / "edges.tsv", n),
-            n_features=int(manifest["n_features"]),
-        )
+        ids, indptr = read_activity_features(root / "features.csv", n, v)
+        return ActivityDataset(ids, indptr, v, edges=read_edges(root / "edges.tsv", n))
     if kind == "dynamic":
         horizon = int(manifest["horizon"])
         edge_snaps = read_dynamic_edges(root / "edges.tsv", n, horizon)
         snaps = [
-            Dataset(
-                features=read_static_features(root / f"features_t{t}.csv"),
-                edges=edge_snaps[t],
-            )
+            Dataset(features=static_features(root / f"features_t{t}.csv"), edges=edge_snaps[t])
             for t in range(horizon)
         ]
         return DynamicDataset(snapshots=tuple(snaps))

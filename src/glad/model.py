@@ -4,9 +4,12 @@ Every inference backend works on the same value objects: dataset containers
 (:class:`Dataset`, :class:`ActivityDataset`, :class:`DynamicDataset`), each
 holding its graph as an edge list and never as an N x N matrix, the
 generative parameters (:class:`ModelParams`), and the variational state of
-the static model (:class:`GladVariational`).  The log-domain primitives the
-update equations are built from live here as well, so the variational and
-Monte Carlo modules share one set of conventions:
+the static model (:class:`GladVariational`).  An activity dataset holds its
+activities as the neighbour lists are held, stacked people ascending with
+an indptr; the generators, the files and glad0 all use that one layout.
+The log-domain primitives the update equations are built from live here as
+well, so the variational and Monte Carlo modules share one set of
+conventions:
 
 * Bernoulli block probabilities are kept inside ``[PROB_EPS, 1 - PROB_EPS]``.
 * Simplex parameters may contain exact zeros; logs are taken through
@@ -383,44 +386,48 @@ class Dataset(_Graph):
 class ActivityDataset(_Graph):
     """Activity-level observations: one categorical feature per activity.
 
-    ``feature_ids[p]`` is an integer array with one entry per activity of
-    person p, each the index of the single feature that activity produced
-    (the one-hot encoding stored compactly).  The graph is given and stored
-    as in :class:`Dataset`; glad0's pair kernels also read ``senders`` and
-    ``reverse``.
+    ``feature_ids`` is a read-only (A,) int64 array: each activity's single
+    feature (the one-hot encoding stored compactly), stacked people
+    ascending as the neighbour lists are.  Person p's activities are
+    ``feature_ids[act_indptr[p]:act_indptr[p + 1]]``, in recorded order;
+    glad0's activity posteriors and the feature file follow the same order.
+    The graph is given and stored as in :class:`Dataset`; glad0's pair
+    kernels also read ``senders`` and ``reverse``.
     """
 
-    feature_ids: tuple
+    feature_ids: np.ndarray
+    act_indptr: np.ndarray
     edges: tuple
     n_features: int
 
-    def __init__(self, feature_ids, n_features: int, *, links=None, edges=None):
-        rows = []
-        for ids in feature_ids:
-            a = _frozen(ids, dtype=np.int64)
-            if a.ndim != 1:
-                raise ValueError("each person's activities must be a 1-D index array")
-            if a.size and (a.min() < 0 or a.max() >= n_features):
-                raise ValueError("activity feature index out of range")
-            rows.append(a)
-        object.__setattr__(self, "feature_ids", tuple(rows))
+    def __init__(self, feature_ids, act_indptr, n_features: int, *, links=None, edges=None):
+        ids = _frozen(feature_ids, dtype=np.int64)
+        indptr = _frozen(act_indptr, dtype=np.int64)
+        if ids.ndim != 1 or indptr.ndim != 1 or indptr.size == 0:
+            raise ValueError("activities must be a 1-D feature id array and a 1-D indptr")
+        if indptr[0] != 0 or indptr[-1] != ids.size or np.any(indptr[1:] < indptr[:-1]):
+            raise ValueError("act_indptr must rise from 0 to the number of activities")
+        if ids.size and (ids.min() < 0 or ids.max() >= n_features):
+            raise ValueError("activity feature index out of range")
+        object.__setattr__(self, "feature_ids", ids)
+        object.__setattr__(self, "act_indptr", indptr)
         object.__setattr__(self, "n_features", n_features)
-        object.__setattr__(self, "edges", _graph_edges(links, edges, len(rows), "feature_ids"))
+        object.__setattr__(self, "edges",
+                           _graph_edges(links, edges, indptr.size - 1, "act_indptr"))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.feature_ids)
+        return self.act_indptr.size - 1
 
     @property
     def activity_counts(self) -> np.ndarray:
-        return np.array([ids.size for ids in self.feature_ids], dtype=np.int64)
+        return np.diff(self.act_indptr)
 
     def feature_counts(self) -> np.ndarray:
         """Aggregate activities into an (N, V) count matrix."""
-        out = np.zeros((self.n_nodes, self.n_features), dtype=np.int64)
-        for p, ids in enumerate(self.feature_ids):
-            np.add.at(out[p], ids, 1)
-        return out
+        n, v = self.n_nodes, self.n_features
+        person = np.repeat(np.arange(n), self.activity_counts)
+        return np.bincount(person * v + self.feature_ids, minlength=n * v).reshape(n, v)
 
 
 @dataclass(frozen=True)

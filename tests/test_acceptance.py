@@ -168,6 +168,7 @@ def test_update_kernels_match_straightline_oracles():
         want_block = tg0.oracle_m_step0_block(data.links, *tg0.expand_state(data, state))
         worst_abs = max(worst_abs, float(np.abs(fitted.block - want_block).max()))
         if sum(data.activity_counts) > 0:
+            ids = tg0.person_ids(data)
             theta = np.zeros((m, k))
             beta = np.zeros((v, k))
             for p in range(n):
@@ -176,7 +177,7 @@ def test_update_kernels_match_straightline_oracles():
                         for r in range(k):
                             theta[g, r] += lams[p][a, g] * mus[p][a, r]
                     for r in range(k):
-                        beta[data.feature_ids[p][a], r] += mus[p][a, r]
+                        beta[ids[p][a], r] += mus[p][a, r]
             theta /= theta.sum(axis=1, keepdims=True)
             beta /= beta.sum(axis=0, keepdims=True)
             worst_abs = max(worst_abs, float(np.abs(fitted.theta - theta).max()))

@@ -177,7 +177,8 @@ def test_generate_glad0_shapes():
 def test_generate_glad0_zero_activities_boundary():
     params = make_params()
     data, truth = generate_glad0(params, 6, 0, seed=4)
-    assert all(ids.size == 0 for ids in data.feature_ids)
+    assert data.feature_ids.size == 0
+    np.testing.assert_array_equal(data.act_indptr, np.zeros(7, dtype=int))
     np.testing.assert_array_equal(data.feature_counts(), np.zeros((6, 2), dtype=int))
 
 
@@ -204,9 +205,7 @@ def test_generate_glad0_feature_counts_match_activities():
     counts = data.feature_counts()
     np.testing.assert_array_equal(counts.sum(axis=1), np.full(12, 9))
     # with near-one-hot beta the feature ids track the roles most of the time
-    agree = np.mean(
-        [np.mean(data.feature_ids[p] == truth.role[p]) for p in range(12)]
-    )
+    agree = np.mean(data.feature_ids == np.concatenate(truth.role))
     assert agree > 0.75
 
 
@@ -215,8 +214,7 @@ def test_generate_glad0_deterministic():
     d1, t1 = generate_glad0(params, 15, 5, seed=21)
     d2, t2 = generate_glad0(params, 15, 5, seed=21)
     np.testing.assert_array_equal(d1.links, d2.links)
-    for a, b in zip(d1.feature_ids, d2.feature_ids):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(d1.feature_ids, d2.feature_ids)
     np.testing.assert_array_equal(t1.z_out, t2.z_out)
 
 
@@ -389,13 +387,13 @@ def test_inject_activity_anomalies_shapes_and_tokens():
     data, truth = inject_activity_anomalies(cfg)
     assert data.n_nodes == 60
     assert data.n_features == 2
-    assert all(ids.shape == (40,) for ids in data.feature_ids)
-    assert all(0 <= ids.min() and ids.max() < 2 for ids in data.feature_ids)
+    np.testing.assert_array_equal(data.activity_counts, np.full(60, 40))
+    assert 0 <= data.feature_ids.min() and data.feature_ids.max() < 2
     np.testing.assert_array_equal(np.bincount(truth.group), np.full(3, 20))
     anom = next(iter(truth.anomalous_groups))
     # anomalous rate (0.9, 0.1) pushes token 0 through the 0.9-diagonal beta
     for g in range(3):
-        ids = np.concatenate([data.feature_ids[p] for p in np.flatnonzero(truth.group == g)])
+        ids = data.feature_ids.reshape(60, 40)[truth.group == g]
         share0 = (ids == 0).mean()
         assert share0 > 0.6 if g == anom else share0 < 0.4
 
@@ -404,9 +402,8 @@ def test_inject_activity_anomalies_activity_count_and_determinism():
     cfg = InjectionConfig(n_nodes=30, n_groups=3, seed=6)
     d1, t1 = inject_activity_anomalies(cfg, activities=7)
     d2, t2 = inject_activity_anomalies(cfg, activities=7)
-    assert all(ids.shape == (7,) for ids in d1.feature_ids)
-    for a, b in zip(d1.feature_ids, d2.feature_ids):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(d1.activity_counts, np.full(30, 7))
+    np.testing.assert_array_equal(d1.feature_ids, d2.feature_ids)
     np.testing.assert_array_equal(d1.links, d2.links)
     assert t1.anomalous_groups == t2.anomalous_groups
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from glad import glad0_vem
 from glad.glad0_vem import (
     Fit0Config,
     Glad0Variational,
-    _activity_indptr,
     _gamma_block,
     _group_softmax,
     _init0,
@@ -59,6 +58,18 @@ def _normalized_exp(scores):
     return np.array(e) / sum(e)
 
 
+def stacked(rows):
+    """``(feature_ids, act_indptr)`` of per-person feature id rows, stacked
+    people ascending as ``ActivityDataset`` holds them."""
+    return np.concatenate([np.zeros(0, dtype=int), *rows]), np.cumsum([0, *map(len, rows)])
+
+
+def person_ids(data):
+    """Each person's feature ids, sliced from the dataset's stacked array."""
+    bounds = zip(data.act_indptr[:-1], data.act_indptr[1:])
+    return [data.feature_ids[lo:hi] for lo, hi in bounds]
+
+
 def linked_pairs(y):
     """Ordered linked pairs, sender ascending, then receiver ascending."""
     n = y.shape[0]
@@ -97,6 +108,7 @@ def oracle_elbo0(data, params, gamma, phi_out, phi_in, lams, mus):
     n, m = gamma.shape
     alpha, block, theta, beta = params.alpha, params.block, params.theta, params.beta
     k = theta.shape[1]
+    ids = person_ids(data)
     psi = scipy.special.psi
     elogpi = [[psi(gamma[p, g]) - psi(gamma[p].sum()) for g in range(m)] for p in range(n)]
     total = 0.0
@@ -119,7 +131,7 @@ def oracle_elbo0(data, params, gamma, phi_out, phi_in, lams, mus):
     for p in range(n):
         for a in range(lams[p].shape[0]):
             lam, mu = lams[p][a], mus[p][a]
-            fid = data.feature_ids[p][a]
+            fid = ids[p][a]
             for g in range(m):
                 total += lam[g] * (elogpi[p][g] - _flog(lam[g]))
                 for r in range(k):
@@ -271,7 +283,7 @@ def oracle_block_update(name, data, params, arrays):
                 if name == "lam":
                     rows[a] = oracle_lambda0(p, a, gamma, params.theta, arrays["mu"])
                 else:
-                    rows[a] = oracle_mu0(p, a, data.feature_ids, params.theta, params.beta,
+                    rows[a] = oracle_mu0(p, a, person_ids(data), params.theta, params.beta,
                                          arrays["lam"])
     return new
 
@@ -307,9 +319,9 @@ def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
     params = ModelParams(alpha=alpha, block=block, theta=theta, beta=beta)
 
     counts = rng.integers(0, max_acts + 1, size=n)
-    feature_ids = tuple(rng.integers(0, v, size=c) for c in counts)
+    feature_ids, act_indptr = stacked([rng.integers(0, v, size=c) for c in counts])
     y = np.triu(rng.integers(0, 2, size=(n, n)), k=1)
-    data = ActivityDataset(feature_ids=feature_ids, links=y + y.T, n_features=v)
+    data = ActivityDataset(feature_ids, act_indptr, v, links=y + y.T)
 
     n_linked = int(data.links.sum())
     state = Glad0Variational(
@@ -321,7 +333,7 @@ def random_instance0(seed, n=4, m=2, k=2, v=3, max_acts=3):
         # drawn person by person, then stacked group-major as fit0 holds them
         lam=np.concatenate([rng.dirichlet(np.ones(m), size=c) for c in counts]).T.copy(),
         mu=np.concatenate([rng.dirichlet(np.ones(k), size=c) for c in counts]).T.copy(),
-        act_indptr=_activity_indptr(counts),
+        act_indptr=act_indptr,
     )
     return data, params, state
 
@@ -332,7 +344,7 @@ def kernel_updates(data, params, state):
     with gamma and the activity rows per person as the oracles give them;
     the activity rows are None when nobody has an activity."""
     pairs = _pairs(data)
-    terms = _terms(params, np.concatenate(data.feature_ids))
+    terms = _terms(params, data.feature_ids)
     own = _own(digamma(state.gamma).T)
     new_out = _group_softmax(_side_logits(np.repeat(own, pairs.degree, axis=1), state.phi_in,
                                           terms.log_b))
@@ -371,7 +383,7 @@ def oracle_updates(data, params, state):
 def test_expand_fills_each_ordered_pair_once():
     # 0-1 and 1-2 linked, 0-2 not: the linked columns follow the CSR order
     y = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-    data = ActivityDataset(feature_ids=(np.zeros(0, dtype=int),) * 3, links=y, n_features=2)
+    data = ActivityDataset(*_no_activities(3), 2, links=y)
     indptr, indices = data.neighbours
     senders = np.repeat(np.arange(3), np.diff(indptr))
     assert linked_pairs(y) == list(zip(senders, indices))
@@ -418,7 +430,7 @@ def test_update_activity_posteriors_match_oracle(seed):
             lam[row], oracle_lambda0(p, a, state.gamma, params.theta, mus), atol=1e-12
         )
         np.testing.assert_allclose(
-            mu[row], oracle_mu0(p, a, data.feature_ids, params.theta, params.beta, lams),
+            mu[row], oracle_mu0(p, a, person_ids(data), params.theta, params.beta, lams),
             atol=1e-12,
         )
 
@@ -448,8 +460,8 @@ def test_compute_elbo0_matches_dense_oracle_at_initialization(seed):
     data, _ = inject_activity_anomalies(
         InjectionConfig(n_nodes=12 + 7 * seed, n_groups=3, seed=seed), activities=3)
     config = Fit0Config(max_iters=1, seed=seed)
-    params, _, act_indptr, *arrays = _init0(data, 3, 2, config)
-    state = _variational(*arrays, act_indptr)
+    params, _, *arrays = _init0(data, 3, 2, config)
+    state = _variational(*arrays, data.act_indptr)
     got = compute_elbo0(data, params, state)
     want = oracle_elbo0(data, params, state.gamma, *expand_state(data, state),
                         *person_activities(state))
@@ -471,7 +483,7 @@ def test_sweep0_is_the_public_updates_in_block_order(seed):
                                    state.nolink_in)]
     lam, mu = state.lam.copy(), state.mu.copy()
     assert lam.shape[1] and pairs.indices.size
-    assert _sweep0(_terms(params, np.concatenate(data.feature_ids)), pairs,
+    assert _sweep0(_terms(params, data.feature_ids), pairs,
                    state.act_indptr, 0.0, gamma, dig, *sides, lam, mu)
     np.testing.assert_array_equal(dig, digamma(gamma))
 
@@ -492,7 +504,7 @@ def test_fit0_carries_digamma_and_builds_terms_once_per_m_step(monkeypatch):
     # fresh build from the parameters of the last M-step (or the start)
     data, _ = inject_activity_anomalies(InjectionConfig(n_nodes=24, n_groups=3, seed=2),
                                         activities=3)
-    ids = np.concatenate(data.feature_ids)
+    ids = data.feature_ids
     real_init, real_m_step, real_sweep = _init0, m_step0, _sweep0
     current, sweeps = {}, []
 
@@ -574,6 +586,7 @@ def test_m_step0_theta_beta_match_oracle():
     data, params, state = random_instance0(3, n=5, m=3, k=2, v=4)
     got = m_step0(data, state, params.alpha)
     lams, mus = person_activities(state)
+    ids = person_ids(data)
     m, k, v = 3, 2, 4
     theta = np.zeros((m, k))
     beta = np.zeros((v, k))
@@ -583,7 +596,7 @@ def test_m_step0_theta_beta_match_oracle():
                 for r in range(k):
                     theta[g, r] += lams[p][a, g] * mus[p][a, r]
             for r in range(k):
-                beta[data.feature_ids[p][a], r] += mus[p][a, r]
+                beta[ids[p][a], r] += mus[p][a, r]
     theta /= theta.sum(axis=1, keepdims=True)
     beta /= beta.sum(axis=0, keepdims=True)
     np.testing.assert_allclose(got.theta, theta, atol=1e-12)
@@ -595,13 +608,13 @@ def test_m_step0_theta_beta_match_oracle():
 # ---------------------------------------------------------------------------
 
 def _no_activities(n):
-    return tuple(np.zeros(0, dtype=int) for _ in range(n))
+    return stacked([np.zeros(0, dtype=int)] * n)
 
 
 def test_gamma0_single_node_one_activity():
-    data = ActivityDataset(feature_ids=(np.array([0]),), links=[[0]], n_features=2)
+    data = ActivityDataset([0], [0, 1], 2, links=[[0]])
     half = np.full((2, 1), 0.5)
-    act = _segment_sums(np.array([[1.0], [0.0]]), _activity_indptr(data.activity_counts))
+    act = _segment_sums(np.array([[1.0], [0.0]]), data.act_indptr)
     got = _gamma_block(np.array([1.0, 1.0]), _pairs(data), np.zeros((2, 0)), np.zeros((2, 0)),
                        half, half, act)
     np.testing.assert_allclose(got, [[2.0], [1.0]], atol=1e-12)
@@ -610,7 +623,7 @@ def test_gamma0_single_node_one_activity():
 def test_gamma0_uniform_pairs_count_directions():
     # person 1 is linked to 0, not to 2: two linked and two non-linked sides
     y = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
-    data = ActivityDataset(feature_ids=_no_activities(3), links=y, n_features=2)
+    data = ActivityDataset(*_no_activities(3), 2, links=y)
     linked = np.full((2, 2), 0.5)
     nolink = np.full((2, 3), 0.5)
     got = _gamma_block(np.zeros(2), _pairs(data), linked, linked, nolink, nolink,
@@ -639,7 +652,7 @@ def test_phi_uniform_under_symmetric_gamma_and_flat_block():
 def test_phi_out_linked_follows_one_hot_counterpart():
     n = 4
     linked = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-    data = ActivityDataset(feature_ids=_no_activities(n), links=linked, n_features=3)
+    data = ActivityDataset(*_no_activities(n), 3, links=linked)
     params = ModelParams(alpha=np.ones(2), block=np.array([[0.9, 0.1], [0.1, 0.9]]),
                          theta=np.full((2, 2), 0.5), beta=np.full((3, 2), 1 / 3))
     phi_in = np.full((2, n * (n - 1)), 0.5)
@@ -670,7 +683,7 @@ def test_lambda0_identical_rate_rows_uses_gamma_only():
 def test_mu0_identical_emissions_uses_rates_only():
     data, params, state = random_instance0(6)
     p = next(p for p in range(4) if data.activity_counts[p] > 0)
-    terms = _terms(replace(params, beta=np.full((3, 2), 1.0 / 3)), data.feature_ids[p][:1])
+    terms = _terms(replace(params, beta=np.full((3, 2), 1.0 / 3)), person_ids(data)[p][:1])
     first = state.act_indptr[p]
     got = _group_softmax(_role_logits(state.lam[:, first:first + 1], terms.log_theta,
                                       terms.log_beta))[:, 0]
@@ -692,7 +705,7 @@ def test_m_step0_one_hot_saturates_block():
     # everyone linked: every sender side in group 0, every receiver in 1
     n, m = 4, 2
     y = np.ones((n, n), dtype=int) - np.eye(n, dtype=int)
-    data = ActivityDataset(feature_ids=_no_activities(n), links=y, n_features=2)
+    data = ActivityDataset(*_no_activities(n), 2, links=y)
     phi_out = np.zeros((m, n * (n - 1)))
     phi_in = np.zeros((m, n * (n - 1)))
     phi_out[0] = 1.0
@@ -724,7 +737,7 @@ def test_activity_dataset_checks_links_as_dataset_does(links, match):
     with pytest.raises(ValueError, match=match):
         Dataset(features=np.ones((n, 2), dtype=int), links=links)
     with pytest.raises(ValueError, match=match):
-        ActivityDataset(feature_ids=(np.zeros(1, dtype=int),) * n, links=links, n_features=2)
+        ActivityDataset(np.zeros(n, dtype=int), np.arange(n + 1), 2, links=links)
 
 
 # ---------------------------------------------------------------------------
@@ -886,11 +899,7 @@ def test_fit0_without_activities_reduces_to_pair_mmsb():
     y[: n // 2, : n // 2] = 1
     y[n // 2 :, n // 2 :] = 1
     np.fill_diagonal(y, 0)
-    data = ActivityDataset(
-        feature_ids=tuple(np.zeros(0, dtype=int) for _ in range(n)),
-        links=y,
-        n_features=2,
-    )
+    data = ActivityDataset(*_no_activities(n), 2, links=y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         res = fit0(data, 2, 2, Fit0Config(max_iters=20, seed=0))
@@ -963,8 +972,8 @@ def test_fit0_at_2000_people_holds_no_quadratic_array():
     # So does the M-step's non-link mass, which gathers the linked partners'
     # sides in runs of rows of at most EDGE_CHUNK pairs: gathering all of
     # them at once added one (M, 2E) float array (22.6 MB at this size).
-    params, pairs, act_indptr, *arrays = _init0(dense, 5, 2, Fit0Config())
-    state = _variational(*arrays, act_indptr)
+    params, pairs, *arrays = _init0(dense, 5, 2, Fit0Config())
+    state = _variational(*arrays, dense.act_indptr)
     peaks = []
     for build in (lambda: compute_elbo0(dense, params, state),
                   lambda: m_step0(dense, state, params.alpha)):

@@ -47,28 +47,50 @@ def test_activity_features_round_trip(tmp_path):
     cfg = InjectionConfig(n_nodes=20, n_groups=2, seed=1)
     data, truth = inject_activity_anomalies(cfg, activities=5)
     io.write_dataset(tmp_path, data, truth)
-    back = io.read_activity_features(tmp_path / "features.csv", 20)
-    for a, b in zip(back, data.feature_ids):
-        np.testing.assert_array_equal(a, b)
+    ids, indptr = io.read_activity_features(tmp_path / "features.csv", 20, 2)
+    np.testing.assert_array_equal(ids, data.feature_ids)
+    np.testing.assert_array_equal(indptr, data.act_indptr)
 
 
 def test_activity_features_must_be_one_hot(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("node_id,f_1,f_2\n0,1,1\n")
     with pytest.raises(ValueError, match="one-hot"):
-        io.read_activity_features(p, 1)
+        io.read_activity_features(p, 1, 2)
     p.write_text("node_id,f_1,f_2\n5,1,0\n")
     with pytest.raises(ValueError, match=r"\[0, 2\)"):
-        io.read_activity_features(p, 2)
+        io.read_activity_features(p, 2, 2)
 
 
 def test_activity_features_node_without_rows_gets_empty_array(tmp_path):
     p = tmp_path / "f.csv"
     p.write_text("node_id,f_1,f_2\n0,1,0\n2,0,1\n")
-    back = io.read_activity_features(p, 3)
-    assert back[1].size == 0
-    np.testing.assert_array_equal(back[0], [0])
-    np.testing.assert_array_equal(back[2], [1])
+    ids, indptr = io.read_activity_features(p, 3, 2)
+    np.testing.assert_array_equal(ids, [0, 1])
+    np.testing.assert_array_equal(indptr, [0, 1, 1, 2])
+
+
+def test_activity_features_group_by_node_stably(tmp_path):
+    # rows out of node order are grouped by node, each person's rows in
+    # file order
+    p = tmp_path / "f.csv"
+    p.write_text("node_id,f_1,f_2,f_3\n2,0,0,1\n0,0,1,0\n2,1,0,0\n0,1,0,0\n2,0,1,0\n")
+    ids, indptr = io.read_activity_features(p, 4, 3)
+    np.testing.assert_array_equal(ids, [1, 0, 2, 0, 1])
+    np.testing.assert_array_equal(indptr, [0, 2, 2, 5, 5])
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_features_read_other_line_endings_as_lines(tmp_path, newline):
+    # the rows after the header are counted on the file's bytes, as the
+    # edge lines are: no row may be lost to a line ending other than \n
+    p = tmp_path / "f.csv"
+    p.write_bytes(newline.join([b"node_id,f_1,f_2", b"0,1,0", b"1,0,1", b"0,0,1"]) + newline)
+    ids, indptr = io.read_activity_features(p, 2, 2)
+    np.testing.assert_array_equal(ids, [0, 1, 1])
+    np.testing.assert_array_equal(indptr, [0, 2, 3])
+    p.write_bytes(newline.join([b"node_id,f_1", b"0,3", b"1,4"]))
+    np.testing.assert_array_equal(io.read_static_features(p), [[3], [4]])
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +311,33 @@ def test_dataset_manifest_kinds(tmp_path):
         io.write_dataset(tmp_path / sub, data)
         back = io.read_dataset(tmp_path / sub)
         assert isinstance(back, cls)
+
+
+_DATASETS = {
+    "static": lambda cfg: inject_anomalies(cfg)[0],
+    "activity": lambda cfg: inject_activity_anomalies(cfg, activities=3)[0],
+    "dynamic": lambda cfg: inject_dynamic_change(cfg, horizon=2, change_time=1)[0],
+}
+
+
+# a static or dynamic feature file shows both fields; an activity file shows
+# only the width, and node ids at or above n_nodes (people without rows are
+# legal, so a larger n_nodes is not a mismatch)
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("static", "n_nodes", 25, r"features.csv: n_nodes is 20, but dataset.json gives 25"),
+    ("static", "n_features", 7, r"features.csv: n_features is 2, but dataset.json gives 7"),
+    ("activity", "n_nodes", 15, r"features.csv: node ids must lie in \[0, 15\)"),
+    ("activity", "n_features", 7, r"features.csv: n_features is 2, but dataset.json gives 7"),
+    ("dynamic", "n_nodes", 25, r"features_t0.csv: n_nodes is 20, but dataset.json gives 25"),
+    ("dynamic", "n_features", 1, r"features_t0.csv: n_features is 2, but dataset.json gives 1"),
+], ids=[f"{kind}-{field}" for kind in _DATASETS for field in ("n_nodes", "n_features")])
+def test_read_dataset_checks_features_against_manifest(tmp_path, kind, field, value, message):
+    cfg = InjectionConfig(n_nodes=20, n_groups=2, trials_per_person=4, seed=0)
+    io.write_dataset(tmp_path, _DATASETS[kind](cfg))
+    manifest = io._read_json(tmp_path / "dataset.json")
+    io.write_json(tmp_path / "dataset.json", {**manifest, field: value})
+    with pytest.raises(ValueError, match=message):
+        io.read_dataset(tmp_path)
 
 
 def test_read_dataset_requires_manifest(tmp_path):

@@ -316,11 +316,10 @@ def _both_ways(y, rng):
     flip = rng.random(u.size) < 0.5
     edges = (np.where(flip, v, u)[order], np.where(flip, u, v)[order])
     x = np.ones((n, 2), dtype=np.int64)
-    ids = (np.zeros(1, dtype=np.int64),) * n
+    ids, indptr = np.zeros(n, dtype=np.int64), np.arange(n + 1)
     return [
         Dataset(features=x, links=y), Dataset(features=x, edges=edges),
-        ActivityDataset(feature_ids=ids, links=y, n_features=2),
-        ActivityDataset(feature_ids=ids, edges=edges, n_features=2),
+        ActivityDataset(ids, indptr, 2, links=y), ActivityDataset(ids, indptr, 2, edges=edges),
     ]
 
 
@@ -365,8 +364,37 @@ def test_edge_lists_reject_bad_pairs(edges, match):
     with pytest.raises(ValueError, match=match):
         Dataset(features=np.ones((4, 1), dtype=np.int64), edges=edges)
     with pytest.raises(ValueError, match=match):
-        ActivityDataset(feature_ids=(np.zeros(0, dtype=np.int64),) * 4, edges=edges,
-                        n_features=1)
+        ActivityDataset(np.zeros(0, dtype=np.int64), np.zeros(5, dtype=np.int64), 1,
+                        edges=edges)
+
+
+@pytest.mark.parametrize("ids, indptr, match", [
+    ([[0, 1]], [0, 2], "1-D"),
+    ([0, 1], [], "1-D"),
+    ([0, 1], [1, 2], "rise from 0"),
+    ([0, 1], [0, 1], "rise from 0"),
+    ([0, 1, 1], [0, 2, 1, 3], "rise from 0"),
+    ([0, 3], [0, 1, 2], "out of range"),
+    ([-1, 0], [0, 1, 2], "out of range"),
+], ids=["ids-2d", "no-indptr", "start", "end", "falling", "id-too-large", "negative-id"])
+def test_activity_datasets_reject_bad_activities(ids, indptr, match):
+    with pytest.raises(ValueError, match=match):
+        ActivityDataset(ids, indptr, 3, edges=([], []))
+
+
+def test_feature_counts_count_each_persons_activities():
+    rng = np.random.default_rng(0)
+    rows = [rng.integers(0, 4, size=c) for c in (3, 0, 5, 1, 0, 7)]
+    data = ActivityDataset(np.concatenate(rows), np.cumsum([0, *map(len, rows)]), 4,
+                           edges=([], []))
+    want = np.zeros((6, 4), dtype=np.int64)
+    for p, ids in enumerate(rows):
+        for f in ids:
+            want[p, f] += 1
+    got = data.feature_counts()
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(data.activity_counts, [3, 0, 5, 1, 0, 7])
 
 
 def test_datasets_take_the_graph_once():

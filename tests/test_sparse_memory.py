@@ -9,12 +9,19 @@ alone is N^2 = 36 MB there; the cases allow a traced peak of N^2 / 4 bytes
 The fits use 2 groups: their own memory is linear in N but not small, for
 example ``model.digamma`` expands an (N, M + 1) argument into ten copies,
 and 2 groups keep it well inside the budget.  The activity case gives each
-person 2 activities for the same reason: the activity feature files are
-written and parsed one Python object per activity.
+person 2 activities for the same reason: glad0 holds several (M, A) and
+(K, A) float arrays over the A activities, which at 50 activities a person
+would fill the budget alone.
+
+The last case checks the activity files themselves at 50 activities a
+person (A = 300000): writing and reading them back each peak below 64
+bytes per activity, about what the stacked ids and the parsed fields need.
+One Python object per activity costs several times that.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from glad import io as gio
@@ -51,3 +58,23 @@ def test_generate_to_fit_holds_no_dense_graph(tmp_path, pipeline):
     # the graph is sparse, as the budget assumes
     assert 4 * N < 2 * data.edges[0].size < 8 * N
     assert peak < N * N / 4, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_activity_files_hold_memory_proportional_to_the_activities(tmp_path):
+    cfg = InjectionConfig(n_nodes=N, block_in=0.003, block_out=0.0005, seed=0)
+    data, truth = inject_activity_anomalies(cfg, activities=50)
+    acts = data.feature_ids.size
+    tracemalloc.start()
+    try:
+        gio.write_dataset(tmp_path, data, truth)
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = gio.read_dataset(tmp_path)
+        _, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert acts == 50 * N
+    for stage, peak in (("write", write_peak), ("read", read_peak)):
+        assert peak < 64 * acts, f"{stage}: traced peak {peak / 1e6:.1f} MB"
+    np.testing.assert_array_equal(back.feature_ids, data.feature_ids)
+    np.testing.assert_array_equal(back.act_indptr, data.act_indptr)
