@@ -26,6 +26,10 @@ Inference interleaves two moves:
   so their draws are the one-at-a-time draws.  Only the first mover's move is
   applied, and the scan resumes right after them.  Once the chain settles
   and few people move, a sweep costs a handful of windows, not N steps.
+  Each snapshot's graph is read as its neighbour lists (CSR): the scan
+  keeps every person's neighbours per group, counted once per snapshot,
+  and a move updates them along the mover's neighbour lists, so nothing
+  N x N is built.
 * A bootstrap particle filter per group re-estimates the rate path given the
   current assignments; the filtered means feed the next Gibbs scan.
 
@@ -486,20 +490,26 @@ def _anchor_params(anchor) -> DGladParams:
     )
 
 
-def _neighbour_counts(links: np.ndarray, groups: np.ndarray, m: int):
+def _neighbour_counts(graphs, groups: np.ndarray, m: int):
     """``(counts, totals)``: the (T, N, M) neighbours of each person in each
     group and the (T, M) people in each group, as integer-valued floats, for
-    the stacked (T, N, N) ``links`` and the (T, N) ``groups``."""
-    member = (groups[:, :, None] == np.arange(m)).astype(float)
-    counts = np.stack([links[t] @ member[t] for t in range(groups.shape[0])])
-    return counts, member.sum(axis=1)
+    the snapshots' neighbour lists ``graphs`` (T CSR ``(indptr, indices)``)
+    and the (T, N) ``groups``."""
+    horizon, n = groups.shape
+    counts, totals = np.empty((horizon, n, m)), np.empty((horizon, m))
+    for t, (indptr, indices) in enumerate(graphs):
+        # each linked ordered pair counts its receiver's group for its sender
+        cells = np.repeat(np.arange(0, n * m, m), np.diff(indptr)) + groups[t, indices]
+        counts[t] = np.bincount(cells, minlength=n * m).reshape(n, m)
+        totals[t] = np.bincount(groups[t], minlength=m)
+    return counts, totals
 
 
 def _scan_assignments(
     trace: DGladTrace,
     rng: np.random.Generator,
     feat_scores: np.ndarray,
-    links: np.ndarray,
+    graphs: list,
     logb: np.ndarray,
     log1mb: np.ndarray,
     neighbours: tuple | None = None,
@@ -507,12 +517,14 @@ def _scan_assignments(
     """One blocked Gibbs scan, in place: every role of every snapshot in one
     draw, then each person's groups across all snapshots in one draw, people
     ascending.  ``feat_scores`` is the (T, N, K) feature log likelihood per
-    role and ``links`` the stacked (T, N, N) adjacency.
+    role and ``graphs`` the neighbour lists of each snapshot, T CSR
+    ``(indptr, indices)``.
 
-    ``neighbours`` is ``_neighbour_counts`` of ``links`` and the current
+    ``neighbours`` is ``_neighbour_counts`` of ``graphs`` and the current
     groups, built here when not given.  The scan keeps it up to date as people
-    move and returns it, so a caller that changes no group between two scans
-    passes it on instead of paying T (N, N) products per scan.
+    move, walking the mover's neighbour list in each snapshot where their
+    group changed, and returns it, so a caller that changes no group between
+    two scans passes it on instead of counting every snapshot again.
 
     The group half is a speculative scan with the draws of the one-person
     scan.  Person p's draw uses row p of ``rng.random((N, T))``, the same
@@ -531,9 +543,9 @@ def _scan_assignments(
     trace.R[:] = _draw_rows(role_logits, rng.random((horizon, n)))
     ls_role = ls_theta[steps[:, None], :, trace.R]  # (T, N, M)
 
-    # kept up to date as people move, one snapshot's link row at a time
+    # kept up to date as people move, one snapshot's neighbour list at a time
     if neighbours is None:
-        neighbours = _neighbour_counts(links, trace.G, trace.n_groups)
+        neighbours = _neighbour_counts(graphs, trace.G, trace.n_groups)
     counts, totals = neighbours
     logpi = floored_log(trace.pi)
     u = rng.random((n, horizon))
@@ -553,15 +565,17 @@ def _scan_assignments(
             start += width
             width *= 2
             continue
-        # move the first mover's link row from the old group's column to
-        # the new, then rescore everyone after them
+        # move the first mover from the old group's column to the new in
+        # their neighbours' counts, then rescore everyone after them
         p = start + first
         g_p, g_new = trace.G[:, p], drawn[:, first]
         moved = np.flatnonzero(g_new != g_p)
         old, new = g_p[moved], g_new[moved]
-        row = links[moved, p]
-        counts[moved, :, old] -= row
-        counts[moved, :, new] += row
+        for t, a, b in zip(moved.tolist(), old.tolist(), new.tolist()):
+            indptr, indices = graphs[t]
+            linked = indices[indptr[p]:indptr[p + 1]]
+            counts[t, linked, a] -= 1
+            counts[t, linked, b] += 1
         totals[moved, old] -= 1
         totals[moved, new] += 1
         g_p[moved] = new
@@ -618,12 +632,7 @@ def run_sampler(
 
     features = np.stack([snap.features for snap in data.snapshots])
     feat_scores = features @ floored_log(params.beta)
-    # the stacked (T, N, N) adjacency, filled once from the snapshots' edges
-    links = np.zeros((horizon, n, n), dtype=np.int8)
-    for t, snap in enumerate(data.snapshots):
-        u, v = snap.edges
-        links[t, u, v] = 1
-        links[t, v, u] = 1
+    graphs = [snap.neighbours for snap in data.snapshots]
     logb = np.log(params.block)
     log1mb = np.log1p(-params.block)
     history = np.empty((config.sweeps, horizon, n_groups, n_roles))
@@ -631,7 +640,7 @@ def run_sampler(
     neighbours = None
     for s in range(config.sweeps):
         neighbours = _scan_assignments(
-            trace, rng, feat_scores, links, logb, log1mb, neighbours
+            trace, rng, feat_scores, graphs, logb, log1mb, neighbours
         )
         trace.pi = _draw_memberships(params.alpha, trace.G, rng)
         theta_hat, particles, weights = particle_filter_theta(

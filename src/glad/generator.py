@@ -92,7 +92,8 @@ _LINK_BUFFER = 1 << 16
 def _sample_links(
     rng: np.random.Generator, block: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> tuple:
-    """An undirected graph as its edge list ``(u, v)``: u < v, row-major.
+    """An undirected graph as its edge list ``(u, v)`` of int32 ids: u < v,
+    row-major.
 
     Pair (p, q) links with rate ``block[left[p, q], right[p, q]]``, where
     ``left`` and ``right`` broadcast to (N, N): per-person groups
@@ -125,7 +126,7 @@ def _sample_links(
                 out=linked[used:used + k])
         used += k
     read_out(first, max(first, n - 1), used)
-    return np.concatenate(us), np.concatenate(vs)
+    return np.concatenate(us, dtype=np.int32), np.concatenate(vs, dtype=np.int32)
 
 
 def _snapshot(rng, block, rates, beta, group, trials) -> tuple:

@@ -382,7 +382,9 @@ def _cross_index(graphs):
             hi = min(lo + 256, n)
             start, stop = indptr[lo], indptr[hi]
             at = np.repeat(first[lo:hi, g] + 1 - indptr[lo:hi], degree[lo:hi, g])
-            rows[at + np.arange(start, stop)] = indices[start:stop] * n_graphs + g
+            # the ids are int32: the row arithmetic runs in int64
+            ids = np.multiply(indices[start:stop], n_graphs, dtype=np.int64)
+            rows[at + np.arange(start, stop)] = ids + g
     bounds = first[:, 0].tolist() + [rows.size]
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])], list(first - first[:, :1])
 

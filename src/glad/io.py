@@ -7,7 +7,8 @@ rerun with the same inputs reproduces every output byte for byte:
   datasets have one row per node; activity-level datasets repeat ``node_id``
   with one one-hot row per activity.
 * edge list: TSV ``p<TAB>q`` (static) or ``p<TAB>q<TAB>t`` (dynamic), lines
-  sorted, one line per unordered pair, no self loops.
+  sorted, one line per unordered pair, no self loops; read straight into
+  int32 ids.
 * ground truth: JSON ``{"anomalous_groups": [...], "grouping": [...],
   "change_times": {...}}``.
 * configs: ``key=value`` lines with ``#`` comments; unknown keys are errors.
@@ -98,29 +99,36 @@ def _parse_line(path, i, line, n_cols, delimiter, messages):
 
 
 def _count_lines(path) -> int:
-    """Lines in the file as text mode splits them, a last line without its newline included."""
-    raw = Path(path).read_bytes()
-    ends = raw.count(b"\n")
-    if b"\r" in raw:
-        ends += raw.count(b"\r") - raw.count(b"\r\n")
-    return ends + (bool(raw) and not raw.endswith((b"\n", b"\r")))
+    """Lines in the file as text mode splits them, a last line without its
+    newline included; read in blocks, so the file is never held whole."""
+    ends, last = 0, b""
+    with open(path, "rb") as f:
+        while block := f.read(1 << 20):
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):
+                ends -= 1  # a \r\n split between two blocks ends one line
+            last = block[-1:]
+    return ends + (last not in (b"", b"\n", b"\r"))
 
 
-def _read_fields(path, n_cols: int, delimiter: str, header: int, messages) -> np.ndarray:
-    """The integer fields of a delimited text file as an (R, n_cols) int64
-    array, one row per line after the first ``header`` lines.
+def _read_fields(path, n_cols: int, delimiter: str, header: int, messages,
+                 dtype=np.int64) -> np.ndarray:
+    """The integer fields of a delimited text file as an (R, n_cols)
+    ``dtype`` array, one row per line after the first ``header`` lines.
 
     ``np.loadtxt`` parses the whole file at once, from the path, but it skips
     blank lines and its errors do not name the file's line, so whenever its
     rows do not match the lines one to one, the lines are parsed again one at
     a time to report the first bad one with ``messages``: a line with
     another number of fields, then one whose fields are not int64 integers.
+    Fields that are int64 but not ``dtype`` integers come back as int64, for
+    the caller's checks to report.
     """
     n_rows = _count_lines(path) - header
     if n_rows <= 0:
-        return np.zeros((0, n_cols), dtype=np.int64)
+        return np.zeros((0, n_cols), dtype=dtype)
     try:
-        fields = np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None,
+        fields = np.loadtxt(path, dtype=dtype, delimiter=delimiter, comments=None,
                             skiprows=header, ndmin=2)
     except ValueError:
         fields = None
@@ -216,9 +224,11 @@ def _write_edges(path, graphs) -> None:
 
 
 def _read_edge_fields(path, n_cols: int) -> np.ndarray:
+    """The fields of an edge TSV, int32 unless a field needs int64."""
     shape = "p<TAB>q" if n_cols == 2 else "p<TAB>q<TAB>t"
     return _read_fields(path, n_cols, "\t", 0, (f"expected '{shape}' with {n_cols} integer fields",
-                                                f"expected '{shape}' with integer fields"))
+                                                f"expected '{shape}' with integer fields"),
+                        dtype=np.int32)
 
 
 def _first_hit(mask: np.ndarray) -> int:
@@ -235,6 +245,7 @@ def _raise_first_bad_line(path, fields: np.ndarray, n_nodes: int, horizon: int |
     snapshot).  The first offending line is reported by its line number;
     within one line the checks apply in that order.
     """
+    fields = fields.astype(np.int64)
     p, q = fields[:, 0], fields[:, 1]
     lo, hi = np.minimum(p, q), np.maximum(p, q)
     bad_ids = (p == q) | (lo < 0) | (hi >= n_nodes)

@@ -2,14 +2,15 @@
 
 Every inference backend works on the same value objects: dataset containers
 (:class:`Dataset`, :class:`ActivityDataset`, :class:`DynamicDataset`), each
-holding its graph as an edge list and never as an N x N matrix, the
-generative parameters (:class:`ModelParams`), and the variational state of
-the static model (:class:`GladVariational`).  An activity dataset holds its
-activities as the neighbour lists are held, stacked people ascending with
-an indptr; the generators, the files and glad0 all use that one layout.
-The log-domain primitives the update equations are built from live here as
-well, so the variational and Monte Carlo modules share one set of
-conventions:
+holding its graph as an edge list of int32 ids and never as an N x N matrix
+(positions among the 2E linked ordered pairs, such as the CSR indptr, are
+int64), the generative parameters (:class:`ModelParams`), and the
+variational state of the static model (:class:`GladVariational`).  An
+activity dataset holds its activities as the neighbour lists are held,
+stacked people ascending with an indptr; the generators, the files and
+glad0 all use that one layout.  The log-domain primitives the update
+equations are built from live here as well, so the variational and Monte
+Carlo modules share one set of conventions:
 
 * Bernoulli block probabilities are kept inside ``[PROB_EPS, 1 - PROB_EPS]``.
 * Simplex parameters may contain exact zeros; logs are taken through
@@ -89,16 +90,19 @@ class _EdgeList(tuple):
 
 
 def _checked_edges(edges, n_nodes: int) -> _EdgeList:
-    """Read-only int64 ``(u, v)`` of an undirected graph on ``n_nodes``
+    """Read-only int32 ``(u, v)`` of an undirected graph on ``n_nodes``
     people: each linked pair once, u < v, row-major.
 
     ``edges`` is a pair of id arrays, each pair in either orientation and in
     any order.  An id outside [0, n_nodes), a person paired with themselves
-    or a pair listed twice raises ``ValueError``.
+    or a pair listed twice raises ``ValueError``.  The checks run on the ids
+    as given if they are int32, else on an int64 copy, so an id too large for
+    int32 is rejected before the ids are narrowed, never wrapped.
     """
     if isinstance(edges, _EdgeList) and not (edges[1].size and edges[1].max() >= n_nodes):
         return edges
-    u, v = (np.asarray(a, dtype=np.int64) for a in edges)
+    u, v = (a if isinstance(a, np.ndarray) and a.dtype == np.int32
+            else np.asarray(a, dtype=np.int64) for a in edges)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError("edges must be two 1-D id arrays of one length")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
@@ -106,7 +110,8 @@ def _checked_edges(edges, n_nodes: int) -> _EdgeList:
         raise ValueError(f"edge ids must lie in [0, {n_nodes})")
     if np.any(lo == hi):
         raise ValueError("an edge pairs a person with themselves")
-    key = lo * n_nodes
+    key = lo.astype(np.int64)
+    key *= n_nodes
     key += hi
     # already canonical, as every reader and generator writes it: one pass
     if np.any(key[1:] <= key[:-1]):
@@ -115,7 +120,7 @@ def _checked_edges(edges, n_nodes: int) -> _EdgeList:
         if np.any(key[1:] == key[:-1]):
             raise ValueError("an unordered pair is listed twice")
         lo, hi = lo[order], hi[order]
-    return _EdgeList((_readonly(lo), _readonly(hi)))
+    return _EdgeList(_readonly(a.astype(np.int32, copy=False)) for a in (lo, hi))
 
 
 def _graph_edges(links, edges, n_nodes: int, rows: str) -> tuple:
@@ -279,10 +284,11 @@ def floored_log(x: np.ndarray) -> np.ndarray:
 
 class _Graph:
     """An undirected graph on ``n_nodes`` people, held as its edge list
-    ``edges``: ``(u, v)`` with u < v, each linked pair once, row-major.
+    ``edges``: int32 ``(u, v)`` with u < v, each linked pair once, row-major.
 
     The sparse views are derived from it on first use; all are read-only
-    index arrays in row-major order, and nothing N x N is held.
+    index arrays in row-major order, ids int32 and positions among the 2E
+    linked ordered pairs int64, and nothing N x N is held.
     """
 
     @property
@@ -299,19 +305,14 @@ class _Graph:
     @cached_property
     def neighbours(self) -> tuple:
         """CSR ``(indptr, indices)``: person p's neighbours are
-        ``indices[indptr[p]:indptr[p + 1]]``, ascending."""
+        ``indices[indptr[p]:indptr[p + 1]]``, ascending; int64 positions
+        and int32 ids."""
         u, v = self.edges
-        n = self.n_nodes
-        below, above = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(below + above, out=indptr[1:])
-        # row p holds its neighbours below p, then those above; the edges
-        # list the ones above in CSR order, and the ones below once sorted
-        # by their larger end (stably, so each row's stay ascending)
-        is_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
-        indices = np.empty(2 * u.size, dtype=np.int64)
-        order = np.argsort(v, kind="stable")
-        indices[is_below] = np.take(u, order, out=order)
+        indptr, is_below = _row_layout(u, v, self.n_nodes)
+        indices = np.empty(2 * u.size, dtype=np.int32)
+        # the neighbours below are the edges sorted by their larger end
+        # (stably, so each row's stay ascending)
+        indices[is_below] = u[np.argsort(v, kind="stable")]
         indices[np.logical_not(is_below, out=is_below)] = v
         return _readonly(indptr), _readonly(indices)
 
@@ -320,13 +321,34 @@ class _Graph:
         """Owner of each ``neighbours`` entry: the linked ordered pair j runs
         from ``senders[j]`` to ``indices[j]``."""
         indptr = self.neighbours[0]
-        return _readonly(np.repeat(np.arange(indptr.size - 1), np.diff(indptr)))
+        return _readonly(np.repeat(np.arange(indptr.size - 1, dtype=np.int32), np.diff(indptr)))
 
     @cached_property
     def reverse(self) -> np.ndarray:
         """Position in ``neighbours`` of each linked ordered pair's reversal."""
-        # pairs ordered by (receiver, sender) list the reversed pairs in CSR order
-        return _readonly(np.argsort(self.neighbours[1], kind="stable"))
+        u, v = self.edges
+        _, is_below = _row_layout(u, v, self.n_nodes)
+        # edge e seen from above is the e-th pair above its row's owner;
+        # seen from below, the edges come ordered stably by their larger end
+        below_at = np.flatnonzero(is_below)
+        above_at = np.flatnonzero(np.logical_not(is_below, out=is_below))
+        above_at = above_at[np.argsort(v, kind="stable")]
+        reverse = np.empty(2 * u.size, dtype=np.int64)
+        reverse[below_at] = above_at
+        reverse[above_at] = below_at
+        return _readonly(reverse)
+
+
+def _row_layout(u, v, n: int) -> tuple:
+    """``(indptr, is_below)`` of the neighbour lists of the edge list
+    ``(u, v)`` on ``n`` people, by counting: row p holds its neighbours
+    below p, then those above, and ``is_below`` marks the first kind.  The
+    edges list the ones above in CSR order."""
+    below, above = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=indptr[1:])
+    is_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
+    return indptr, is_below
 
 
 @dataclass(frozen=True, init=False)
@@ -338,9 +360,9 @@ class Dataset(_Graph):
     ``edges``, a pair of id arrays with each unordered pair once in either
     orientation, or as ``links``, an (N, N) symmetric 0/1 matrix whose
     diagonal is ignored.  Either way it is stored once, as the canonical
-    edge list ``edges``; the neighbour lists ``neighbours`` (CSR) are
-    derived from it on first use, and ``links`` builds the dense matrix on
-    demand.
+    edge list ``edges`` of int32 ids; the neighbour lists ``neighbours``
+    (CSR: an int64 indptr and int32 ids) are derived from it on first use,
+    and ``links`` builds the dense matrix on demand.
     """
 
     features: np.ndarray

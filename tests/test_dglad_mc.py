@@ -771,14 +771,14 @@ def test_blocked_scan_leaves_the_joint_posterior_invariant():
     )
     p_group, p_role = oracle_joint_marginals(data, params, trace)
     feat_scores = np.stack([s.features for s in data.snapshots]) @ np.log(params.beta)
-    stacked = np.stack(links).astype(np.int8)
+    graphs = [s.neighbours for s in data.snapshots]
     logb, log1mb = np.log(params.block), np.log1p(-params.block)
     draws = 20000
     group_hits = np.zeros((2, 3))
     role_hits = np.zeros((2, 3))
     scan_rng = np.random.default_rng(5)
     for _ in range(draws):
-        _scan_assignments(trace, scan_rng, feat_scores, stacked, logb, log1mb)
+        _scan_assignments(trace, scan_rng, feat_scores, graphs, logb, log1mb)
         group_hits += trace.G
         role_hits += trace.R
     assert np.abs(group_hits / draws - p_group).max() < 0.025
@@ -854,19 +854,17 @@ def test_speculative_scan_replays_the_one_person_scan(name):
     # four scans on one seeded stream give the one-person scan's G and R
     # after each, and leave the stream at the same place
     data, params, trace = scan_case(name)
-    inputs = (
-        np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta),
-        np.stack([s.links for s in data.snapshots]),
-        np.log(params.block),
-        np.log1p(-params.block),
-    )
+    feat_scores = np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta)
+    logb, log1mb = np.log(params.block), np.log1p(-params.block)
+    links = np.stack([s.links for s in data.snapshots])
+    graphs = [s.neighbours for s in data.snapshots]
     ref = copy.deepcopy(trace)
     ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
     movers = []
     for _ in range(4):
         before = ref.G.copy()
-        reference_scan(ref, ref_rng, *inputs)
-        _scan_assignments(trace, rng, *inputs)
+        reference_scan(ref, ref_rng, feat_scores, links, logb, log1mb)
+        _scan_assignments(trace, rng, feat_scores, graphs, logb, log1mb)
         np.testing.assert_array_equal(trace.R, ref.R)
         np.testing.assert_array_equal(trace.G, ref.G)
         movers.append((ref.G != before).any(axis=0).mean())
@@ -889,7 +887,7 @@ def test_scan_counts_carried_across_scans_match_a_rebuild(name):
     data, params, trace = scan_case(name)
     inputs = (
         np.stack([s.features for s in data.snapshots]) @ floored_log(params.beta),
-        np.stack([s.links for s in data.snapshots]),
+        [s.neighbours for s in data.snapshots],
         np.log(params.block),
         np.log1p(-params.block),
     )
@@ -904,6 +902,27 @@ def test_scan_counts_carried_across_scans_match_a_rebuild(name):
         counts, totals = _neighbour_counts(inputs[1], trace.G, trace.n_groups)
         np.testing.assert_array_equal(carried[0], counts)
         np.testing.assert_array_equal(carried[1], totals)
+
+
+def test_neighbour_counts_on_neighbour_lists_match_the_dense_product():
+    # the per-snapshot neighbour lists count what the dense product
+    # links[t] @ member[t] does: an empty snapshot, one with isolated people
+    # and a complete one, with a group no one is in
+    rng = np.random.default_rng(4)
+    n, m = 7, 4
+    y = np.triu(rng.random((n, n)) < 0.5, 1)
+    y[[2, 5], :] = y[:, [2, 5]] = False
+    dense = [np.zeros((n, n), dtype=np.int8), (y | y.T).astype(np.int8),
+             np.ones((n, n), dtype=np.int8)]
+    snaps = [Dataset(features=np.ones((n, 2), dtype=np.int64), links=y) for y in dense]
+    groups = rng.integers(0, m - 1, size=(len(snaps), n))
+    counts, totals = _neighbour_counts([s.neighbours for s in snaps], groups, m)
+    member = np.eye(m)[groups]
+    links = np.stack([s.links for s in snaps])
+    assert links[1, [2, 5]].sum() == 0 and links[1].sum() > 0
+    np.testing.assert_array_equal(counts, np.stack([links[t] @ member[t] for t in range(3)]))
+    np.testing.assert_array_equal(totals, member.sum(axis=1))
+    assert counts.dtype == totals.dtype == np.float64
 
 
 def test_run_sampler_deterministic():

@@ -280,7 +280,7 @@ def test_sample_links_edges_equal_the_dense_oracle(n, buffer, monkeypatch):
         u, v = _sample_links(sampled, block, left, right)
         want_u, want_v = _dense_oracle_edges(oracle, block, left, right)
         assert u.tolist() == want_u and v.tolist() == want_v
-        assert u.dtype == v.dtype == np.int64
+        assert u.dtype == v.dtype == np.int32
         assert sampled.random() == oracle.random()
 
 

@@ -148,12 +148,16 @@ _STATIC_BAD = [
     (["0\t1", "99999999999999999999\t2"], "line 2: expected 'p<TAB>q' with integer fields"),
     (["0\t1", "1\t2", "3\t4", "2\t1"], r"line 4: duplicate unordered pair \(2, 1\)"),
     (["0\t1", "1\t2", "0\t1"], r"line 3: duplicate unordered pair \(0, 1\)"),
+    # ids past int32 are rejected, not wrapped: 2**32 + 1 would read as 1
+    (["0\t1", "1\t2147483648"], r"line 2: ids must be distinct and in \[0, 5\)"),
+    (["0\t1", "2\t4294967297"], r"line 2: ids must be distinct and in \[0, 5\)"),
 ]
 _DYNAMIC_BAD = [
     (["0\t1\t0", "", "2\t3\t1"], "line 2: expected 'p<TAB>q<TAB>t' with 3 integer fields"),
     (["0\t1\t0", "1\t2"], "line 2: expected 'p<TAB>q<TAB>t' with 3 integer fields"),
     (["0\t1\t0", "1\t2\tt"], "line 2: expected 'p<TAB>q<TAB>t' with integer fields"),
     (["0\t1\t0", "0\t1\t1", "1\t0\t0"], r"line 3: duplicate pair \(1, 0\) at snapshot 0"),
+    (["0\t1\t0", "0\t1\t4294967296"], r"line 2: snapshot index must lie in \[0, 3\)"),
 ]
 
 
@@ -211,6 +215,18 @@ def test_edges_read_other_line_endings_as_lines(tmp_path, newline):
     p.write_bytes(newline.join([b"0\t1", b"3\t3"]))
     with pytest.raises(ValueError, match=r"line 2: ids must be distinct"):
         _read_static(p)
+
+
+def test_line_count_reads_a_line_ending_split_between_blocks(tmp_path):
+    # the lines are counted a 1 MiB block at a time: a \r\n across two
+    # blocks ends one line
+    p = tmp_path / "e.tsv"
+    first = b"0" * ((1 << 20) - 3) + b"\t1"
+    p.write_bytes(first + b"\r\n3\t2\r\n")
+    assert io._count_lines(p) == 2
+    want = np.zeros((5, 5), dtype=np.int8)
+    want[[0, 1, 2, 3], [1, 0, 3, 2]] = 1
+    np.testing.assert_array_equal(_read_static(p), want)
 
 
 def test_dynamic_edges_round_trip(tmp_path):

@@ -300,11 +300,17 @@ def _assert_graph(data, y):
     np.testing.assert_array_equal(data.neighbours[1], want["indices"])
     np.testing.assert_array_equal(data.senders, want["senders"])
     np.testing.assert_array_equal(data.reverse, want["reverse"])
+    # the argsort oracle: pairs ordered by (receiver, sender) list the
+    # reversed pairs in CSR order
+    np.testing.assert_array_equal(data.reverse, np.argsort(data.neighbours[1], kind="stable"))
     no_diagonal = y * (1 - np.eye(y.shape[0], dtype=y.dtype))
     np.testing.assert_array_equal(data.links, no_diagonal)
     assert data.links.dtype == np.int8
-    for arr in (*data.edges, *data.neighbours, data.senders, data.reverse):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
+    # ids are int32, positions among the 2E linked ordered pairs int64
+    for arr, dtype in ((data.edges[0], np.int32), (data.edges[1], np.int32),
+                       (data.neighbours[0], np.int64), (data.neighbours[1], np.int32),
+                       (data.senders, np.int32), (data.reverse, np.int64)):
+        assert arr.dtype == dtype and not arr.flags.writeable
 
 
 def _both_ways(y, rng):
@@ -359,7 +365,11 @@ def test_random_graphs_from_edges_and_from_links_agree(graph, seed):
     (([0, 1, 0], [1, 2, 1]), "listed twice"),
     (([0, 2, 1], [1, 3, 0]), "listed twice"),
     (([0, 1], [1]), "one length"),
-], ids=["self-pair", "id-too-large", "negative-id", "repeat", "repeat-reversed", "lengths"])
+    # checked before they are narrowed to int32, where 2**32 + 1 would wrap to 1
+    (([0, 2**31], [1, 2]), r"\[0, 4\)"),
+    (([0, 2**32 + 1], [1, 2]), r"\[0, 4\)"),
+], ids=["self-pair", "id-too-large", "negative-id", "repeat", "repeat-reversed", "lengths",
+        "id-past-int32", "id-wrapping-to-one"])
 def test_edge_lists_reject_bad_pairs(edges, match):
     with pytest.raises(ValueError, match=match):
         Dataset(features=np.ones((4, 1), dtype=np.int64), edges=edges)
