@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import itertools
 import json
 import os
 import re
@@ -82,18 +81,14 @@ class _Parser(argparse.ArgumentParser):
 # generate
 # ---------------------------------------------------------------------------
 
+# the config kind of each InjectionConfig field, from the type of its default
+_SCHEMA_KINDS = {int: "int", float: "float", tuple: "float_list"}
 _GENERATE_BASE = {
     "kind": ("str", "static"),
-    "n_nodes": ("int", 500),
-    "n_groups": ("int", 5),
-    "n_roles": ("int", 2),
-    "anomaly_fraction": ("float", 0.2),
-    "normal_rate": ("float_list", (0.1, 0.9)),
-    "anomalous_rate": ("float_list", (0.9, 0.1)),
-    "trials_per_person": ("int", 50),
-    "block_in": ("float", 0.3),
-    "block_out": ("float", 0.05),
-    "seed": ("int", 0),
+    **{
+        f.name: (_SCHEMA_KINDS[type(f.default)], f.default)
+        for f in dataclasses.fields(InjectionConfig)
+    },
 }
 
 _GENERATE_DYNAMIC = {
@@ -428,6 +423,8 @@ def _fpr_curve(scores, change, truth, n_thresholds):
 
 
 def cmd_evaluate(args) -> int:
+    if args.thresholds < 1:
+        raise UsageError(f"--thresholds must be at least 1, not {args.thresholds}")
     truth, report, scores, change = _prepare_report(args, want_truth=True)
     if change is not None and not truth["change_times"]:
         raise UsageError("dynamic fit but the truth file lists no change times")
@@ -604,22 +601,26 @@ def _dynamic_cell(cfg: dict, n_groups: int, seed: int) -> dict:
     return _cell_outcome(cfg, truth, *model.scores(fitted), n_groups)
 
 
-def _run_job(job) -> None:
-    """Worker entry: run one job's cells and record each outcome as a JSON file."""
-    cfg, methods, n_groups, seeds, paths = job
+def _run_job(job) -> list:
+    """Worker entry: one dict per cell of a job, seed by seed and in
+    ``_METHODS`` order, holding the cell's status and, when it scored, its
+    outcome.  A failure is returned as a status, not raised: an arbitrary
+    exception may not pickle."""
+    cfg, kind, n_groups, seeds = job
     try:
-        if methods == _METHODS:
+        if kind == "static":
             outcomes = _static_cells(cfg, n_groups, seeds)
         else:
             outcomes = [_dynamic_cell(cfg, n_groups, seed) for seed in seeds]
     except Exception as exc:  # per-job failures recorded, suite continues
-        outcomes = [exc] * len(paths)
-    for path, outcome in zip(paths, outcomes):
+        outcomes = [exc] * len(seeds) * (len(_METHODS) if kind == "static" else 1)
+    cells = []
+    for outcome in outcomes:
         if isinstance(outcome, Exception):
-            payload = {"status": f"error: {type(outcome).__name__}: {outcome}"}
+            cells.append({"status": f"error: {type(outcome).__name__}: {outcome}"})
         else:
-            payload = {**outcome, "status": "ok"}
-        gio.write_json(path, payload)
+            cells.append({**outcome, "status": "ok"})
+    return cells
 
 
 def _thread_cap() -> int | None:
@@ -667,6 +668,12 @@ def cmd_benchmark(args) -> int:
     cfg = gio.coerce_config(raw, _BENCHMARK_SCHEMA)
     if args.seed is not None:
         cfg["seed"] = args.seed
+    counts = sorted(cfg["group_counts"])
+    if len(set(counts)) < len(counts):
+        repeated = ",".join(map(str, cfg["group_counts"]))
+        raise UsageError(f"group_counts repeats a group count: {repeated}")
+    if cfg["thresholds"] < 1:
+        raise UsageError(f"thresholds must be at least 1, not {cfg['thresholds']}")
     cap = _thread_cap()
     out = Path(args.out)
     cells_dir = out / "cells"
@@ -679,60 +686,46 @@ def cmd_benchmark(args) -> int:
     # count takes about as long as a dynamic cell (alone, 125-140 ms against
     # 120-140 ms), so the static jobs are queued first, the largest first
     seeds = list(range(cfg["seed"], cfg["seed"] + cfg["n_seeds"]))
-    static = [
-        (cfg, _METHODS, gc, tuple(batch), tuple(
-            str(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json")
-            for seed in batch for method in _METHODS
-        ))
+    static_jobs = [
+        (cfg, "static", gc, tuple(batch))
         for gc in cfg["group_counts"]
         for batch in _seed_batches(seeds, cfg["n_nodes"])
     ]
-    jobs = sorted(static, key=lambda job: (-len(job[3]), -job[2]))
+    jobs = sorted(static_jobs, key=lambda job: (-len(job[3]), -job[2]))
     if cfg["dynamic"]:
         jobs += [
-            (cfg, ("dglad",), cfg["dyn_groups"], (seed,),
-             (str(cells_dir / f"dynamic_s{seed:03d}.json"),))
+            (cfg, "dynamic", cfg["dyn_groups"], (seed,))
             for seed in range(cfg["seed"], cfg["seed"] + cfg["dyn_seeds"])
         ]
-    cells = [
-        (method, gc, seed, path)
-        for _, methods, gc, part, paths in jobs
-        for (seed, method), path in zip(itertools.product(part, methods), paths)
-    ]
 
     workers = _n_workers(len(jobs), cap)
     if workers == 1:
-        for job in jobs:
-            _run_job(job)
+        results = [_run_job(job) for job in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_job, jobs))
-
-    # merge single-threaded, in deterministic order
-    cell_rows, curves, dyn_rows = [], [], []
-    for method, gc, seed, path in sorted(cells, key=lambda c: c[3]):
-        payload = json.loads(Path(path).read_text())
-        if method in _METHODS:
-            acc = payload.get("accuracy", float("nan"))
-            cell_rows.append((gc, method, seed, acc, payload["status"]))
+            results = list(pool.map(_run_job, jobs))
+    # every cell's result: static ones by (group count, method, seed), dynamic ones by seed
+    static, dynamic = {}, {}
+    for (_, kind, gc, part), result in zip(jobs, results):
+        if kind == "static":
+            keys = [(gc, method, seed) for seed in part for method in _METHODS]
+            static.update(zip(keys, result))
         else:
-            dyn_rows.append((seed, payload["status"]))
-            if payload["status"] == "ok":
-                curves.append((np.asarray(payload["fpr"]), np.asarray(payload["recall"])))
+            dynamic.update(zip(part, result))
 
-    cell_rows.sort(key=lambda r: (r[0], r[1], r[2]))
     lines = ["group_count,method,seed,accuracy,status"]
-    for gc, method, seed, acc, status in cell_rows:
-        lines.append(f"{gc},{method},{seed},{gio.fmt_cell(float(acc))},{_csv_safe(status)}")
+    for (gc, method, seed), cell in sorted(static.items()):
+        gio.write_json(cells_dir / f"static_g{gc:03d}_{method}_s{seed:03d}.json", cell)
+        acc = gio.fmt_cell(float(cell.get("accuracy", float("nan"))))
+        lines.append(f"{gc},{method},{seed},{acc},{_csv_safe(cell['status'])}")
     (out / "cells.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["group_count,method,mean_accuracy,std_accuracy,n_ok"]
     summary = {}
-    for gc in sorted(cfg["group_counts"]):
+    for gc in counts:
         for method in _METHODS:
-            accs = [
-                r[3] for r in cell_rows if r[0] == gc and r[1] == method and r[4] == "ok"
-            ]
+            group = [static[gc, method, seed] for seed in seeds]
+            accs = [cell["accuracy"] for cell in group if cell["status"] == "ok"]
             mean = float(np.mean(accs)) if accs else float("nan")
             std = float(np.std(accs)) if accs else float("nan")
             summary[(gc, method)] = mean
@@ -741,7 +734,6 @@ def cmd_benchmark(args) -> int:
             )
     (out / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    counts = sorted(cfg["group_counts"])
     mean_series = [
         np.array([summary[(gc, method)] for gc in counts]) for method in _METHODS
     ]
@@ -758,13 +750,19 @@ def cmd_benchmark(args) -> int:
 
     if cfg["dynamic"]:
         lines = ["seed,status"]
-        for seed, status in sorted(dyn_rows):
-            lines.append(f"{seed},{_csv_safe(status)}")
+        for seed in sorted(dynamic):
+            gio.write_json(cells_dir / f"dynamic_s{seed:03d}.json", dynamic[seed])
+            lines.append(f"{seed},{_csv_safe(dynamic[seed]['status'])}")
         (out / "dyn_cells.csv").write_text("\n".join(lines) + "\n")
+        # averaged in cell file-name order, which fixes the order of the sums
+        curves = [
+            dynamic[seed] for seed in sorted(dynamic, key="{:03d}".format)
+            if dynamic[seed]["status"] == "ok"
+        ]
         if curves:
             grid = np.linspace(0.0, cfg["grid_max"], cfg["thresholds"])
-            fpr = np.mean([c[0] for c in curves], axis=0)
-            recall = np.mean([c[1] for c in curves], axis=0)
+            fpr = np.mean([c["fpr"] for c in curves], axis=0)
+            recall = np.mean([c["recall"] for c in curves], axis=0)
             gio.write_matrix_csv(
                 out / "fpr_curve.csv",
                 np.column_stack([grid, fpr, recall]),
@@ -780,7 +778,8 @@ def cmd_benchmark(args) -> int:
                 ylabel="rate",
             )
 
-    n_failed = sum(row[-1] != "ok" for row in cell_rows + dyn_rows)
+    cells = [*static.values(), *dynamic.values()]
+    n_failed = sum(cell["status"] != "ok" for cell in cells)
     gio.write_json(
         out / "benchmark.json",
         {"n_cells": len(cells), "n_failed": n_failed, "seed": cfg["seed"]},
@@ -810,18 +809,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", required=True, type=int)
     p.add_argument("--roles", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--inner-max", dest="inner_max", type=int, default=None)
-    p.add_argument("--inner-tol", dest="inner_tol", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--sweeps", type=int, default=None)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    p.add_argument("--particles", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--init-restarts", dest="init_restarts", type=int, default=None)
-    p.add_argument("--init-fit-iters", dest="init_fit_iters", type=int, default=None)
+    # each hyper flag takes the type of its config field's default
+    field_types = {
+        field.name: type(field.default)
+        for model in _MODELS.values() for field in dataclasses.fields(model.config)
+    }
+    for flag in _FLAG_MODELS:
+        field = _FLAG_FIELDS.get(flag, flag)
+        p.add_argument("--" + flag.replace("_", "-"), type=field_types[field])
     p.set_defaults(func=cmd_fit)
 
     for name, func, needs_truth in (

@@ -385,6 +385,10 @@ FLAG_MODELS = {
 }
 
 
+# the hyper flags that take a float; the others take an int
+FLOAT_FLAGS = {"tol", "alpha0", "inner_tol", "sigma"}
+
+
 @pytest.mark.parametrize("flag", sorted(FLAG_MODELS))
 def test_hyper_flag_applies_to_its_models_only(flag, tmp_path, capsys):
     for model in ("glad", "glad0", "dglad"):
@@ -393,6 +397,10 @@ def test_hyper_flag_applies_to_its_models_only(flag, tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1  # the missing dataset, if the flag itself is accepted
         assert ("does not apply" in err) == (model not in FLAG_MODELS[flag]), (model, err)
+    rc = run("fit", "--model", min(FLAG_MODELS[flag]), "--data", tmp_path / "missing",
+             "--out", tmp_path / "o", "--groups", 2, "--" + flag.replace("_", "-"), 0.5)
+    assert rc == 1
+    assert ("invalid int value" in capsys.readouterr().err) == (flag not in FLOAT_FLAGS)
 
 
 def test_fit_dglad_theta_mean_table_shape(dynamic_run):
@@ -670,24 +678,79 @@ def test_benchmark_cell_grid_and_summary(tmp_path, monkeypatch):
     assert (out / "accuracy_vs_groups.svg").exists()
 
 
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_benchmark_worker_pool_matches_serial(tmp_path, monkeypatch):
     # one group count's three seeds run as one job, whatever the worker
     # count: the results directories, every cell's file included, are the
-    # same with one, two and three workers
+    # same with one, two and three workers, with and without dynamic cells
+    for dynamic, n_files in (("false", 5 + 6), ("true", 8 + 6 + 2)):
+        cfg = tmp_path / f"suite_{dynamic}.cfg"
+        _suite_config(
+            cfg, group_counts="3", n_seeds=3, n_nodes=60, max_iters=25, dynamic=dynamic,
+            dyn_nodes=40, dyn_groups=3, dyn_seeds=2, sweeps=3, burn_in=1, particles=20,
+            thresholds=5,
+        )
+        trees = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("GLAD_THREADS", threads)
+            out = tmp_path / f"{dynamic}_threads{threads}"
+            assert run("benchmark", "--config", cfg, "--out", out) == 0
+            trees.append(_tree(out))
+        assert len(trees[0]) == n_files, dynamic
+        assert trees[1] == trees[0] and trees[2] == trees[0], dynamic
+
+
+def test_benchmark_split_group_count_matches_one_job(tmp_path, monkeypatch):
+    # at N = 40 a cap of two graphs' links splits three seeds into jobs of
+    # two seeds and one; the merged results directory is the unsplit one
+    monkeypatch.setenv("GLAD_THREADS", "2")
     cfg = tmp_path / "suite.cfg"
-    _suite_config(cfg, group_counts="3", n_seeds=3, n_nodes=60, max_iters=25)
-    outs = []
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("GLAD_THREADS", threads)
-        outs.append(tmp_path / f"threads{threads}")
-        assert run("benchmark", "--config", cfg, "--out", outs[-1]) == 0
-    serial = outs[0]
-    files = sorted(p.relative_to(serial) for p in serial.rglob("*") if p.is_file())
-    assert len(files) == 5 + 6
-    for pooled in outs[1:]:
-        assert sorted(p.relative_to(pooled) for p in pooled.rglob("*") if p.is_file()) == files
-        for f in files:
-            assert (serial / f).read_bytes() == (pooled / f).read_bytes(), f
+    _suite_config(cfg, group_counts="2,3", n_seeds=3, n_nodes=40, max_iters=10)
+    whole = tmp_path / "whole"
+    assert run("benchmark", "--config", cfg, "--out", whole) == 0
+    monkeypatch.setattr(cli, "_JOB_LINKS_BYTES", 2 * 40**2)
+    assert cli._seed_batches([0, 1, 2], 40) == [[0, 1], [2]]
+    split = tmp_path / "split"
+    assert run("benchmark", "--config", cfg, "--out", split) == 0
+    assert _tree(split) == _tree(whole)
+
+
+def test_benchmark_rejects_a_repeated_group_count(tmp_path, monkeypatch, capsys):
+    # a repeated group count would fit its cells twice and list them twice
+    monkeypatch.setenv("GLAD_THREADS", "1")
+    cfg = tmp_path / "suite.cfg"
+    _suite_config(cfg, group_counts="3,4,3", n_seeds=2, n_nodes=30, max_iters=2)
+    out = tmp_path / "bench"
+    assert run("benchmark", "--config", cfg, "--out", out) == 1
+    assert "group_counts repeats a group count: 3,4,3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("command", ["benchmark", "evaluate"])
+def test_threshold_count_below_1_exits_1_writing_nothing(static_run, tmp_path, monkeypatch,
+                                                         capsys, command, value):
+    # a grid of no thresholds has no curve; the count is refused before any
+    # cell runs or any file is written
+    monkeypatch.setenv("GLAD_THREADS", "1")
+    _, data_dir, fit_dir = static_run
+    out = tmp_path / "out"
+    if command == "benchmark":
+        cfg = tmp_path / "suite.cfg"
+        _suite_config(cfg, group_counts="3", n_seeds=1, n_nodes=30, max_iters=2,
+                      dynamic="true", dyn_nodes=30, dyn_seeds=1, sweeps=2, burn_in=1,
+                      particles=10, thresholds=value)
+        argv, name = ["benchmark", "--config", cfg], "thresholds"
+    else:
+        argv = ["evaluate", "--fit", fit_dir, "--truth", data_dir / "truth.json", "--svg",
+                "--thresholds", value]
+        name = "--thresholds"
+    assert run(*argv, "--out", out) == 1
+    assert f"{name} must be at least 1, not {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_batches_the_seeds_by_their_links():
